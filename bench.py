@@ -30,7 +30,7 @@ def _cpu_ticks() -> tuple[int, int]:
 
 
 def run_bench() -> dict:
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     sf_name = os.path.basename(os.path.normpath(sf_dir))
 

@@ -167,7 +167,7 @@ def compile_sim_script(expr: str):
               "N": one, "total_len": one})  # validate eagerly
 
     def fn(tfs, dls, df, cf, N, total_len):
-        return np.asarray(
+        out = np.asarray(
             ev(tree, {
                 "tf": tfs.astype(np.float64, copy=False),
                 "dl": dls.astype(np.float64, copy=False),
@@ -176,6 +176,9 @@ def compile_sim_script(expr: str):
             }),
             dtype=np.float64,
         )
+        # a script over neither tf nor dl is one value per term: every
+        # posting of the term scores it
+        return np.full(tfs.shape, out) if out.ndim == 0 else out
 
     return fn
 

@@ -189,23 +189,19 @@ def _field_caps(index_dir: str, fields=None) -> dict:
 
 def make_server(service: BuildService, host: str = "127.0.0.1", port: int = 0,
                 query_service=None) -> ThreadingHTTPServer:
-    _qs = {"svc": query_service}
-    _qs_lock = threading.Lock()
-
     def _query_service():
-        # lazy: QueryService sizes its pools from ray.cluster_resources(),
-        # so construction waits for the first /_search (the caller owns the
-        # Ray session; make_server itself must not require one). Locked:
-        # ThreadingHTTPServer can race two first-requests here, and the
-        # loser's instance would warm an actor pool nothing ever retires.
-        with _qs_lock:
-            if _qs["svc"] is None:
-                from remote_vector_index_builder_ray.query_service import (
-                    QueryService,
-                )
+        # lazy: the process-default owner sizes its pools from
+        # ray.cluster_resources(), so it is resolved on the first /_search
+        # (the caller owns the Ray session; make_server itself must not
+        # require one). It is the owner the library paths use, so /_search,
+        # /_count and in-process search() calls share one pool per index.
+        if query_service is not None:
+            return query_service
+        from remote_vector_index_builder_ray.query_service import (
+            default_service,
+        )
 
-                _qs["svc"] = QueryService()
-            return _qs["svc"]
+        return default_service()
 
     class Handler(BaseHTTPRequestHandler):
         def _send(self, code: int, payload) -> None:
@@ -287,8 +283,8 @@ def make_server(service: BuildService, host: str = "127.0.0.1", port: int = 0,
         def do_POST(self) -> None:
             if self.path == "/_search":
                 # request-serving path: a WARM persistent searcher pool per
-                # (index, mode, manifest fingerprint) — no per-request actor
-                # pool spin-up; committed index mutations retire the pool
+                # (index, manifest fingerprint) — no per-request actor pool
+                # spin-up; committed index mutations retire the pool
                 # automatically (query_service module docstring)
                 try:
                     body = self._read_body()
@@ -470,7 +466,7 @@ def make_server(service: BuildService, host: str = "127.0.0.1", port: int = 0,
                     where = body.get("where")
                     if where is not None:
                         where = [tuple(t) for t in where]
-                except (ValueError, json.JSONDecodeError) as ex:
+                except (ValueError, TypeError, json.JSONDecodeError) as ex:
                     self._send(400, {"error": str(ex)})
                     return
                 from remote_vector_index_builder_ray.pipelines.delete import (
@@ -560,8 +556,9 @@ def make_server(service: BuildService, host: str = "127.0.0.1", port: int = 0,
                 return
             if self.path == "/_count":
                 # OpenSearch _count: the exact match count of ONE query via
-                # the distributed match-set shard counts (aggs.match_count)
-                # — counts only ever cross the wire
+                # the distributed match-set shard counts (aggs.match_count,
+                # scored on the shared warm searcher pool) — counts only
+                # ever cross the wire
                 try:
                     body = self._read_body()
                     missing = [k for k in ("index_dir", "text") if k not in body]
@@ -573,7 +570,7 @@ def make_server(service: BuildService, host: str = "127.0.0.1", port: int = 0,
                     where = body.get("where")
                     if where is not None:
                         where = [tuple(t) for t in where]
-                except (ValueError, json.JSONDecodeError) as ex:
+                except (ValueError, TypeError, json.JSONDecodeError) as ex:
                     self._send(400, {"error": str(ex)})
                     return
                 try:
@@ -688,7 +685,7 @@ def make_server(service: BuildService, host: str = "127.0.0.1", port: int = 0,
                     where = body.get("where")
                     if where is not None:
                         where = [tuple(t) for t in where]
-                except (ValueError, json.JSONDecodeError) as ex:
+                except (ValueError, TypeError, json.JSONDecodeError) as ex:
                     self._send(400, {"error": str(ex)})
                     return
                 from remote_vector_index_builder_ray.pipelines.incremental import (

@@ -8,30 +8,33 @@ aggs per shard and reduces — this engine does the same with Ray Data:
 
 1. The match set per query (OR over query terms; tombstones and ``where``
    filters respected) is produced by the constant-score scorer — docids only,
-   no scoring work.
-2. The match sets — the SMALL side (a query's matches, not the corpus) — are
-   ``ray.put`` once and every probe actor fetches the same object-store copy.
+   no scoring work — on the index's warm searcher pool
+   (``query_service.default_service``), so an agg spawns no searcher actors.
+2. The match sets — the SMALL side (a query's matches, not the corpus) — stay
+   in the object store as docid-range shards (below).
 3. The docmeta table — the BIG side — streams through ``map_batches`` exactly
-   once, each batch probed per query with a sorted-array membership test and
-   pre-aggregated (combiner) into tiny per-batch partial counts.
+   once (``_probe_partials``). Each block runs as a stateless task that
+   constructs the agg's probe, fetches the shards its docid range touches,
+   probes each query with a sorted-array membership test and pre-aggregates
+   (combiner) into tiny per-block partials. No actor pool is spawned.
 4. The partials (queries x buckets rows) reduce driver-side.
 
 Scale note (100 TB): this is the broadcast-semi-join pattern, made
 range-local — each query's sorted match set is SHARDED by docid range
 (``_MATCH_SHARD_STRIDE`` docids per shard) and a probe task fetches only the
-shards overlapping its batch's docid range. The docmeta files are
+shards overlapping its block's docid range. The docmeta files are
 docid-ordered, so a task touches O(its slice) of the match set rather than
 Σ|matches| — a stopword matching half the corpus costs each probe task only
 its own range's members. The tiny shard directory ({shard_id: [ObjectRef]})
-is the only thing every actor holds.
+is the only thing every task receives.
 
 Shard PRODUCTION is distributed too (``_sharded_matches``): the constant
-scorer's output Dataset is materialized in the OBJECT STORE only; one pack
-task per scorer block splits that block into per-shard pieces and
-``ray.put``s each piece where it sits. The driver handles block refs, piece
-refs and per-query match COUNTS — never a docid. A stopword query over a
-100 TB corpus therefore costs the driver O(shards) refs, not a corpus-sized
-docid list (the round-2 ``.to_pandas()`` round-trip).
+scorer's output blocks stay in the OBJECT STORE only; one pack task per
+scorer block splits that block into per-shard pieces and ``ray.put``s each
+piece where it sits. The driver handles block refs, piece refs and per-query
+match COUNTS — never a docid. A stopword query over a 100 TB corpus therefore
+costs the driver O(shards) refs, not a corpus-sized docid list (the round-2
+``.to_pandas()`` round-trip).
 """
 
 from __future__ import annotations
@@ -155,10 +158,10 @@ def _sharded_matches(index_dir: str, queries, where=None, scored: bool = False,
 
 
 class _ShardedMatches:
-    """Actor-side view over the sharded match sets: fetches (and caches) only
+    """Probe-side view over the sharded match sets: fetches (and caches) only
     the shards overlapping the docids a batch actually contains. A shard may
     arrive in several PIECES (one per scorer block that touched its range —
-    ``_sharded_matches``); pieces are merged once per actor on first touch."""
+    ``_sharded_matches``); pieces are merged once per view on first touch."""
 
     def __init__(self, shard_refs: dict, stride: int):
         self._refs = shard_refs  # {shard_id: [piece ObjectRef, ...]}
@@ -207,6 +210,51 @@ class _ShardedMatches:
             for qid, v in self._shard(sid).items():
                 parts.setdefault(qid, []).append(v)
         return {qid: self._concat(ps) for qid, ps in parts.items()}
+
+
+def _meta_files(index_dir: str) -> list[str]:
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.state import fs
+
+    return [
+        fs.join(d, rel)
+        for d in docmeta_dirs(index_dir)
+        for rel in fs.listdir(d, recursive=True)
+        if rel.endswith(".parquet")
+    ]
+
+
+def _probe_batch(batch: pa.Table, probe_cls, ctor_args) -> pa.Table:
+    return probe_cls(*ctor_args)(batch)
+
+
+def _probe_ds(index_dir, columns, probe_cls, shard_refs, ctor_extra=()):
+    """The docmeta probe stream: column-pruned docmeta read, then a
+    stateless ``map_batches`` TASK per block that constructs the probe from
+    the shard directory and emits its partial rows. No actor pool: the
+    probe's only state is the shards its block touches."""
+    from remote_vector_index_builder_ray.state import fs
+
+    return ray.data.read_parquet(
+        **fs.for_ray_paths(_meta_files(index_dir)), columns=columns
+    ).map_batches(
+        _probe_batch,
+        fn_args=(probe_cls, (shard_refs, _MATCH_SHARD_STRIDE, *ctor_extra)),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+
+
+def _probe_partials(index_dir, queries, where, probe_cls, ctor_extra, columns,
+                    scored: bool = False, shard_refs=None) -> pd.DataFrame:
+    """Shared scaffold for every probe-style agg: sharded match-set
+    production (skipped when the caller passes ``shard_refs``), the docmeta
+    probe stream (``_probe_ds``), driver-small partial rows."""
+    if shard_refs is None:
+        shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where,
+                                            scored=scored)
+    return _probe_ds(index_dir, columns, probe_cls, shard_refs,
+                     ctor_extra).to_pandas()
 
 
 class _ProbeAgg:
@@ -339,29 +387,9 @@ def _run_agg_partials(
     partials as a driver-small pandas frame (queries × buckets ×
     read-tasks rows). `_run_agg` reduces these to counts/avg; rate_agg and
     other bucket-metric shapes reduce them differently."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
     cols = ["docid", field] + ([metric_field] if metric_field else [])
-    return (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=cols)
-        .map_batches(
-            _ProbeAgg,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field,
-                                 interval, metric_field, ranges),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    return _probe_partials(index_dir, queries, where, _ProbeAgg,
+                           (field, interval, metric_field, ranges), cols)
 
 
 def _run_agg(
@@ -691,27 +719,8 @@ class _ProbeStats:
 def _stats_reduced(index_dir: str, queries, field: str, where) -> pd.DataFrame:
     """Shared probe run for stats/extended_stats: per-query associative
     reduction of the per-batch (n, sum, sum2, min, max) partials."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", field])
-        .map_batches(
-            _ProbeStats,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeStats,
+                               (field,), ["docid", field])
     if partials.empty:
         return partials
     return (
@@ -893,30 +902,10 @@ def filters_agg(
     'a&b' pairwise-intersection buckets. ``other_bucket=True`` adds the
     OpenSearch `_other_` bucket (matched docs satisfying NO named filter).
     Empty buckets omitted."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
     fields = sorted({f for pred in filters.values() for f, _, _ in pred})
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files),
-                              columns=["docid"] + fields)
-        .map_batches(
-            _ProbeFilters,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, filters,
-                                 adjacency, other_bucket),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeFilters,
+                               (filters, adjacency, other_bucket),
+                               ["docid"] + fields)
     if partials.empty:
         return pd.DataFrame({
             "query_id": pd.Series(dtype=np.int64),
@@ -991,27 +980,8 @@ def missing_agg(
     n_missing counts docs whose ``field`` is null/sentinel-empty and
     n_value counts the rest (single-valued fields: value_count == doc
     count with a value)."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", field])
-        .map_batches(
-            _ProbeMissing,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field, missing),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeMissing,
+                               (field, missing), ["docid", field])
     if partials.empty:
         return pd.DataFrame({
             "query_id": pd.Series(dtype=np.int64),
@@ -1151,28 +1121,11 @@ def cardinality_agg(
     driver-side; ``exact=False`` runs HyperLogLog (2^14 registers, the
     OpenSearch default precision) whose partials are O(registers) per task —
     the 100 TB path, accuracy ~0.8%. Returns (query_id, n_distinct)."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
     shard_refs, qid_list, counts = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    cls = _ProbeDistinct if exact else _ProbeHLL
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", field])
-        .map_batches(
-            cls,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where,
+                               _ProbeDistinct if exact else _ProbeHLL,
+                               (field,), ["docid", field],
+                               shard_refs=shard_refs)
     rows = []
     for qid in qid_list:
         part = partials[partials["query_id"] == qid] if len(partials) else partials
@@ -1206,28 +1159,9 @@ def _value_histograms(index_dir: str, queries, field: str, where) -> pd.DataFram
     values rows — tiny for bounded integer fields like doc_len, independent
     of corpus size. Shared by percentiles / boxplot / MAD, which are all
     pure functions of this histogram."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", field])
-        .map_batches(
-            _ProbeAgg,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field,
-                                 "histogram", None, None),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeAgg,
+                               (field, "histogram", None, None),
+                               ["docid", field])
     if partials.empty:
         return pd.DataFrame({"query_id": pd.Series(dtype=np.int64),
                              "key": pd.Series(dtype=np.int64),
@@ -1404,30 +1338,10 @@ def t_test_agg(
     var_b/n_b) — so a SQL oracle reproduces it bit-for-bit. Populations
     with n < 2 are skipped (variance undefined). Returns
     (query_id, n_a, n_b, t), t rounded half-up to 6 decimals."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
     pred_fields = sorted({f for f, _, _ in tuple(pred_a) + tuple(pred_b)})
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files),
-                              columns=["docid", field] + pred_fields)
-        .map_batches(
-            _ProbeTTest,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field,
-                                 tuple(pred_a), tuple(pred_b)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeTTest,
+                               (field, tuple(pred_a), tuple(pred_b)),
+                               ["docid", field] + pred_fields)
     cols = {"query_id": pd.Series(dtype=np.int64),
             "n_a": pd.Series(dtype=np.int64),
             "n_b": pd.Series(dtype=np.int64),
@@ -1629,27 +1543,8 @@ def top_hits_agg(
     streams once through a per-batch top-``size`` combiner; partials reduce
     driver-side. Returns (query_id, key, rank, docid, score) with score
     rounded half-up to 6 decimals."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where, scored=True)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", field])
-        .map_batches(
-            _ProbeTopHits,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field, size),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeTopHits,
+                               (field, size), ["docid", field], scored=True)
     cols = {
         "query_id": pd.Series(dtype=np.int64),
         "key": pd.Series(dtype=object),
@@ -1760,11 +1655,6 @@ def significant_terms_agg(
     path: without it, an unselective (stopword) query's partial rows are
     (query x distinct matched term) per task, i.e. corpus-vocabulary-sized
     at the driver."""
-    from remote_vector_index_builder_ray.functions.tokenizer import load_analyzer
-    from remote_vector_index_builder_ray.pipelines.expand import _get_dict
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
     if sampler_size is not None:
         # "top sampler_size matches by (BM25 desc, docid asc)" IS search at
         # k=sampler_size — a k-bounded distributed reduce whose result is
@@ -1802,27 +1692,10 @@ def _sig_probe_reduce(
     partials, JLH-score vs the cached background dictionary, top ``size``."""
     from remote_vector_index_builder_ray.functions.tokenizer import load_analyzer
     from remote_vector_index_builder_ray.pipelines.expand import _get_dict
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
 
-    analyzer = load_analyzer(index_dir)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", "text"])
-        .map_batches(
-            _ProbeSigTerms,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, analyzer),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, None, None, _ProbeSigTerms,
+                               (load_analyzer(index_dir),), ["docid", "text"],
+                               shard_refs=shard_refs)
     cols = {
         "query_id": pd.Series(dtype=np.int64),
         "term": pd.Series(dtype=object),
@@ -1979,25 +1852,9 @@ def significant_text_agg(
     never holds a docid list."""
     from ray.data.aggregate import Min
 
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
     shard_refs0, _, _ = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
     deduped = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", "text"])
-        .map_batches(
-            _DedupTextProbe,
-            fn_constructor_args=(shard_refs0, _MATCH_SHARD_STRIDE),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
+        _probe_ds(index_dir, ["docid", "text"], _DedupTextProbe, shard_refs0)
         .groupby("qt")
         .aggregate(Min("docid"))
     )
@@ -2064,15 +1921,7 @@ def global_terms_agg(
     avg_<metric_field>), key-ascending."""
     import pyarrow.compute as pc
 
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
     from remote_vector_index_builder_ray.state import fs
-
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
 
     def combine(batch: pa.Table) -> pa.Table:
         t = batch.group_by(field).aggregate(
@@ -2081,7 +1930,7 @@ def global_terms_agg(
         return t.rename_columns([field, "s", "n"])
 
     partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files),
+        ray.data.read_parquet(**fs.for_ray_paths(_meta_files(index_dir)),
                               columns=[field, metric_field])
         .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
         .to_pandas()
@@ -2353,27 +2202,8 @@ def string_stats_agg(
     = -Σ p ln p over the CHARACTER distribution of all matched values
     (OpenSearch's Shannon entropy). Partials carry a 256-slot byte
     histogram, so the reduce is associative and O(256) per query."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", field])
-        .map_batches(
-            _ProbeStringStats,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeStringStats,
+                               (field,), ["docid", field])
     cols = {
         "query_id": pd.Series(dtype=np.int64),
         "n_values": pd.Series(dtype=np.int64),
@@ -2426,28 +2256,9 @@ def rare_terms_agg(
     (query_id, term, fg_docs, bg_docs), term-ascending per query."""
     from remote_vector_index_builder_ray.functions.tokenizer import load_analyzer
     from remote_vector_index_builder_ray.pipelines.expand import _get_dict
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
 
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    analyzer = load_analyzer(index_dir)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", "text"])
-        .map_batches(
-            _ProbeSigTerms,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, analyzer),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeSigTerms,
+                               (load_analyzer(index_dir),), ["docid", "text"])
     cols = {
         "query_id": pd.Series(dtype=np.int64),
         "term": pd.Series(dtype=object),
@@ -2532,30 +2343,9 @@ def composite_agg(
     (query_id, key_term, key_day, n_docs) for every non-empty composite
     bucket, ordered by the composite key (OpenSearch's after-key paging
     order). Same sharded-broadcast probe as the single-source aggs."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(
-            **fs.for_ray_paths(meta_files), columns=["docid", term_field, date_field]
-        )
-        .map_batches(
-            _ProbeComposite,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, term_field,
-                                 date_field),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeComposite,
+                               (term_field, date_field),
+                               ["docid", term_field, date_field])
     cols = {
         "query_id": pd.Series(dtype=np.int64),
         "key_term": pd.Series(dtype=object),
@@ -2585,40 +2375,6 @@ def composite_agg(
 # ---------------------------------------------------------------------------
 # weighted_avg / percentile_ranks / top_metrics / multi_terms / stats_bucket
 # ---------------------------------------------------------------------------
-
-
-def _meta_files(index_dir: str) -> list[str]:
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    return [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-
-
-def _probe_partials(index_dir, queries, where, probe_cls, ctor_extra, columns):
-    """Shared scaffold for the probe-style aggs: sharded match-set broadcast,
-    column-pruned docmeta stream, per-batch combiner actor pool, driver-small
-    partial rows."""
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where)
-    return (
-        ray.data.read_parquet(
-            **fs.for_ray_paths(_meta_files(index_dir)), columns=columns
-        )
-        .map_batches(
-            probe_cls,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, *ctor_extra),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
 
 
 class _ProbeWeighted:
@@ -3256,24 +3012,9 @@ def diversified_sampler_agg(
     exhaustive BM25 rounded half-up to 6 decimals; order (score desc,
     docid asc). Returns (query_id, rank, docid, key, score)."""
     q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
-    shard_refs, _, _ = _sharded_matches(index_dir, q, where=where, scored=True)
-    from remote_vector_index_builder_ray.state import fs
-
-    partials = (
-        ray.data.read_parquet(
-            **fs.for_ray_paths(_meta_files(index_dir)),
-            columns=["docid", field],
-        )
-        .map_batches(
-            _ProbeDivTop,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field,
-                                 max_docs_per_value),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, q, where, _ProbeDivTop,
+                               (field, max_docs_per_value), ["docid", field],
+                               scored=True)
     cols = {
         "query_id": pd.Series(dtype=np.int64),
         "rank": pd.Series(dtype=np.int32),
@@ -3354,28 +3095,9 @@ def sampler_terms_agg(
     decided on 6-decimal-rounded scores (the engine's cross-oracle float
     policy). Returns (query_id, key, doc_count) ordered
     (doc_count desc, key asc) per query."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where, scored=True)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files), columns=["docid", field])
-        .map_batches(
-            _ProbeSampleTop,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field,
-                                 shard_size),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, queries, where, _ProbeSampleTop,
+                               (field, shard_size), ["docid", field],
+                               scored=True)
     cols = {
         "query_id": pd.Series(dtype=np.int64),
         "key": pd.Series(dtype=object),

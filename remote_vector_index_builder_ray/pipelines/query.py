@@ -1,9 +1,13 @@
 """Query pipeline: top-k BM25 over a built index + result hydration.
 
 Analog of the reference's search path (``benchmarking/search/search_indices.py:13-55``):
-load index once per actor, answer many queries. The query fan-out is a
-``map_batches`` actor pool over the queries Dataset — no shuffle; the index is
-term-sharded on disk and each actor reads only the files its terms touch.
+load the index once, answer many queries. A driver-small query frame (pandas
+or Arrow) runs on the index's warm searcher pool owned by
+``query_service.default_service()`` — one pool per live index state, shared
+by every call in the process. A Dataset or parquet-path query input fans out
+as a per-call ``map_batches`` actor pool over the queries Dataset. Neither
+shuffles: the index is term-sharded on disk and each searcher reads only the
+files its terms touch.
 """
 
 from __future__ import annotations
@@ -17,24 +21,12 @@ from remote_vector_index_builder_ray.stages.search import BM25Searcher
 
 
 def _as_dataset(queries, batch_size: int) -> ray.data.Dataset:
-    """Convert to a Dataset with one block per ``batch_size`` queries.
-
-    An in-memory query set arrives as ONE Arrow/pandas block; left alone,
-    ``map_batches`` dispatches it as a single task and only one searcher
-    actor in the whole pool ever gets work (measured: 200 queries on 32
-    CPUs ran 2.3x SLOWER through the pool than through one inline searcher).
-    Pre-slicing into batch-sized blocks gives the streaming executor one
-    task per batch, so the pool actually fans out.
-    """
-    if isinstance(queries, pd.DataFrame):
-        queries = pa.Table.from_pandas(queries, preserve_index=False)
-    if isinstance(queries, pa.Table):
-        n = queries.num_rows
-        slices = [queries.slice(i, batch_size) for i in range(0, n, batch_size)]
-        return ray.data.from_arrow(slices or [queries])
+    """The Dataset-path query input: a parquet path is repartitioned to one
+    block per ``batch_size`` queries (one task per batch, so the pool fans
+    out); a Dataset passes through."""
     if isinstance(queries, str):
         # query sets are driver-small by contract; a tiny repartition buys
-        # one task per batch exactly as the in-memory path does
+        # one task per batch
         return ray.data.read_parquet(queries).repartition(
             target_num_rows_per_block=batch_size
         )
@@ -152,59 +144,37 @@ def search(
     query's term count matches nothing (Lucene BooleanQuery semantics; an
     absent term still counts as a clause). Same mode support as operator.
 
-    The actor pool scales with the cluster (one searcher per 2 CPUs, capped
-    at 32): each actor amortizes postings loads across its batches via the
-    term cache, so oversizing the pool duplicates I/O while undersizing it
-    starves the CPUs — round 1 capped it at 8 and measured 19 QPS on 32 CPUs.
+    Execution: a pandas/Arrow ``queries`` frame runs on the process-default
+    warm searcher pool of the index (``query_service.default_service``);
+    the call returns once every batch has finished, and the returned Dataset
+    wraps the result blocks in the object store (docids never visit the
+    driver). ``concurrency`` applies to Dataset and parquet-path inputs
+    only: their per-call actor pool scales with the cluster (one searcher
+    per 2 CPUs, capped at 32) — each actor amortizes postings loads across
+    its batches via the term cache.
     """
+    from remote_vector_index_builder_ray.query_service import (
+        POSITIONAL_MODES,
+        bucket_affine,
+        require_positions,
+    )
+
     if batch_size is None:
         # phrase batches are 4x larger: per-actor cost is dominated by
         # positional-postings loads, which duplicate across the pool — fewer,
         # bigger batches amortize the same term loads over more queries
         # (profiled at sf0.1: load 4.2 s vs score 0.26 s per batch)
-        batch_size = 64 if mode in ("phrase", "span_near", "span_first", "span_not", "intervals", "span_containing", "span_within") else 16
-    if concurrency is None:
-        import ray as _ray
-
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-        concurrency = (max(1, min(4, cpus // 8)), max(2, min(32, cpus // 2)))
-    if mode in ("phrase", "span_near", "span_first", "span_not", "intervals", "span_containing", "span_within"):
-        # fail fast on the DRIVER (an actor-side raise surfaces as an opaque
-        # ActorDiedError): phrase/span search needs a positional index
-        from remote_vector_index_builder_ray.config import EngineError
+        batch_size = 64 if mode in POSITIONAL_MODES else 16
+    if mode in POSITIONAL_MODES:
+        # fail fast on the DRIVER: phrase/span search needs a positional index
         from remote_vector_index_builder_ray.state import fs
 
         man = fs.read_json(fs.join(index_dir, "manifest.json"))
+        require_positions(index_dir, man)
         if isinstance(queries, pd.DataFrame) and "text" in queries.columns:
-            # bucket-affine batching: order queries by their first term's
-            # positions-bucket so each batch's postings loads cluster into
-            # few bucket files instead of fanning across all of them (the
-            # positional load dominates phrase batches — module docstring).
-            # Results are per-query, so query order never changes them.
-            import zlib
-
-            nb = int(man["num_buckets"])
-            first_tok = (
-                queries["text"].fillna("").str.lower()
-                .str.extract(r"([a-z0-9_]+)", expand=False).fillna("")
-            )
-            bkt = first_tok.map(lambda t: zlib.crc32(t.encode()) % nb)
-            queries = (
-                queries.assign(_bkt=bkt.to_numpy())
-                .sort_values(["_bkt"], kind="mergesort")
-                .drop(columns=["_bkt"])
-                .reset_index(drop=True)
-            )
-        pos_dirs = [fs.join(index_dir, "positions")] + [
-            fs.join(index_dir, g["dir"], "positions")
-            for g in man.get("generations", [])
-            if not g.get("compacted")
-        ]
-        if not any(fs.exists(d) for d in pos_dirs):
-            raise EngineError(
-                f"index at {index_dir} has no positional data; "
-                "build with BuildConfig(positions=True) to enable phrase search"
-            )
+            # bucket-affine batching (the positional load dominates phrase
+            # batches)
+            queries = bucket_affine(queries, int(man["num_buckets"]))
     # validate on the driver: an actor-side raise is an opaque ActorDiedError
     if operator not in ("or", "and"):
         raise ValueError(f"operator must be 'or' or 'and', got {operator!r}")
@@ -291,31 +261,50 @@ def search(
         allow_ref = _ray.put(_np.sort(_np.asarray(allow_docids, dtype=_np.int64)))
     else:
         allow_ref = None if where is None else resolve_filter_docids(index_dir, where)
-    qds = _as_dataset(queries, batch_size)
-    return qds.map_batches(
+    options = {
+        "operator": operator,
+        "min_should_match": min_should_match,
+        "tie_breaker": tie_breaker,
+        "collapse_round6": collapse_round6,
+        "collapse_inner": collapse_inner,
+        "negative_boost": negative_boost,
+        "unit_idf": unit_idf,
+        "span_pre": span_pre,
+        "span_post": span_post,
+        "msm_script": msm_script,
+        "similarity": similarity,
+        "pit_gens": pit_gens,
+        "stats_override": stats_override,
+        "df_override": df_override,
+    }
+    if isinstance(queries, (pd.DataFrame, pa.Table)):
+        return _on_warm_pool(index_dir, queries, mode, options, allow_ref,
+                             batch_size)
+    if concurrency is None:
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        concurrency = (max(1, min(4, cpus // 8)), max(2, min(32, cpus // 2)))
+    return _as_dataset(queries, batch_size).map_batches(
         BM25Searcher,
         fn_constructor_args=(index_dir, mode, allow_ref),
-        fn_constructor_kwargs={
-            "operator": operator,
-            "min_should_match": min_should_match,
-            "tie_breaker": tie_breaker,
-            "collapse_round6": collapse_round6,
-            "collapse_inner": collapse_inner,
-            "negative_boost": negative_boost,
-            "unit_idf": unit_idf,
-            "span_pre": span_pre,
-            "span_post": span_post,
-            "msm_script": msm_script,
-            "similarity": similarity,
-            "pit_gens": pit_gens,
-            "stats_override": stats_override,
-            "df_override": df_override,
-        },
+        fn_constructor_kwargs=options,
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
         num_cpus=1,
     )
+
+
+def _on_warm_pool(index_dir: str, queries, mode: str, options: dict,
+                  allow_ref=None, batch_size: int = 16) -> ray.data.Dataset:
+    """Run an in-memory query frame on the index's warm searcher pool; the
+    result blocks stay in the object store behind the returned Dataset."""
+    from remote_vector_index_builder_ray.query_service import default_service
+
+    if isinstance(queries, pd.DataFrame):
+        queries = pa.Table.from_pandas(queries, preserve_index=False)
+    refs = default_service().run(index_dir, queries, mode, options,
+                                 allow_ref=allow_ref, batch_size=batch_size)
+    return ray.data.from_arrow_refs(refs)
 
 
 class _ProbeTopField:
@@ -397,39 +386,15 @@ def search_sorted(
     pattern — only queries x k rows leave each read task). Returns
     (query_id, rank, docid, <sort_field>)."""
     import numpy as np
-    import ray.data
 
-    from remote_vector_index_builder_ray.pipelines.aggs import (
-        _MATCH_SHARD_STRIDE,
-        _sharded_matches,
-    )
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
+    from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials
 
     q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     k_max = max(k_by_query.values(), default=10)
-    shard_refs, _, _ = _sharded_matches(index_dir, q, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(
-            **fs.for_ray_paths(meta_files), columns=["docid", sort_field]
-        )
-        .map_batches(
-            _ProbeTopField,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, sort_field,
-                                 ascending, k_max, after),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, q, where, _ProbeTopField,
+                               (sort_field, ascending, k_max, after),
+                               ["docid", sort_field])
     if partials.empty:
         return pd.DataFrame(
             {"query_id": pd.Series(dtype=np.int64),
@@ -517,40 +482,16 @@ def search_sorted_multi(
     streaming shape as the single-key ``search_sorted``, with a multi-key
     per-batch combiner. Returns (query_id, rank, docid, f1, f2, ...)."""
     import numpy as np
-    import ray.data
 
-    from remote_vector_index_builder_ray.pipelines.aggs import (
-        _MATCH_SHARD_STRIDE,
-        _sharded_matches,
-    )
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
+    from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials
 
     sort = [(f, bool(a)) for f, a in sort]
     q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     k_max = max(k_by_query.values(), default=10)
-    shard_refs, _, _ = _sharded_matches(index_dir, q, where=where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
     fields = [f for f, _ in sort]
-    partials = (
-        ray.data.read_parquet(
-            **fs.for_ray_paths(meta_files), columns=["docid"] + fields
-        )
-        .map_batches(
-            _ProbeTopMulti,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, sort, k_max),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(index_dir, q, where, _ProbeTopMulti,
+                               (sort, k_max), ["docid"] + fields)
     if partials.empty:
         cols = {"query_id": pd.Series(dtype=np.int64),
                 "rank": pd.Series(dtype=np.int32),
@@ -575,15 +516,14 @@ def explain(
     queries: pd.DataFrame,
     pairs: pd.DataFrame,
     batch_size: int = 16,
-    concurrency=None,
 ) -> pd.DataFrame:
     """Per-term score breakdown (the Lucene explain API analog): for each
     (query_id, docid) row of ``pairs``, one row per matching query term with
     (tf, df, contrib); contributions sum — in the engine's term-ascending
     accumulation order — exactly to the search score. ``queries`` supplies
-    (query_id, text). Runs on the searcher actor pool (postings loads are
-    shared with the term cache); output is pairs x terms rows, driver-small
-    by construction."""
+    (query_id, text). Runs on the index's warm searcher pool (postings loads
+    are shared with the term cache); output is pairs x terms rows,
+    driver-small by construction."""
     sel = (
         pairs.groupby("query_id")["docid"]
         .apply(lambda s: sorted({int(d) for d in s}))
@@ -592,19 +532,8 @@ def explain(
     q = queries[["query_id", "text"]].copy()
     q["explain_docids"] = [sel.get(int(i), []) for i in q["query_id"]]
     q = q[[len(x) > 0 for x in q["explain_docids"]]]
-    if concurrency is None:
-        import ray as _ray
-
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-        concurrency = (max(1, min(4, cpus // 8)), max(2, min(32, cpus // 2)))
-    out = _as_dataset(q.reset_index(drop=True), batch_size).map_batches(
-        BM25Searcher,
-        fn_constructor_args=(index_dir, "explain"),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    ).to_pandas()
+    out = _on_warm_pool(index_dir, q.reset_index(drop=True), "explain", {},
+                        batch_size=batch_size).to_pandas()
     return out.sort_values(["query_id", "docid", "term"]).reset_index(drop=True)
 
 
@@ -2285,40 +2214,26 @@ def function_score(
     Returns (query_id, rank, docid, score), score rounded half-up to 6
     decimals, ranked (score desc, docid asc), top-k per the queries' k."""
     import numpy as np
-    import ray.data
 
-    from remote_vector_index_builder_ray.pipelines.aggs import (
-        _MATCH_SHARD_STRIDE,
-        _sharded_matches,
-    )
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
+    from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials
 
+    params = params or {}
+    if modifier in ("gauss_decay", "exp_decay"):
+        # validate on the driver: ln(decay) must be negative and finite, and
+        # scale divides — a bad value would otherwise surface per batch as
+        # NaN scores or an opaque worker error
+        decay = float(params.get("decay", 0.5))
+        if not 0.0 < decay < 1.0:
+            raise ValueError(f"{modifier}: decay must be in (0, 1), got {decay}")
+        if not float(params["scale"]) > 0.0:
+            raise ValueError(
+                f"{modifier}: scale must be > 0, got {params['scale']}")
     q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     k_max = max(k_by_query.values(), default=10)
-    shard_refs, _, _ = _sharded_matches(index_dir, q, where=where, scored=True)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-    partials = (
-        ray.data.read_parquet(
-            **fs.for_ray_paths(meta_files),
-            columns=["docid"] if field == "docid" else ["docid", field],
-        )
-        .map_batches(
-            _ProbeFuncScore,
-            fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE, field,
-                                 modifier, params or {}, k_max),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .to_pandas()
-    )
+    partials = _probe_partials(
+        index_dir, q, where, _ProbeFuncScore, (field, modifier, params, k_max),
+        ["docid"] if field == "docid" else ["docid", field], scored=True)
     cols = {
         "query_id": pd.Series(dtype=np.int64),
         "rank": pd.Series(dtype=np.int32),

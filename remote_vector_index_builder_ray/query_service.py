@@ -1,37 +1,55 @@
-"""QueryService — a warm, persistent searcher pool for request-serving.
+"""QueryService — the single owner of warm searcher pools.
 
-The pipeline path (``pipelines/query.search``) builds a FRESH actor pool per
-call — right for batch jobs, wasteful for a request-serving service where
-every ``POST /_search`` would pay pool spin-up plus cold per-actor term
-caches. This module reproduces the way a search engine actually serves
-queries (an OpenSearch index stays OPEN: segment readers, dictionaries and
-caches persist across requests; the reference keeps its FAISS index loaded
-in the serving process for the same reason):
+Every driver-small query frame runs here: ``QueryService.search`` (the
+serving path behind ``POST /_search``), ``pipelines/query.search`` and
+``explain`` on a pandas/Arrow frame, and through them every library feature
+that searches an in-memory frame (the aggs' match sets, ``/_count`` via
+``match_count``, rescore, federation, ...). Only Dataset and parquet-path
+query inputs still run on a per-call Ray Data ``map_batches`` pool. This
+reproduces the way a search engine serves queries (an OpenSearch index stays
+OPEN: segment readers, dictionaries and caches persist across requests; the
+reference keeps its FAISS index loaded in the serving process for the same
+reason):
 
-* A pool of raw ``BM25Searcher`` actors per (index_dir, mode, options) is
-  created ONCE and reused across requests — a request costs one round of
-  actor method calls, and per-actor term/dictionary caches stay warm.
-* Pools are keyed by a **manifest fingerprint** (SHA-256 of the index's
-  ``manifest.json`` bytes). Every committed mutation — append, delete,
+* One pool of ``_SearcherHost`` actors per (index_dir, manifest fingerprint)
+  is created ONCE and reused across calls — a call costs one round of actor
+  method calls. Each actor builds ``BM25Searcher`` instances lazily, one per
+  distinct (mode, constructor options), and keeps them in a small LRU, so
+  per-searcher term/dictionary caches stay warm. A call that carries its own
+  allow-list (``where``/``allow_docids``) or a ``df_override`` gets a
+  one-shot searcher that is not kept. Results are never cached: every call
+  re-scores.
+* The **manifest fingerprint** is the SHA-256 of the index's
+  ``manifest.json`` bytes. Every committed mutation — append, delete,
   update_by_query, compact, rebucket — rewrites the manifest, so a stale
-  pool retires ATOMICALLY on the next request and a fresh one warms against
-  the new index state (the Lucene reader-reopen model; no TTLs, no manual
-  invalidation).
-* Least-recently-used pools are killed beyond ``max_pools`` (bounded actor
-  count, the searcher analog of BuildService's bounded job store).
+  pool retires ATOMICALLY on the next call and a fresh one warms against the
+  new index state (the Lucene reader-reopen model; no TTLs, no manual
+  invalidation). Pools of indexes whose manifest is gone retire when a new
+  pool is created.
+* Least-recently-used pools retire beyond ``max_pools`` and beyond the
+  ``max_cpu_fraction`` CPU-reservation budget. Retirement drains first: a
+  pool's actors die when the last in-flight call releases it.
+* ``default_service()`` is the process-default owner, created lazily and
+  re-created when the Ray session changes; the library paths and the HTTP
+  facade share it. It reserves a quarter of the cluster's CPUs (one actor
+  per CPU), so Ray Data pipelines running beside its warm pool still
+  schedule.
 
 Scale note (multi-node): the actors carry no affinity constraints, so Ray
-spreads a pool across the cluster; ``pool_size`` defaults to the cluster CPU
-count capped at 16 per index. Queries fan out in ``batch_size`` slices
-round-robin over the pool — the same per-batch unit the pipeline path uses,
-without the per-call pool construction.
+spreads a pool across the cluster; ``pool_size`` defaults to half the
+cluster CPU count capped at 16 per index. Queries fan out in ``batch_size``
+slices round-robin over the pool — the same per-batch unit the Dataset path
+uses, without the per-call pool construction.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import threading
 import time
+import zlib
+from collections import OrderedDict
 
 import numpy as np
 import pandas as pd
@@ -41,12 +59,98 @@ import ray
 from remote_vector_index_builder_ray.config import EngineError
 from remote_vector_index_builder_ray.state import fs
 
+# modes that score over the positional index (BuildConfig.positions)
+POSITIONAL_MODES = ("phrase", "span_near", "span_first", "span_not",
+                    "intervals", "span_containing", "span_within")
+
 
 def manifest_fingerprint(index_dir: str) -> str:
     """SHA-256 of the committed manifest bytes: cheap (one small read), and
     changes on every committed index mutation."""
     with fs.open_input(fs.join(index_dir, "manifest.json")) as f:
         return hashlib.sha256(f.read()).hexdigest()[:16]
+
+
+def require_positions(index_dir: str, man: dict | None = None) -> None:
+    """Fail fast on the DRIVER (an actor-side raise surfaces as an opaque
+    actor error) when a positional mode meets an index without positions."""
+    if man is None:
+        man = fs.read_json(fs.join(index_dir, "manifest.json"))
+    pos_dirs = [fs.join(index_dir, "positions")] + [
+        fs.join(index_dir, g["dir"], "positions")
+        for g in man.get("generations", [])
+        if not g.get("compacted")
+    ]
+    if not any(fs.exists(d) for d in pos_dirs):
+        raise EngineError(
+            f"index at {index_dir} has no positional data; "
+            "build with BuildConfig(positions=True) to enable phrase search"
+        )
+
+
+def bucket_affine(queries: pd.DataFrame, num_buckets: int) -> pd.DataFrame:
+    """Order queries by their first term's positions-bucket so each batch's
+    positional postings loads cluster into few bucket files instead of
+    fanning across all of them. Results are per-query, so query order never
+    changes them."""
+    first_tok = (
+        queries["text"].fillna("").str.lower()
+        .str.extract(r"([a-z0-9_]+)", expand=False).fillna("")
+    )
+    bkt = first_tok.map(lambda t: zlib.crc32(t.encode()) % num_buckets)
+    return (queries.assign(_bkt=bkt.to_numpy())
+            .sort_values(["_bkt"], kind="mergesort")
+            .drop(columns=["_bkt"]).reset_index(drop=True))
+
+
+class _SearcherHost:
+    """One pool actor for one index state: hosts ``BM25Searcher`` instances,
+    built lazily per (mode, constructor options) and kept in a small LRU, over
+    one shared term-postings cache."""
+
+    _MAX_SEARCHERS = 4
+
+    def __init__(self, index_dir: str):
+        self.index_dir = index_dir
+        self._searchers: OrderedDict = OrderedDict()
+        self._postings: dict = {}
+
+    def _searcher(self, mode: str, options: dict, allow_ref):
+        from remote_vector_index_builder_ray.stages.search import BM25Searcher
+
+        if allow_ref is not None or options.get("df_override") is not None:
+            # per-call allow-list / df table: a one-shot searcher
+            s = BM25Searcher(self.index_dir, mode, allow_ref, **options)
+        else:
+            key = (mode, tuple(sorted(options.items())))
+            s = self._searchers.pop(key, None)
+            if s is None:
+                s = BM25Searcher(self.index_dir, mode, None, **options)
+            self._searchers[key] = s
+            while len(self._searchers) > self._MAX_SEARCHERS:
+                self._searchers.popitem(last=False)
+        if options.get("pit_gens") is None and options.get("stats_override") is None:
+            # a term's postings (and their tf-norms) depend only on the index
+            # state, which every such searcher of this actor sees the same:
+            # one copy per actor instead of one per mode/options
+            s._cache = self._postings
+        return s
+
+    def run(self, mode: str, options: dict, allow_box: list,
+            slices: list[pa.Table]):
+        """Score each slice; one output table per slice. ``allow_box`` wraps
+        the allow-list ref so Ray hands it over unresolved."""
+        s = self._searcher(mode, options, allow_box[0])
+        out = [s(t) for t in slices]
+        return out[0] if len(out) == 1 else tuple(out)
+
+
+def _searcher_defaults() -> dict:
+    from remote_vector_index_builder_ray.stages.search import BM25Searcher
+
+    return {name: p.default
+            for name, p in inspect.signature(BM25Searcher).parameters.items()
+            if p.default is not inspect.Parameter.empty}
 
 
 class _Pool:
@@ -61,19 +165,16 @@ class _Pool:
 class QueryService:
     """Serve searches from warm per-index searcher pools (module docstring).
 
-    Supported per-request arguments: ``mode``, ``similarity`` (each
-    (index, mode, similarity) warms its own pool — the nine similarity
-    modules plus ``scripted:<expr>`` serve over HTTP) and ``k`` (via the
-    queries frame). Other options that change actor STATE (operator,
-    min_should_match, span windows, ...) are per-POOL: pass them to
-    ``__init__``'s ``searcher_kwargs`` or use the batch path
-    (``pipelines/query.search``) which validates the full surface. Per-request filter context (`where`)
-    is deliberately not offered here — a filtered request belongs on the
-    batch path where the allow-list broadcast is built per call."""
+    ``search`` is the serving entry point. Supported per-request arguments:
+    ``mode``, ``similarity`` (the nine similarity modules plus
+    ``scripted:<expr>``) and ``k`` (via the queries frame). Other searcher
+    options (operator, min_should_match, span windows, ...) are set per
+    service through ``__init__``'s ``searcher_kwargs``; the library path
+    (``pipelines/query.search``) validates the full option surface and runs
+    it through ``run``."""
 
-    _POSITIONAL = ("phrase", "span_near", "span_first", "span_not",
-                   "intervals", "span_containing", "span_within")
-    _MODES = _POSITIONAL + ("bmw", "wand", "exhaustive", "constant", "dismax")
+    _MODES = POSITIONAL_MODES + ("bmw", "wand", "exhaustive", "constant",
+                                 "dismax")
 
     def __init__(self, pool_size: int | None = None, max_pools: int = 8,
                  batch_size: int = 16, actor_num_cpus: float = 0.5,
@@ -103,6 +204,7 @@ class QueryService:
         # latency-dedicated deployment sets 1.0.
         self.max_cpu_fraction = float(max_cpu_fraction)
         self.searcher_kwargs = searcher_kwargs
+        self._defaults = _searcher_defaults()
         self._pools: dict[tuple, _Pool] = {}
         self._draining: set = set()  # retired pools with in-flight requests
         # the HTTP facade serves requests from a ThreadingHTTPServer —
@@ -112,41 +214,26 @@ class QueryService:
         self._lock = threading.Lock()
 
     # -- pool lifecycle -------------------------------------------------------
-    def _acquire_pool(self, index_dir: str, mode: str,
-                      similarity: str = "bm25") -> _Pool:
+    def _acquire_pool(self, index_dir: str) -> _Pool:
         """Atomically look up / create the pool AND register this request as
         in-flight — retirement (fingerprint change, LRU eviction, shutdown)
         only marks a pool retired; its actors die when the LAST in-flight
         request releases it, so a concurrent request never sees its actors
         ray.kill()ed mid-batch."""
-        from remote_vector_index_builder_ray.stages.search import BM25Searcher
-
         fp = manifest_fingerprint(index_dir)
-        key = (index_dir, mode, similarity, fp)
+        key = (index_dir, fp)
         with self._lock:
             pool = self._pools.get(key)
             if pool is None:
-                # a changed fingerprint means the index mutated: retire every
-                # stale pool for this (index_dir, mode, similarity) before
-                # warming the new one
-                for k in [k for k in self._pools
-                          if k[0] == index_dir and k[1] == mode
-                          and k[2] == similarity]:
-                    self._retire_locked(k)
-                if mode in self._POSITIONAL:
-                    self._require_positions(index_dir)
-                kw = dict(self.searcher_kwargs)
-                if similarity != "bm25":
-                    if "similarity" in kw:
-                        raise ValueError(
-                            "per-request similarity conflicts with the "
-                            "pool-level searcher_kwargs similarity")
-                    kw["similarity"] = similarity
-                act = ray.remote(num_cpus=self.actor_num_cpus)(BM25Searcher)
-                actors = [
-                    act.remote(index_dir, mode, None, **kw)
-                    for _ in range(self.pool_size)
-                ]
+                # a changed fingerprint means the index mutated; a missing
+                # manifest means the index is gone: retire those pools
+                # before warming the new one
+                for k in list(self._pools):
+                    if k[0] == index_dir or not fs.exists(
+                            fs.join(k[0], "manifest.json")):
+                        self._retire_locked(k)
+                act = ray.remote(num_cpus=self.actor_num_cpus)(_SearcherHost)
+                actors = [act.remote(index_dir) for _ in range(self.pool_size)]
                 pool = self._pools[key] = _Pool(actors, time.time())
                 self._evict_lru_locked(keep=key)
             pool.last_used = time.time()
@@ -206,24 +293,44 @@ class QueryService:
                 return
             self._retire_locked(key)
 
-    @staticmethod
-    def _require_positions(index_dir: str) -> None:
-        man = fs.read_json(fs.join(index_dir, "manifest.json"))
-        pos_dirs = [fs.join(index_dir, "positions")] + [
-            fs.join(index_dir, g["dir"], "positions")
-            for g in man.get("generations", [])
-            if not g.get("compacted")
-        ]
-        if not any(fs.exists(d) for d in pos_dirs):
-            raise EngineError(
-                f"index at {index_dir} has no positional data; "
-                "build with BuildConfig(positions=True) to enable phrase search"
-            )
-
     def shutdown(self) -> None:
         with self._lock:
             for key in list(self._pools):
                 self._retire_locked(key)
+
+    # -- execution --------------------------------------------------------------
+    def run(self, index_dir: str, table: pa.Table, mode: str,
+            options: dict | None = None, allow_ref=None,
+            batch_size: int | None = None) -> list:
+        """Score ``table`` (one query per row) on the index's warm pool with
+        ``BM25Searcher(index_dir, mode, allow_ref, **options)``. Returns one
+        ObjectRef per ``batch_size`` slice, in row order; every ref has
+        finished (results stay in the object store) before the pool is
+        released, so a retiring pool never loses a batch."""
+        # options equal to the searcher's defaults are dropped, so equivalent
+        # calls share one cached searcher per actor
+        opts = {k: v for k, v in (options or {}).items()
+                if k not in self._defaults or v != self._defaults[k]}
+        bs = int(batch_size or self.batch_size)
+        slices = [table.slice(o, bs) for o in range(0, table.num_rows, bs)]
+        slices = slices or [table]
+        pool = self._acquire_pool(index_dir)
+        try:
+            n_act = min(len(pool.actors), len(slices))
+            refs = [None] * len(slices)
+            for i in range(n_act):
+                idx = list(range(i, len(slices), n_act))
+                method = pool.actors[i].run
+                if len(idx) > 1:
+                    method = method.options(num_returns=len(idx))
+                out = method.remote(mode, opts, [allow_ref],
+                                    [slices[j] for j in idx])
+                for j, r in zip(idx, out if len(idx) > 1 else [out]):
+                    refs[j] = r
+            ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        finally:
+            self._release_pool(pool)
+        return refs
 
     # -- serving ---------------------------------------------------------------
     def search(self, index_dir: str, queries: pd.DataFrame,
@@ -244,11 +351,10 @@ class QueryService:
             raise ValueError(
                 f"unknown mode {mode!r}; supported: {sorted(self._MODES)}"
             )
+        options = dict(self.searcher_kwargs)
         if similarity != "bm25":
-            # per-request similarity module: each (index, mode, similarity)
-            # gets its own warm pool. Validate HERE, not inside the actor
-            # constructor, so a typo'd request is a clear 400 instead of a
-            # dead actor pool
+            # per-request similarity module. Validate HERE, not inside the
+            # actor, so a typo'd request is a clear 400
             from remote_vector_index_builder_ray.functions.bm25 import (
                 SIMILARITIES,
                 compile_sim_script,
@@ -264,6 +370,11 @@ class QueryService:
                 raise ValueError(
                     "non-BM25 similarities require mode='exhaustive' "
                     "(stored block maxes are BM25 bounds)")
+            if "similarity" in options:
+                raise ValueError(
+                    "per-request similarity conflicts with the "
+                    "service-level searcher_kwargs similarity")
+            options["similarity"] = similarity
         if mode in ("span_containing", "span_within"):
             # without a little span these scorers return zero rows — a
             # silent-success hole over HTTP (200 + empty) — and a per-ROW
@@ -286,35 +397,15 @@ class QueryService:
                     f"{queries.loc[bad, 'query_id'].tolist()} — each query "
                     "needs an inner span (a null little matches nothing)"
                 )
-        pool = self._acquire_pool(index_dir, mode, similarity)
-        try:
-            q = queries
-            if mode in self._POSITIONAL and len(q) > 1:
-                # bucket-affine batching (pipelines/query.search does the
-                # same): cluster each batch's positional loads into few
-                # bucket files
-                import zlib
-
-                man = fs.read_json(fs.join(index_dir, "manifest.json"))
-                nb = int(man["num_buckets"])
-                first_tok = (
-                    q["text"].fillna("").str.lower()
-                    .str.extract(r"([a-z0-9_]+)", expand=False).fillna("")
-                )
-                bkt = first_tok.map(lambda t: zlib.crc32(t.encode()) % nb)
-                q = (q.assign(_bkt=bkt.to_numpy())
-                     .sort_values(["_bkt"], kind="mergesort")
-                     .drop(columns=["_bkt"]).reset_index(drop=True))
-            tbl = pa.Table.from_pandas(q, preserve_index=False)
-            futures = [
-                pool.actors[i % len(pool.actors)].__call__.remote(
-                    tbl.slice(off, self.batch_size))
-                for i, off in enumerate(range(0, tbl.num_rows,
-                                              self.batch_size))
-            ]
-            parts = [p for p in ray.get(futures) if p.num_rows]
-        finally:
-            self._release_pool(pool)
+        q = queries
+        if mode in POSITIONAL_MODES:
+            man = fs.read_json(fs.join(index_dir, "manifest.json"))
+            require_positions(index_dir, man)
+            if len(q) > 1:
+                q = bucket_affine(q, int(man["num_buckets"]))
+        refs = self.run(index_dir, pa.Table.from_pandas(q, preserve_index=False),
+                        mode, options)
+        parts = [p for p in ray.get(refs) if p.num_rows]
         if not parts:
             return pd.DataFrame({
                 "query_id": pd.Series(dtype=np.int64),
@@ -324,3 +415,33 @@ class QueryService:
             })
         out = pa.concat_tables(parts).to_pandas()
         return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
+
+
+# CPU share the process-default owner may reserve. Its pools stay warm while
+# the same process runs Ray Data pipelines (builds, docmeta probes, Dataset
+# searches) and possibly other QueryService instances; the reservations of
+# all of them must leave the pipelines a CPU, or their tasks never schedule.
+_DEFAULT_CPU_FRACTION = 0.25
+
+_default: dict = {"svc": None, "session": None}
+_default_lock = threading.Lock()
+
+
+def default_service() -> QueryService:
+    """The process-default owner shared by the library paths and the HTTP
+    facade: created on first use, re-created when the Ray session changed
+    (the old session's actors died with it). One pool fills its CPU share
+    with one actor per CPU; below one CPU, a single actor reserves the
+    share."""
+    ctx = ray.get_runtime_context()
+    session = (ctx.get_job_id(), ctx.get_node_id())
+    with _default_lock:
+        if _default["svc"] is None or _default["session"] != session:
+            share = float(ray.cluster_resources().get("CPU", 8)) \
+                * _DEFAULT_CPU_FRACTION
+            pool_size = max(1, int(share))
+            _default["svc"] = QueryService(
+                pool_size=pool_size, actor_num_cpus=min(1.0, share),
+                max_cpu_fraction=_DEFAULT_CPU_FRACTION)
+            _default["session"] = session
+        return _default["svc"]

@@ -727,3 +727,19 @@ def test_msearch_template_route(api):
     with pytest.raises(urllib.error.HTTPError) as ei:
         _post(base + "/_msearch/template", {"index_dir": idx, "searches": []})
     assert ei.value.code == 400
+
+
+@pytest.mark.parametrize("route,body", [
+    ("/_count", {"text": "hello", "where": 5}),
+    ("/_aliases", {"alias": "a", "where": 5}),
+    ("/_count", {"text": "hello", "where": [1, 2]}),
+    ("/_aliases", {"alias": "a", "where": [1]}),
+])
+def test_non_iterable_where_is_400(api, route, body):
+    """A malformed ``where`` (not a list of filter tuples) is a request
+    fault: a JSON 400, never a dropped connection."""
+    base, _, idx_root = api
+    with pytest.raises(urllib.error.HTTPError) as ei:
+        _post(base + route, {"index_dir": str(idx_root / "none"), **body})
+    assert ei.value.code == 400
+    assert "error" in json.loads(ei.value.read())

@@ -140,34 +140,41 @@ def test_concurrent_first_requests_single_pool(smoke_fixture, qs_index):
         svc.shutdown()
 
 
-def test_cpu_budget_eviction(smoke_fixture, qs_index):
+def test_cpu_budget_eviction(smoke_fixture, qs_index, tmp_path_factory):
     """Warm pools retire under CPU-reservation pressure, not just pool
     count: persistent reservations beyond max_cpu_fraction of cluster CPUs
     would starve batch pipelines sharing the cluster into deadlock (the
-    failure mode: N modes x pool_size x actor_num_cpus reserving every CPU
+    failure mode: N indexes x pool_size x actor_num_cpus reserving every CPU
     on a small cluster)."""
+    import shutil
+
     import ray
 
     q = pd.read_parquet(smoke_fixture["queries"]).head(2)
+    root = tmp_path_factory.mktemp("qsvc_budget")
+    idxs = [qs_index]
+    for name in ("b", "c"):
+        idxs.append(str(root / name))
+        shutil.copytree(qs_index, idxs[-1])
     cpus = float(ray.cluster_resources()["CPU"])
     # each pool reserves exactly 1 CPU; budget of 2/cpus CPUs -> 2 pools max
     svc = QueryService(pool_size=2, actor_num_cpus=0.5, max_pools=8,
                        max_cpu_fraction=2.0 / cpus)
     try:
-        for mode in ("bmw", "exhaustive", "constant"):
-            svc.search(qs_index, q, mode=mode)
+        for idx in idxs:
+            svc.search(idx, q, mode="bmw")
         reserved = sum(len(p.actors) * svc.actor_num_cpus
                        for p in svc._pools.values())
         assert reserved <= 2.0 and len(svc._pools) == 2
         # the most-recent pool survived; a batch pipeline still schedules
-        assert any(k[1] == "constant" for k in svc._pools)
+        assert any(k[0] == idxs[2] for k in svc._pools)
         assert search(qs_index, q, mode="bmw").count() > 0
         # a pool that alone exceeds the budget is kept while acquired
         # (in-flight requests must be served), everything else retires
         svc.max_cpu_fraction = 0.5 / cpus
-        svc.search(qs_index, q, mode="bmw")
+        svc.search(idxs[0], q, mode="exhaustive")
         assert len(svc._pools) == 1
-        assert next(iter(svc._pools))[1] == "bmw"
+        assert next(iter(svc._pools))[0] == idxs[0]
     finally:
         svc.shutdown()
 
