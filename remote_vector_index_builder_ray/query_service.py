@@ -31,9 +31,10 @@ reason):
   pool's actors die when the last in-flight call releases it.
 * ``default_service()`` is the process-default owner, created lazily and
   re-created when the Ray session changes; the library paths and the HTTP
-  facade share it. It reserves a quarter of the cluster's CPUs (one actor
-  per CPU), so Ray Data pipelines running beside its warm pool still
-  schedule.
+  facade share it. It keeps one warm pool at a time, one actor per CPU of
+  a quarter of the cluster, and its actors reserve no CPU: Ray Data
+  pipelines in the same process plan their tasks and actor pools against
+  the whole cluster, and a CPU held outside them stalls or deadlocks them.
 
 Scale note (multi-node): the actors carry no affinity constraints, so Ray
 spreads a pool across the cluster; ``pool_size`` defaults to half the
@@ -417,10 +418,7 @@ class QueryService:
         return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 
-# CPU share the process-default owner may reserve. Its pools stay warm while
-# the same process runs Ray Data pipelines (builds, docmeta probes, Dataset
-# searches) and possibly other QueryService instances; the reservations of
-# all of them must leave the pipelines a CPU, or their tasks never schedule.
+# Share of the cluster's CPUs the process-default owner's pool is sized to.
 _DEFAULT_CPU_FRACTION = 0.25
 
 _default: dict = {"svc": None, "session": None}
@@ -430,9 +428,17 @@ _default_lock = threading.Lock()
 def default_service() -> QueryService:
     """The process-default owner shared by the library paths and the HTTP
     facade: created on first use, re-created when the Ray session changed
-    (the old session's actors died with it). One pool fills its CPU share
-    with one actor per CPU; below one CPU, a single actor reserves the
-    share."""
+    (the old session's actors died with it). It keeps one pool, one actor
+    per CPU of its share of the cluster, and its actors reserve no CPU.
+
+    The owner's pools stay warm while the same process runs Ray Data
+    pipelines (builds, docmeta probes, Dataset searches). Ray Data sizes
+    their tasks and actor pools against the cluster's total CPUs, so a CPU
+    held by an idle searcher actor is one the pipelines count on but cannot
+    get: on 4 CPUs, a Dataset search plus ``hydrate`` stalled for 25 s with
+    2 CPUs held elsewhere and did not finish in 120 s with 3. The actors
+    compute only while a caller waits on them, so reserving nothing does
+    not oversubscribe the library path."""
     ctx = ray.get_runtime_context()
     session = (ctx.get_job_id(), ctx.get_node_id())
     with _default_lock:
@@ -441,7 +447,6 @@ def default_service() -> QueryService:
                 * _DEFAULT_CPU_FRACTION
             pool_size = max(1, int(share))
             _default["svc"] = QueryService(
-                pool_size=pool_size, actor_num_cpus=min(1.0, share),
-                max_cpu_fraction=_DEFAULT_CPU_FRACTION)
+                pool_size=pool_size, max_pools=1, actor_num_cpus=0.0)
             _default["session"] = session
         return _default["svc"]

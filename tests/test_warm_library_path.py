@@ -4,8 +4,10 @@ no new actors on repeated library calls, a fresh pool after each committed
 mutation, and one shared pool for search(), the aggs, QueryService-backed
 HTTP /_search and /_count."""
 
+import gc
 import json
 import shutil
+import time
 import urllib.request
 
 import numpy as np
@@ -195,6 +197,28 @@ def test_mutations_reopen_a_fresh_pool(smoke_fixture, tmp_path_factory):
     actors2 = check(full_oracle, dead=frozenset(victims))
     assert actors2 is not actors1
     shutil.rmtree(idx)
+
+
+def test_warm_pool_reserves_no_cpu(smoke_fixture, smoke_index):
+    """The default owner's pool stays warm between calls without holding a
+    CPU: Ray Data pipelines plan against the cluster's total CPUs, and a
+    CPU held by an idle searcher stalls or deadlocks them."""
+    idx = smoke_index["index_dir"]
+    search(idx, _queries(smoke_fixture, 4)).to_pandas()
+    svc = default_service()
+    key = (idx, manifest_fingerprint(idx))
+    assert ray.get(svc._pools[key].actors[0].run.remote(
+        "bmw", {}, [None], [pa.Table.from_pandas(_queries(smoke_fixture, 1),
+                                                 preserve_index=False)]
+    )).num_rows > 0
+    total = ray.cluster_resources()["CPU"]
+    deadline = time.time() + 60
+    while ray.available_resources().get("CPU", 0.0) < total \
+            and time.time() < deadline:
+        gc.collect()  # actors of finished pipelines die with their handles
+        time.sleep(0.5)
+    assert ray.available_resources().get("CPU", 0.0) == total
+    assert svc._pools[key].actors  # still warm
 
 
 def test_deleted_index_pool_retires(smoke_fixture, smoke_index, tmp_path_factory):
