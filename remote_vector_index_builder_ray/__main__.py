@@ -18,6 +18,8 @@ import glob
 import json
 import sys
 
+from remote_vector_index_builder_ray.stages.search import MODES
+
 
 def _init_ray():
     import ray
@@ -49,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--index-dir", required=True)
     s.add_argument("--queries", required=True)
     s.add_argument("--out", default=None)
-    s.add_argument("--mode", choices=["bmw", "exhaustive", "wand"], default="bmw")
+    s.add_argument("--mode", choices=sorted(MODES), default="bmw")
 
     v = sub.add_parser("serve")
     v.add_argument("--host", default="127.0.0.1")

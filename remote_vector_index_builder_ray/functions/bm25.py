@@ -37,7 +37,7 @@ def tfnorm(tf: np.ndarray, dl: np.ndarray, avgdl: float, k1: float, b: float) ->
 # unique terms in ascending-term order, like BM25 — formulas follow Lucene's
 # ClassicSimilarity / LMDirichletSimilarity / LMJelinekMercerSimilarity
 # (negative LM scores floor at 0 per Lucene). Exhaustive mode only: the
-# stored block maxes are BM25 bounds, so WAND/BMW pruning doesn't apply.
+# stored block maxes are BM25 bounds, so block-max pruning does not apply.
 # ---------------------------------------------------------------------------
 
 LM_MU = 2000.0  # LMDirichletSimilarity default mu
@@ -133,7 +133,7 @@ def compile_sim_script(expr: str):
     SQL-transcribable verbatim and never evaluates user strings at batch
     time. Returns fn(tfs, dls, df, cf, N, total_len) -> float64 ndarray.
 
-    Like Lucene, the script must be non-negative and term-additive; WAND/BMW
+    Like Lucene, the script must be non-negative and term-additive; bmw
     block maxes are BM25 bounds, so scripted similarities run exhaustive
     mode only (enforced by the searcher)."""
     import ast

@@ -826,10 +826,11 @@ def make_server(service: BuildService, host: str = "127.0.0.1", port: int = 0,
                 return
             if self.path == "/_validate/query":
                 # OpenSearch _validate/query: checks the request would
-                # compile WITHOUT running it — schema, known mode, span-mode
-                # column requirements, and (mode=query_string) the frozen
-                # query-string grammar. Always HTTP 200; the verdict rides
-                # the body ({valid, error}) like OpenSearch's
+                # compile WITHOUT running it — schema, a served mode and the
+                # columns it accepts and requires (stages.search.MODES), and
+                # (mode=query_string) the frozen query-string grammar. Always
+                # HTTP 200; the verdict rides the body ({valid, error}) like
+                # OpenSearch's
                 try:
                     body = self._read_body()
                     missing = [k for k in ("index_dir", "queries") if k not in body]
@@ -844,20 +845,6 @@ def make_server(service: BuildService, host: str = "127.0.0.1", port: int = 0,
                 mode = str(body.get("mode", "bmw"))
                 try:
                     q = parse_search_queries(body["queries"])
-                    from remote_vector_index_builder_ray.query_service import (
-                        QueryService,
-                    )
-
-                    if mode not in QueryService._MODES and mode != "query_string":
-                        raise ValueError(
-                            f"unknown mode {mode!r}; supported: "
-                            f"{sorted(QueryService._MODES)} + ['query_string']"
-                        )
-                    if mode in ("span_containing", "span_within") and \
-                            "span_little" not in q.columns:
-                        raise ValueError(
-                            f"mode {mode!r} requires per-query span_little"
-                        )
                     if mode == "query_string":
                         from remote_vector_index_builder_ray.pipelines.query import (
                             parse_simple_query_string,
@@ -865,6 +852,12 @@ def make_server(service: BuildService, host: str = "127.0.0.1", port: int = 0,
 
                         for t in q["text"]:
                             parse_simple_query_string(str(t or ""))
+                    else:
+                        from remote_vector_index_builder_ray.stages.search import (
+                            validate,
+                        )
+
+                        validate(mode, q.columns, served=True)
                     # the index must exist and carry a readable stats record
                     from remote_vector_index_builder_ray.state.manifest import (
                         load_base_stats,

@@ -17,7 +17,21 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from remote_vector_index_builder_ray.stages.search import BM25Searcher
+from remote_vector_index_builder_ray.stages.search import BM25Searcher, validate
+
+
+def _query_columns(queries) -> list[str] | None:
+    """The column names of a query input; a parquet path costs one footer
+    read. None for a Dataset: its batches are checked by the searcher."""
+    if isinstance(queries, pd.DataFrame):
+        return list(queries.columns)
+    if isinstance(queries, pa.Table):
+        return queries.column_names
+    if isinstance(queries, str):
+        import pyarrow.dataset as pads
+
+        return pads.dataset(queries, format="parquet").schema.names
+    return None
 
 
 def _as_dataset(queries, batch_size: int) -> ray.data.Dataset:
@@ -101,6 +115,10 @@ def search(
     columns (query_id:int64, text:string, k:int32). Returns a Dataset of
     (query_id, rank, docid, score) — rank-identical to the exhaustive oracle.
 
+    Which optional per-query columns and keyword options each ``mode``
+    accepts is the mode capability table ``stages.search.MODES``; anything
+    else fails here with a ValueError, as does an unknown mode.
+
     ``where`` (optional) restricts results to docs matching a docmeta
     predicate (parquet-DNF tuples or a pyarrow Expression) with OpenSearch
     filter-context semantics: non-matching docs are dropped from the
@@ -108,8 +126,7 @@ def search(
     docs score exactly as in an unfiltered search.
 
     ``operator="and"`` (OpenSearch match operator:and) requires every query
-    term in a matching doc; qualifying docs' scores are unchanged. Supported
-    with mode="exhaustive" and mode="bmw".
+    term in a matching doc; qualifying docs' scores are unchanged.
 
     ``mode="collapse"`` (OpenSearch collapse on the conversation): the top-k
     CONVERSATIONS by their best-scoring turn, one hit per conversation
@@ -124,25 +141,25 @@ def search(
     bool.must_not: an optional per-query ``exclude_text`` column is analyzed
     with the index tokenizer and docs containing ANY excluded term drop from
     the candidate set; surviving docs score unchanged (exclusion is
-    non-scoring in Lucene). Supported in exhaustive, bmw and constant modes.
+    non-scoring in Lucene).
 
     bool.filter on the INDEXED field: an optional per-query ``filter_text``
     column is analyzed and only docs containing at least one of its terms
     stay candidates — OpenSearch filter-context semantics (non-matching
     docs drop, scores unchanged; a filter whose terms are all absent
-    matches nothing). Same mode support as exclude_text.
+    matches nothing).
 
     Pagination (Lucene searchAfter): optional per-query columns
     ``after_score``/``after_docid`` restrict results to docs STRICTLY after
     that (score, docid) cursor in the engine's (score desc, docid asc) total
     order — deep pages never re-ship earlier pages' hits. Null cursor = first
-    page. Supported in exhaustive, bmw and constant modes.
+    page.
 
     ``min_should_match=n`` (OpenSearch match minimum_should_match) requires at
     least ``n`` of the query's distinct terms in a matching doc — the
     generalization between OR (n=1) and AND (n=n_terms). ``n`` above the
     query's term count matches nothing (Lucene BooleanQuery semantics; an
-    absent term still counts as a clause). Same mode support as operator.
+    absent term still counts as a clause).
 
     Execution: a pandas/Arrow ``queries`` frame runs on the process-default
     warm searcher pool of the index (``query_service.default_service``);
@@ -154,113 +171,10 @@ def search(
     its batches via the term cache.
     """
     from remote_vector_index_builder_ray.query_service import (
-        POSITIONAL_MODES,
         bucket_affine,
         require_positions,
     )
 
-    if batch_size is None:
-        # phrase batches are 4x larger: per-actor cost is dominated by
-        # positional-postings loads, which duplicate across the pool — fewer,
-        # bigger batches amortize the same term loads over more queries
-        # (profiled at sf0.1: load 4.2 s vs score 0.26 s per batch)
-        batch_size = 64 if mode in POSITIONAL_MODES else 16
-    if mode in POSITIONAL_MODES:
-        # fail fast on the DRIVER: phrase/span search needs a positional index
-        from remote_vector_index_builder_ray.state import fs
-
-        man = fs.read_json(fs.join(index_dir, "manifest.json"))
-        require_positions(index_dir, man)
-        if isinstance(queries, pd.DataFrame) and "text" in queries.columns:
-            # bucket-affine batching (the positional load dominates phrase
-            # batches)
-            queries = bucket_affine(queries, int(man["num_buckets"]))
-    # validate on the driver: an actor-side raise is an opaque ActorDiedError
-    if operator not in ("or", "and"):
-        raise ValueError(f"operator must be 'or' or 'and', got {operator!r}")
-    if operator == "and" and mode in ("wand", "phrase", "span_near", "span_first", "span_or", "span_not", "constant", "blended", "terms_set", "intervals", "span_containing", "span_within"):
-        raise ValueError(f"operator='and' is not supported in {mode} mode")
-    if mode == "terms_set":
-        # terms_set (Lucene CoveringQuery): per-doc required-match count from
-        # a sandboxed integer script — compile on the DRIVER so a bad
-        # expression fails fast, not as an opaque ActorDiedError
-        if msm_script is None:
-            raise ValueError("mode='terms_set' requires msm_script")
-        if min_should_match is not None:
-            raise ValueError(
-                "min_should_match is redundant with terms_set's msm_script"
-            )
-        from remote_vector_index_builder_ray.stages.search import _compile_int_script
-
-        _compile_int_script(msm_script)
-    elif msm_script is not None:
-        raise ValueError("msm_script requires mode='terms_set'")
-    if (isinstance(queries, pd.DataFrame)
-            and ("slice_id" in queries.columns or "slice_max" in queries.columns)
-            and mode not in ("exhaustive", "constant")):
-        # sliced scroll drops candidates arbitrarily — block-max/WAND
-        # pruning bounds no longer hold (driver-side fail-fast)
-        raise ValueError(f"slice is not supported in {mode} mode")
-    if min_should_match is not None:
-        if operator == "and":
-            raise ValueError(
-                "min_should_match is redundant with operator='and' (pick one)"
-            )
-        if mode in ("wand", "phrase", "span_near", "span_first", "span_or", "span_not", "constant", "blended", "intervals", "span_containing", "span_within"):
-            raise ValueError(f"min_should_match is not supported in {mode} mode")
-        if int(min_should_match) < 1:
-            raise ValueError("min_should_match must be >= 1")
-    if (mode in ("wand", "phrase", "span_near", "span_first", "span_or", "span_not", "blended", "intervals", "span_containing", "span_within")
-            and isinstance(queries, pd.DataFrame)):
-        if "after_score" in queries.columns:
-            raise ValueError(f"search_after is not supported in {mode} mode")
-        if "exclude_text" in queries.columns:
-            raise ValueError(f"exclude_text is not supported in {mode} mode")
-    if (mode not in ("exhaustive", "bmw", "constant")
-            and isinstance(queries, pd.DataFrame)
-            and "filter_text" in queries.columns):
-        # bool.filter on the indexed field (per-query ALLOW terms) rides the
-        # candidate-mask path shared by exhaustive/bmw/constant only
-        raise ValueError(f"filter_text is not supported in {mode} mode")
-    if isinstance(queries, pd.DataFrame) and "allow_docids" in queries.columns:
-        # explicit per-query docid allow-lists ride the same candidate-mask
-        # path (search_terminate_after's second pass)
-        if mode not in ("exhaustive", "bmw", "constant"):
-            raise ValueError(f"allow_docids is not supported in {mode} mode")
-        if "filter_text" in queries.columns:
-            raise ValueError("pass either filter_text or allow_docids, not both")
-        if allow_docids is not None:
-            raise ValueError(
-                "pass either the global allow_docids kwarg or the per-query "
-                "allow_docids column, not both"
-            )
-    if (mode != "exhaustive" and isinstance(queries, pd.DataFrame)
-            and "negative_text" in queries.columns):
-        # Lucene BoostingQuery: demotion breaks block-max bounds, so the
-        # boosting query runs on the exhaustive scorer only (driver-side
-        # fail-fast; an actor-side raise is an opaque ActorDiedError)
-        raise ValueError(
-            "negative_text (boosting query) requires mode='exhaustive'"
-        )
-    if unit_idf and mode != "exhaustive":
-        raise ValueError("unit_idf requires mode='exhaustive'")
-    if similarity != "bm25" and mode != "exhaustive":
-        raise ValueError(
-            "alternative similarities require mode='exhaustive' (stored "
-            "block maxes are BM25 bounds; see functions/bm25.sim_contrib)"
-        )
-    # allow_docids: an EXPLICIT docid allow-list with the same filter-context
-    # semantics as `where` (candidates restricted, scores unchanged) — used
-    # by rescore_phrase to bound its phrase leg to the rescore windows
-    if allow_docids is not None:
-        if where is not None:
-            raise ValueError("pass either where or allow_docids, not both")
-        import numpy as _np
-        import ray as _ray
-
-        allow_ref = _ray.put(_np.sort(_np.asarray(allow_docids, dtype=_np.int64)))
-    else:
-        allow_ref = None if where is None else resolve_filter_docids(index_dir, where)
     options = {
         "operator": operator,
         "min_should_match": min_should_match,
@@ -277,6 +191,34 @@ def search(
         "stats_override": stats_override,
         "df_override": df_override,
     }
+    # validate on the driver: an actor-side raise is an opaque RayTaskError
+    row = validate(mode, _query_columns(queries),
+                   {**options, "where": where, "allow_docids": allow_docids})
+    if batch_size is None:
+        # positional batches are 4x larger: per-actor cost is dominated by
+        # positional-postings loads, which duplicate across the pool — fewer,
+        # bigger batches amortize the same term loads over more queries
+        # (profiled at sf0.1: load 4.2 s vs score 0.26 s per batch)
+        batch_size = 64 if row.positions else 16
+    if row.positions:
+        # fail fast on the DRIVER: phrase/span search needs a positional index
+        from remote_vector_index_builder_ray.state import fs
+
+        man = fs.read_json(fs.join(index_dir, "manifest.json"))
+        require_positions(index_dir, man)
+        if isinstance(queries, pd.DataFrame) and "text" in queries.columns:
+            # bucket-affine batching (the positional load dominates phrase
+            # batches)
+            queries = bucket_affine(queries, int(man["num_buckets"]))
+    # allow_docids: an EXPLICIT docid allow-list with the same filter-context
+    # semantics as `where` (candidates restricted, scores unchanged) — used
+    # by rescore_phrase to bound its phrase leg to the rescore windows
+    if allow_docids is not None:
+        import ray as _ray
+
+        allow_ref = _ray.put(np.sort(np.asarray(allow_docids, dtype=np.int64)))
+    else:
+        allow_ref = None if where is None else resolve_filter_docids(index_dir, where)
     if isinstance(queries, (pd.DataFrame, pa.Table)):
         return _on_warm_pool(index_dir, queries, mode, options, allow_ref,
                              batch_size)
@@ -532,6 +474,7 @@ def explain(
     q = queries[["query_id", "text"]].copy()
     q["explain_docids"] = [sel.get(int(i), []) for i in q["query_id"]]
     q = q[[len(x) > 0 for x in q["explain_docids"]]]
+    validate("explain", q.columns)
     out = _on_warm_pool(index_dir, q.reset_index(drop=True), "explain", {},
                         batch_size=batch_size).to_pandas()
     return out.sort_values(["query_id", "docid", "term"]).reset_index(drop=True)

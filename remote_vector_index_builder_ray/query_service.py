@@ -46,7 +46,6 @@ uses, without the per-call pool construction.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import threading
 import time
 import zlib
@@ -58,11 +57,12 @@ import pyarrow as pa
 import ray
 
 from remote_vector_index_builder_ray.config import EngineError
+from remote_vector_index_builder_ray.stages.search import (
+    BM25Searcher,
+    searcher_defaults,
+    validate,
+)
 from remote_vector_index_builder_ray.state import fs
-
-# modes that score over the positional index (BuildConfig.positions)
-POSITIONAL_MODES = ("phrase", "span_near", "span_first", "span_not",
-                    "intervals", "span_containing", "span_within")
 
 
 def manifest_fingerprint(index_dir: str) -> str:
@@ -117,8 +117,6 @@ class _SearcherHost:
         self._postings: dict = {}
 
     def _searcher(self, mode: str, options: dict, allow_ref):
-        from remote_vector_index_builder_ray.stages.search import BM25Searcher
-
         if allow_ref is not None or options.get("df_override") is not None:
             # per-call allow-list / df table: a one-shot searcher
             s = BM25Searcher(self.index_dir, mode, allow_ref, **options)
@@ -146,14 +144,6 @@ class _SearcherHost:
         return out[0] if len(out) == 1 else tuple(out)
 
 
-def _searcher_defaults() -> dict:
-    from remote_vector_index_builder_ray.stages.search import BM25Searcher
-
-    return {name: p.default
-            for name, p in inspect.signature(BM25Searcher).parameters.items()
-            if p.default is not inspect.Parameter.empty}
-
-
 class _Pool:
     def __init__(self, actors: list, created_at: float):
         self.actors = actors
@@ -167,15 +157,12 @@ class QueryService:
     """Serve searches from warm per-index searcher pools (module docstring).
 
     ``search`` is the serving entry point. Supported per-request arguments:
-    ``mode``, ``similarity`` (the nine similarity modules plus
-    ``scripted:<expr>``) and ``k`` (via the queries frame). Other searcher
-    options (operator, min_should_match, span windows, ...) are set per
-    service through ``__init__``'s ``searcher_kwargs``; the library path
-    (``pipelines/query.search``) validates the full option surface and runs
-    it through ``run``."""
-
-    _MODES = POSITIONAL_MODES + ("bmw", "wand", "exhaustive", "constant",
-                                 "dismax")
+    ``mode`` (the served rows of ``stages.search.MODES``), ``similarity``
+    (the nine similarity modules plus ``scripted:<expr>``) and ``k`` (via
+    the queries frame). Other searcher options (operator, min_should_match,
+    span windows, ...) are set per service through ``__init__``'s
+    ``searcher_kwargs``; the library path (``pipelines/query.search``)
+    validates the full option surface and runs it through ``run``."""
 
     def __init__(self, pool_size: int | None = None, max_pools: int = 8,
                  batch_size: int = 16, actor_num_cpus: float = 0.5,
@@ -205,7 +192,7 @@ class QueryService:
         # latency-dedicated deployment sets 1.0.
         self.max_cpu_fraction = float(max_cpu_fraction)
         self.searcher_kwargs = searcher_kwargs
-        self._defaults = _searcher_defaults()
+        self._defaults = searcher_defaults()
         self._pools: dict[tuple, _Pool] = {}
         self._draining: set = set()  # retired pools with in-flight requests
         # the HTTP facade serves requests from a ThreadingHTTPServer —
@@ -345,51 +332,25 @@ class QueryService:
         per-batch unit)."""
         if not isinstance(queries, pd.DataFrame):
             raise TypeError("QueryService.search expects a pandas DataFrame")
-        if mode not in self._MODES:
-            # fail fast: an unknown mode would silently fall through the
-            # searcher's dispatch chain to the exhaustive scorer — wrong
-            # semantics with a 200 status for a typo'd HTTP request
-            raise ValueError(
-                f"unknown mode {mode!r}; supported: {sorted(self._MODES)}"
-            )
         options = dict(self.searcher_kwargs)
         if similarity != "bm25":
-            # per-request similarity module. Validate HERE, not inside the
-            # actor, so a typo'd request is a clear 400
-            from remote_vector_index_builder_ray.functions.bm25 import (
-                SIMILARITIES,
-                compile_sim_script,
-            )
-
-            if similarity.startswith("scripted:"):
-                compile_sim_script(similarity[len("scripted:"):])
-            elif similarity not in SIMILARITIES:
-                raise ValueError(
-                    f"unknown similarity {similarity!r}; supported: "
-                    f"{list(SIMILARITIES)} or 'scripted:<expr>'")
-            if mode != "exhaustive":
-                raise ValueError(
-                    "non-BM25 similarities require mode='exhaustive' "
-                    "(stored block maxes are BM25 bounds)")
+            # per-request similarity module; validate() below checks it
+            # here, not inside the actor, so a typo'd request is a clear 400
             if "similarity" in options:
                 raise ValueError(
                     "per-request similarity conflicts with the "
                     "service-level searcher_kwargs similarity")
             options["similarity"] = similarity
-        if mode in ("span_containing", "span_within"):
-            # without a little span these scorers return zero rows — a
-            # silent-success hole over HTTP (200 + empty) — and a per-ROW
-            # null/empty little is the same hole one row at a time, so the
-            # serving path rejects both (the batch path keeps its documented
+        # fail fast: an unknown mode, or a column or option the mode does not
+        # read, is a clear 400 for an HTTP request
+        row = validate(mode, queries.columns, options, served=True)
+        if "span_little" in row.requires:
+            # a per-ROW null/empty little span returns zero rows for that
+            # query — a silent-success hole over HTTP (200 + empty), so the
+            # serving path rejects it (the batch path keeps its documented
             # None-little == no-match semantics); span_not without
             # span_exclude is different: it degenerates to the inner span
             # by documented Lucene semantics, so it stays allowed
-            if "span_little" not in queries.columns:
-                raise ValueError(
-                    f"{mode} requires a span_little column (the inner span) "
-                    "on the queries frame; without it every query returns "
-                    "0 rows"
-                )
             bad = queries["span_little"].isna() | (
                 queries["span_little"].astype(str).str.strip() == "")
             if bad.any():
@@ -399,7 +360,7 @@ class QueryService:
                     "needs an inner span (a null little matches nothing)"
                 )
         q = queries
-        if mode in POSITIONAL_MODES:
+        if row.positions:
             man = fs.read_json(fs.join(index_dir, "manifest.json"))
             require_positions(index_dir, man)
             if len(q) > 1:

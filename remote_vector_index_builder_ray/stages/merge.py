@@ -10,7 +10,7 @@ the querier simply reads a term's shards in shard (== docid) order.
 Output segment row = the engine's index artifact unit (analog of the serialized
 ``.faiss`` graph, ``core/tasks.py:372-381``): delta+varint block payloads plus
 block-max ``tfnorm`` metadata. The idf factor is deliberately NOT baked into
-block maxes — global df is only known after summing shard dfs — so WAND
+block maxes — global df is only known after summing shard dfs — so bmw
 computes ``idf * block_max_tfnorm`` at query time.
 """
 

@@ -4,15 +4,21 @@ The analog of the reference's searcher-with-loaded-index
 (``benchmarking/search/search_indices.py:13-63``: ``faiss.read_index`` once,
 then many ``index.search`` calls): the actor loads corpus stats + the postings
 file index ONCE in ``__init__``, caches decoded per-term postings across
-batches, and answers each query with either
+batches, and answers each query with the scorer its mode names in ``MODES``,
+among them
 
 * ``exhaustive`` — term-at-a-time vectorized scoring (numpy gather +
   ``np.add.at`` accumulation in ascending-term order, bit-identical to the
-  oracle), or
-* ``bmw`` — block-max WAND with a size-k heap, skipping whole compressed
-  blocks whose ``idf * block_max_tfnorm`` bound cannot beat the running
-  threshold. Full evaluations sum contributions in ascending-term order, so
-  results are rank-identical (equal float64 scores) to ``exhaustive``.
+  oracle), and
+* ``bmw`` — block-max pruning with a size-k threshold, skipping whole
+  docid chunks whose ``idf * block_max_tfnorm`` bound cannot beat it. Full
+  evaluations sum contributions in ascending-term order, so results are
+  rank-identical (equal float64 scores) to ``exhaustive``.
+
+``MODES`` is the one mode capability table: per mode, the scorer, the
+optional per-query columns and constructor options it reads, and whether it
+needs positions or is served over HTTP. ``validate`` checks a request
+against it — on the driver, in the HTTP facade and in every batch here.
 
 The index is term-sharded on disk (postings sorted by term, per-file term
 ranges in the manifest), so a query touches only the files covering its terms —
@@ -21,18 +27,17 @@ predicate pushdown via parquet row-group stats does the rest. No shuffle.
 
 from __future__ import annotations
 
-import heapq
+import functools
+import inspect
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from remote_vector_index_builder_ray.functions.bm25 import idf as _idf, tfnorm, topk_order
-from remote_vector_index_builder_ray.functions.codec import decode_block, decode_posting_run
-from remote_vector_index_builder_ray.functions.tokenizer import (
-    analyze_text,
-    tokenize_text,
-)
+from remote_vector_index_builder_ray.functions.codec import decode_posting_run
+from remote_vector_index_builder_ray.functions.tokenizer import analyze_text
 
 def _compile_int_script(expr: str):
     """Compile a sandboxed INTEGER script over ``v`` (the doc's length) into
@@ -94,6 +99,198 @@ RESULT_SCHEMA = pa.schema(
         ("score", pa.float64()),
     ]
 )
+
+# mode="explain": one row per (query, doc, matching term)
+EXPLAIN_SCHEMA = pa.schema(
+    [
+        ("query_id", pa.int64()),
+        ("docid", pa.int64()),
+        ("term", pa.string()),
+        ("tf", pa.int64()),
+        ("df", pa.int64()),
+        ("contrib", pa.float64()),
+    ]
+)
+
+
+@dataclass(frozen=True)
+class Mode:
+    """One row of ``MODES``. Columns beyond (query_id, text, k) and
+    constructor options that no row lists are not mode-specific."""
+
+    scorer: str                       # BM25Searcher method: (_Query) -> hits
+    columns: frozenset = frozenset()  # optional per-query columns it reads
+    requires: frozenset = frozenset()  # columns / options it cannot run without
+    kwargs: frozenset = frozenset()   # mode-specific constructor options it reads
+    positions: str | None = None      # positional loads: "pruned" to the docs
+                                      # holding every term, or "full"
+    ordered: bool = False             # text keeps token order and duplicates
+    offsets: bool = False             # reads token offsets; a ``terms`` list
+                                      # is taken verbatim, in order
+    served: bool = False              # QueryService / HTTP serve it
+    schema: pa.Schema = RESULT_SCHEMA
+
+
+_AFTER = frozenset({"after_score", "after_docid"})     # search_after cursor
+_SLICE = frozenset({"slice_id", "slice_max"})          # sliced scroll
+_MASKS = frozenset({"exclude_text", "filter_text", "allow_docids"})
+_MSM = frozenset({"operator", "min_should_match"})
+
+
+def _row(scorer: str, columns=(), requires=(), kwargs=(), **flags) -> Mode:
+    """A ``Mode`` whose required columns count as accepted columns."""
+    kwargs = frozenset(kwargs)
+    return Mode(scorer, frozenset(columns) | (frozenset(requires) - kwargs),
+                frozenset(requires), kwargs, **flags)
+
+
+# The mode capability table: the one place mode names and what each accepts
+# are written down. A column or option a row does not list is rejected for
+# that mode, never silently dropped.
+MODES: dict[str, Mode] = {
+    "bmw": _row("_score_bmw", {"terms", *_AFTER, *_MASKS}, kwargs=_MSM,
+                served=True),
+    "exhaustive": _row(
+        "_score_exhaustive",
+        {"terms", "weights", "negative_text", *_AFTER, *_MASKS, *_SLICE},
+        kwargs={*_MSM, "negative_boost", "unit_idf", "similarity",
+                "stats_override", "df_override"},
+        served=True),
+    "constant": _row("_score_constant", {"terms", *_AFTER, *_MASKS, *_SLICE},
+                     served=True),
+    "dismax": _row("_score_dismax", {"terms"}, kwargs={"tie_breaker"},
+                   served=True),
+    "collapse": _row("_score_collapse", {"terms"},
+                     kwargs={*_MSM, "collapse_round6", "collapse_inner"}),
+    "terms_set": _row("_score_terms_set", {"terms", "exclude_text"},
+                      requires={"msm_script"}, kwargs={"msm_script"}),
+    "blended": _row("_score_blended", requires={"groups"}),
+    "explain": _row("_explain", requires={"explain_docids"},
+                    schema=EXPLAIN_SCHEMA),
+    "span_or": _row("_score_span_or", {"terms"}),
+    "phrase": _row("_score_phrase", {"terms", "slop"}, positions="pruned",
+                   ordered=True, offsets=True, served=True),
+    "span_near": _row("_score_span_near", {"terms", "slop"},
+                      positions="pruned", ordered=True, served=True),
+    "span_first": _row("_score_span_first", {"terms", "span_end"},
+                       positions="full", served=True),
+    "span_not": _row("_score_span_not", {"terms", "span_exclude"},
+                     kwargs={"span_pre", "span_post"}, positions="full",
+                     served=True),
+    "intervals": _row("_score_intervals", {"terms", "max_gaps"},
+                      positions="full", ordered=True, served=True),
+    "span_containing": _row("_score_span_containing", {"terms", "slop"},
+                            requires={"span_little"}, positions="full",
+                            ordered=True, served=True),
+    "span_within": _row("_score_span_within", {"terms", "slop"},
+                        requires={"span_little"}, positions="full",
+                        ordered=True, served=True),
+}
+
+_COLUMNS = frozenset().union(*(m.columns for m in MODES.values()))
+_KWARGS = frozenset().union(*(m.kwargs for m in MODES.values()))
+
+
+@functools.cache
+def searcher_defaults() -> dict:
+    """``BM25Searcher``'s keyword defaults (an option equal to its default
+    is "not set")."""
+    return {name: p.default
+            for name, p in inspect.signature(BM25Searcher).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def _accepting(name: str) -> list[str]:
+    return sorted(m for m, r in MODES.items()
+                  if name in r.columns or name in r.kwargs)
+
+
+def validate(mode: str, columns=None, options: dict | None = None,
+             served: bool = False) -> Mode:
+    """Check a request against ``MODES`` and return the mode's row.
+
+    ``columns`` are the query input's column names (None: not checked);
+    ``options`` are the constructor options, plus the driver's ``where`` /
+    ``allow_docids`` (None: not checked). ``served`` admits only the modes
+    QueryService and HTTP serve. Raises ValueError naming the first
+    offending mode, column or option."""
+    row = MODES.get(mode)
+    if row is None or (served and not row.served):
+        known = sorted(m for m, r in MODES.items() if r.served or not served)
+        raise ValueError(f"unknown mode {mode!r}; supported: {known}")
+    cols = set(columns) if columns is not None else None
+    opts = options if options is not None else {}
+    defaults = searcher_defaults()
+    bad = sorted((cols or set()) & _COLUMNS - row.columns) + sorted(
+        n for n in (set(opts) & _KWARGS) - row.kwargs if opts[n] != defaults[n])
+    if bad:
+        name = bad[0]
+        shown = name if name in _COLUMNS else f"{name}={opts[name]!r}"
+        raise ValueError(f"{shown} is not supported in {mode} mode "
+                         f"(supported in: {_accepting(name)})")
+    for name in sorted(row.requires):
+        if name in _KWARGS:
+            if options is not None and opts.get(name) is None:
+                raise ValueError(f"mode {mode!r} requires {name}")
+        elif cols is not None and name not in cols:
+            raise ValueError(f"mode {mode!r} requires a {name} column")
+    # cross-field rules
+    if cols is not None:
+        if {"filter_text", "allow_docids"} <= cols:
+            raise ValueError("pass either filter_text or allow_docids, not both")
+        if "weights" in cols and "terms" not in cols:
+            raise ValueError("weights requires a terms column (the weighted "
+                             "pre-analyzed terms)")
+        if "allow_docids" in cols and opts.get("allow_docids") is not None:
+            raise ValueError(
+                "pass either the global allow_docids kwarg or the per-query "
+                "allow_docids column, not both")
+    if opts.get("where") is not None and opts.get("allow_docids") is not None:
+        raise ValueError("pass either where or allow_docids, not both")
+    operator = opts.get("operator", "or")
+    if operator not in ("or", "and"):
+        raise ValueError(f"operator must be 'or' or 'and', got {operator!r}")
+    msm = opts.get("min_should_match")
+    if msm is not None:
+        if operator == "and":
+            raise ValueError(
+                "min_should_match is redundant with operator='and' (OpenSearch "
+                "ignores msm under operator:and; pick one)")
+        if int(msm) < 1:
+            raise ValueError("min_should_match must be >= 1")
+    if opts.get("msm_script") is not None:
+        _compile_int_script(opts["msm_script"])  # fails fast on bad syntax
+    similarity = opts.get("similarity", "bm25")
+    if similarity != "bm25":
+        from remote_vector_index_builder_ray.functions.bm25 import (
+            SIMILARITIES,
+            compile_sim_script,
+        )
+
+        if similarity.startswith("scripted:"):
+            compile_sim_script(similarity[len("scripted:"):])
+        elif similarity not in SIMILARITIES:
+            raise ValueError(
+                f"unknown similarity {similarity!r}; supported: "
+                f"{list(SIMILARITIES)} or 'scripted:<expr>'")
+    return row
+
+
+class _Query:
+    """One query row, parsed: everything a scorer reads. Optional inputs
+    default to "absent" (no cursor, no mask, slop 0, span_end 1, ...)."""
+
+    __slots__ = ("qid", "terms", "k", "offsets", "groups", "docids", "after",
+                 "deny", "allow", "demote", "slicing", "weights", "slop",
+                 "gaps", "end", "exclude", "little")
+
+    def __init__(self, qid: int, terms: list[str], k: int):
+        self.qid, self.terms, self.k = qid, terms, k
+        self.offsets = self.groups = self.docids = None
+        self.after = self.deny = self.allow = self.demote = None
+        self.slicing = self.weights = self.exclude = self.little = None
+        self.slop = self.gaps = 0
+        self.end = 1
 
 
 class _TermPostings:
@@ -168,79 +365,6 @@ class _TermPostings:
     @property
     def n_blocks(self) -> int:
         return len(self.count)
-
-
-class _Cursor:
-    """Block-skipping posting cursor for WAND (next_geq via block metadata)."""
-
-    __slots__ = ("tp", "w", "term", "bi", "arr_doc", "arr_tf", "arr_dl", "pi", "cur", "max_ub")
-
-    def __init__(self, term: str, tp: _TermPostings, w: float):
-        self.tp = tp
-        self.w = w
-        self.term = term
-        self.max_ub = float(w * tp.maxtn.max())
-        self.bi = -1
-        self.arr_doc = None
-        self.pi = 0
-        self.cur = -1
-        self._open_block(0)
-
-    def _open_block(self, bi: int):
-        if bi >= self.tp.n_blocks:
-            self.cur = np.iinfo(np.int64).max
-            self.bi = self.tp.n_blocks
-            return
-        self.bi = bi
-        tp = self.tp
-        self.arr_doc, self.arr_tf, self.arr_dl = decode_block(
-            int(tp.first[bi]), int(tp.count[bi]), tp.docb[bi], tp.tfb[bi], tp.dlb[bi]
-        )
-        self.pi = 0
-        self.cur = int(self.arr_doc[0])
-
-    @property
-    def exhausted(self) -> bool:
-        return self.bi >= self.tp.n_blocks
-
-    def block_ub(self) -> float:
-        return float(self.w * self.tp.maxtn[self.bi]) if not self.exhausted else 0.0
-
-    def block_last(self) -> int:
-        return int(self.tp.last[self.bi])
-
-    def next_geq(self, target: int):
-        if self.exhausted or self.cur >= target:
-            return
-        tp = self.tp
-        if target > tp.last[self.bi]:
-            # find the first block whose last docid >= target
-            bi = int(np.searchsorted(tp.last, target, side="left"))
-            if bi >= tp.n_blocks:
-                self.cur = np.iinfo(np.int64).max
-                self.bi = tp.n_blocks
-                return
-            self._open_block(bi)
-            if self.cur >= target:
-                return
-        pi = int(np.searchsorted(self.arr_doc, target, side="left"))
-        if pi >= len(self.arr_doc):  # target beyond this block: next block start
-            self._open_block(self.bi + 1)
-        else:
-            self.pi = pi
-            self.cur = int(self.arr_doc[pi])
-
-    def advance(self):
-        self.pi += 1
-        if self.pi >= len(self.arr_doc):
-            self._open_block(self.bi + 1)
-        else:
-            self.cur = int(self.arr_doc[self.pi])
-
-    def contrib(self, k1: float, b: float, avgdl: float) -> float:
-        tf = float(self.arr_tf[self.pi])
-        dl = float(self.arr_dl[self.pi])
-        return self.w * (tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl)))
 
 
 class _StatsBucketReader:
@@ -379,6 +503,14 @@ class BM25Searcher:
                  pit_gens: int | None = None,
                  stats_override: tuple | None = None,
                  df_override: dict | None = None):
+        # the Dataset path's actor-side check (the driver checks first)
+        self._row = validate(mode, options=dict(
+            operator=operator, min_should_match=min_should_match,
+            tie_breaker=tie_breaker, collapse_round6=collapse_round6,
+            collapse_inner=collapse_inner, negative_boost=negative_boost,
+            unit_idf=unit_idf, span_pre=span_pre, span_post=span_post,
+            msm_script=msm_script, similarity=similarity,
+            stats_override=stats_override, df_override=df_override))
         # all index state resolves through the state.fs object-store layer:
         # the actor may run on any node; index_dir may be s3:// / mock://
         from remote_vector_index_builder_ray.state import fs as _fs
@@ -408,30 +540,13 @@ class BM25Searcher:
         self.cache_terms = cache_terms
         # operator="and" (OpenSearch match operator:and): a doc must contain
         # EVERY query term; scores of qualifying docs are unchanged (the BM25
-        # sum over the query terms is the same sum). Supported in exhaustive
-        # and bmw modes.
-        if operator not in ("or", "and"):
-            raise ValueError(f"operator must be 'or' or 'and', got {operator!r}")
-        if operator == "and" and mode in ("wand", "phrase", "constant"):
-            raise ValueError(f"operator='and' is not supported in {mode} mode")
+        # sum over the query terms is the same sum).
         self.operator = operator
         # minimum_should_match (OpenSearch match minimum_should_match): a doc
         # must contain at least n of the query's DISTINCT terms; qualifying
         # docs' scores are unchanged. operator="and" is the n == n_terms
         # special case (Lucene: msm above the clause count matches nothing,
         # and an absent term is still a clause — it just never matches).
-        if min_should_match is not None:
-            if operator == "and":
-                raise ValueError(
-                    "min_should_match is redundant with operator='and' "
-                    "(OpenSearch ignores msm under operator:and; pick one)"
-                )
-            if mode in ("wand", "phrase", "constant"):
-                raise ValueError(
-                    f"min_should_match is not supported in {mode} mode"
-                )
-            if int(min_should_match) < 1:
-                raise ValueError("min_should_match must be >= 1")
         self.msm = None if min_should_match is None else int(min_should_match)
         self.tie_breaker = float(tie_breaker)  # mode="dismax" only
         self.collapse_round6 = bool(collapse_round6)  # mode="collapse" only
@@ -446,25 +561,16 @@ class BM25Searcher:
         # setting): swaps the per-(term, doc) contribution formula
         # (functions/bm25.sim_contrib). Exhaustive mode only — stored block
         # maxes are BM25 upper bounds and don't bound other similarities.
-        from remote_vector_index_builder_ray.functions.bm25 import (
-            SIMILARITIES,
-            compile_sim_script,
-        )
-
+        # OpenSearch `similarity: {type: scripted}` (Lucene
+        # ScriptedSimilarity): the expression after the prefix is the
+        # per-(term, doc) contribution script — compiled ONCE per actor,
+        # evaluated vectorized per term
         if similarity.startswith("scripted:"):
-            # OpenSearch `similarity: {type: scripted}` (Lucene
-            # ScriptedSimilarity): the expression after the prefix is the
-            # per-(term, doc) contribution script — compiled ONCE per actor
-            # here (eager validation), evaluated vectorized per term
+            from remote_vector_index_builder_ray.functions.bm25 import compile_sim_script
+
             self._sim_fn = compile_sim_script(similarity[len("scripted:"):])
-        elif similarity not in SIMILARITIES:
-            raise ValueError(
-                f"similarity must be one of {SIMILARITIES} or 'scripted:<expr>'"
-            )
         else:
             self._sim_fn = None
-        if similarity != "bm25" and mode != "exhaustive":
-            raise ValueError("non-BM25 similarities require mode='exhaustive'")
         self.similarity = similarity
         # span_not exclusion window (occurrences of the exclude span within
         # [p - pre, p + post] of an include occurrence kill it)
@@ -477,8 +583,6 @@ class BM25Searcher:
         self._msm_fn = (
             _compile_int_script(msm_script) if msm_script is not None else None
         )
-        if mode == "terms_set" and self._msm_fn is None:
-            raise ValueError("terms_set mode requires msm_script")
         man = _fs.read_json(_fs.join(index_dir, "manifest.json"))
         # Global corpus stats: the base stats plus every LIVE generation
         # (pipelines/incremental.append_index); scoring with global (N, avgdl)
@@ -514,11 +618,6 @@ class BM25Searcher:
         # (N, total_len) replaced wholesale, per-term df replaced from the
         # blended dictionary. Exhaustive mode only (stored block maxes bound
         # the LOCAL idf/avgdl, not the overridden ones).
-        if stats_override is not None or df_override is not None:
-            if mode != "exhaustive":
-                raise ValueError(
-                    "stats/df overrides (dfs federation) require mode='exhaustive'"
-                )
         if stats_override is not None:
             N, total_len = int(stats_override[0]), int(stats_override[1])
         self._df_override = dict(df_override) if df_override else None
@@ -562,9 +661,9 @@ class BM25Searcher:
         from remote_vector_index_builder_ray.pipelines.delete import load_tombstones
 
         self._tomb = load_tombstones(index_dir, man)
-        # Positional index sources (BuildConfig.positions; mode="phrase").
-        # Resolved lazily — a positionless index pays nothing — except in
-        # phrase mode, where a missing positional index fails fast at init.
+        # Positional index sources (BuildConfig.positions): resolved at init
+        # in the positional modes, so a missing positional index fails fast;
+        # other modes never read them.
         self._index_dir = index_dir
         self._gen_dirs = [_fs.join(index_dir, g["dir"]) for g in gens]
         self._pos_sources: list[tuple[str, int, set]] | None = None
@@ -575,7 +674,7 @@ class BM25Searcher:
         self._pos_pruned: set[str] = set()
         # per-bucket readers with parsed footers + row-group statistics
         self._pos_pf: dict[str, _StatsBucketReader] = {}
-        if mode == "phrase":
+        if self._row.positions:
             self._resolve_pos_sources()
         # Optional filtered search (pipelines/query.search(where=...)): a
         # SORTED int64 docid allow-list, ray.put once on the driver and
@@ -603,18 +702,6 @@ class BM25Searcher:
         if keep is None:
             return docids, scores
         return docids[keep], scores[keep]
-
-    def _skip_doc(self, docid: int) -> bool:
-        """Single-doc form of ``_drop_tombstoned`` for the wand pivot path."""
-        if len(self._tomb):
-            ti = int(np.searchsorted(self._tomb, docid))
-            if ti < len(self._tomb) and self._tomb[ti] == docid:
-                return True
-        if self._allow is not None:
-            ai = int(np.searchsorted(self._allow, docid))
-            if ai >= len(self._allow) or self._allow[ai] != docid:
-                return True
-        return False
 
     # -- postings lookup ------------------------------------------------------
     def _term_bucket(self, term: str) -> int:
@@ -953,7 +1040,7 @@ class BM25Searcher:
     # intersection; doc_len must stay below 2^21 (a transcript turn is tiny)
     _POS_PACK = np.int64(1) << np.int64(21)
 
-    def _score_phrase(self, terms: list[str], k: int, offsets=None):
+    def _score_phrase(self, q: _Query):
         """Exact phrase match (Lucene match_phrase): docs where the terms
         occur consecutively, scored ``sum(idf(term_i)) * tfnorm(phrase_tf)``
         — the Lucene PhraseQuery formula (summed term idfs, phrase frequency
@@ -966,8 +1053,12 @@ class BM25Searcher:
         analyzer the query side passes the PRE-filter token indices
         (``analyze_text_positions``), so a stopword inside the phrase demands
         the same position gap the index recorded — Lucene's
-        position-increment behavior.
+        position-increment behavior. A positive ``slop`` is the sloppy phrase
+        (``_score_phrase_slop``).
         """
+        if q.slop > 0:
+            return self._score_phrase_slop(q)
+        terms, k, offsets = q.terms, q.k, q.offsets
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not terms:
             return empty
@@ -1145,8 +1236,7 @@ class BM25Searcher:
         stf = np.bincount(inv, weights=weights, minlength=len(cand))
         return cand, stf
 
-    def _score_phrase_slop(self, terms: list[str], k: int, slop: int,
-                           offsets=None):
+    def _score_phrase_slop(self, q: _Query):
         """Sloppy phrase (OpenSearch match_phrase with ``slop``), Lucene
         transposition-tolerant: for DISTINCT phrase terms the nearest-anchor
         matcher (``_nearest_stf``) accepts out-of-order alignments whose
@@ -1157,8 +1247,9 @@ class BM25Searcher:
         the BM25 saturation with summed term idfs exactly as the exact
         matcher. Phrases with a REPEATED term keep the ordered greedy chain
         (``_chain_stf`` — the nearest rule could bind one document position
-        to two phrase slots, which Lucene forbids). slop=0 is exactly
-        ``_score_phrase`` (and is routed there)."""
+        to two phrase slots, which Lucene forbids). ``_score_phrase`` routes
+        a positive slop here; slop <= 0 is the exact match."""
+        terms, k, slop, offsets = q.terms, q.k, q.slop, q.offsets
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not terms:
             return empty
@@ -1190,7 +1281,7 @@ class BM25Searcher:
         sel = topk_order(scores, cand, k)
         return cand[sel], scores[sel]
 
-    def _score_span_near(self, terms: list[str], k: int, slop: int):
+    def _score_span_near(self, q: _Query):
         """Lucene/OpenSearch span_near with in_order=false for a two-term
         span: the doc frequency of proximity matches in EITHER direction —
         sloppy_freq = chain(a→b, slop) + chain(b→a, slop), each direction
@@ -1200,6 +1291,7 @@ class BM25Searcher:
         comprehension legs in the same order). Identical terms degenerate
         to the single forward direction (counting both would double every
         pair). Scored as the span query's summed-idf BM25 saturation."""
+        terms, k, slop = q.terms, q.k, q.slop
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if len(terms) != 2:
             return empty
@@ -1232,13 +1324,14 @@ class BM25Searcher:
         sel = topk_order(scores, cand, k)
         return cand[sel], scores[sel]
 
-    def _score_span_first(self, terms: list[str], k: int, end: int):
+    def _score_span_first(self, q: _Query):
         """Lucene/OpenSearch span_first over a single-term inner span: a doc
         matches when the term occurs at a position strictly below ``end``.
         Lucene's SpanScorer accumulates sloppyFreq(matchWidth) per matching
         span and a one-term span has width 0, so freq = the count of
         qualifying positions; the doc scores idf * tfnorm(freq, dl) exactly
         like a phrase/span query (stages/search._score_span_near)."""
+        terms, k, end = q.terms, q.k, q.end
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if len(terms) != 1:
             return empty
@@ -1260,7 +1353,7 @@ class BM25Searcher:
         sel = topk_order(scores, cand, k)
         return cand[sel], scores[sel]
 
-    def _score_span_or(self, terms: list[str], k: int):
+    def _score_span_or(self, q: _Query):
         """Lucene/OpenSearch span_or over single-term inner spans: the union
         of the clauses' spans. Single-term spans never overlap, so per doc
         freq = the sum of the matching clauses' term frequencies — postings
@@ -1268,6 +1361,7 @@ class BM25Searcher:
         BM25 saturation (the same SpanScorer shape as ``_score_span_near``);
         clauses absent from the index contribute nothing (SpanOrQuery drops
         empty clauses), and the idf sums over present clauses only."""
+        terms, k = q.terms, q.k
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         idf_sum = 0.0
         parts = []
@@ -1292,7 +1386,7 @@ class BM25Searcher:
         sel = topk_order(scores, cand, k)
         return cand[sel], scores[sel]
 
-    def _score_span_not(self, terms: list[str], k: int, exclude: str | None):
+    def _score_span_not(self, q: _Query):
         """Lucene/OpenSearch span_not(include, exclude, pre, post) with
         single-term include/exclude spans: an occurrence of ``include`` at
         position p survives unless ``exclude`` occurs within
@@ -1302,6 +1396,7 @@ class BM25Searcher:
         span_not degenerates to the inner span. Vectorized via the packed
         (docid << 21 | position) key space (``_POS_PACK`` invariant), one
         searchsorted pair per occurrence."""
+        terms, k, exclude = q.terms, q.k, q.exclude
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if len(terms) != 1:
             return empty
@@ -1363,7 +1458,7 @@ class BM25Searcher:
             return len(terms)
         return self.msm or 1
 
-    def _score_intervals(self, terms: list[str], k: int, max_gaps: int):
+    def _score_intervals(self, q: _Query):
         """OpenSearch ``intervals`` query, ``match`` rule with
         ``ordered=true, max_gaps=N`` over a two-term source: an interval is
         an occurrence of the SECOND term at position p2 with an occurrence
@@ -1375,6 +1470,7 @@ class BM25Searcher:
         (docid << 21 | position) key space, one searchsorted pair per t2
         occurrence (the ``_score_span_not`` machinery with the polarity
         flipped and an asymmetric, ordered window)."""
+        terms, k, max_gaps = q.terms, q.k, q.gaps
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if len(terms) < 2:
             return empty  # an interval needs both endpoints
@@ -1427,8 +1523,7 @@ class BM25Searcher:
             return None
         return (dpp2[valid], pos1[hi[valid] - 1], pos2[valid], cdoc2, cdl2)
 
-    def _score_span_containing(self, terms: list[str], k: int,
-                               little: str | None, slop: int):
+    def _score_span_containing(self, q: _Query):
         """Lucene/OpenSearch span_containing(big, little): big spans (the
         minimal ordered two-term windows of ``_big_spans``) that contain an
         occurrence of the single-term ``little`` span, i.e. start <= p3 <=
@@ -1438,6 +1533,7 @@ class BM25Searcher:
         match constraints but no similarity weight. Vectorized: one
         searchsorted pair per big span over the little term's packed
         (docid << 21 | position) keys."""
+        terms, k, little, slop = q.terms, q.k, q.little, q.slop
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if len(terms) < 2 or little is None:
             return empty
@@ -1467,8 +1563,7 @@ class BM25Searcher:
         sel = topk_order(scores, cand, k)
         return cand[sel], scores[sel]
 
-    def _score_span_within(self, terms: list[str], k: int,
-                           little: str | None, slop: int):
+    def _score_span_within(self, q: _Query):
         """Lucene/OpenSearch span_within(little, big): occurrences of the
         single-term ``little`` span contained in SOME big span (the minimal
         ordered two-term windows of ``_big_spans``). freq = contained
@@ -1480,6 +1575,7 @@ class BM25Searcher:
         and start <= p3" with one searchsorted per little occurrence —
         later docs' packed starts exceed (docid + 1) << 21 and can never
         shadow the current doc's minimum."""
+        terms, k, little, slop = q.terms, q.k, q.little, q.slop
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if len(terms) < 2 or little is None:
             return empty
@@ -1512,7 +1608,7 @@ class BM25Searcher:
         sel = topk_order(scores, cand, k)
         return cand[sel], scores[sel]
 
-    def _score_terms_set(self, terms: list[str], k: int, deny=None, allow=None):
+    def _score_terms_set(self, q: _Query):
         """OpenSearch ``terms_set`` query (Lucene CoveringQuery): a doc
         matches when it contains at least ``required(doc)`` of the query's
         distinct terms, where the required count comes from the per-actor
@@ -1523,6 +1619,7 @@ class BM25Searcher:
         term-ascending like the exhaustive scorer. A required count above
         the query's present-term count matches nothing for that doc; below
         1 it clamps to 1 (CoveringQuery's minimumNumberMatch floor)."""
+        terms, k, deny = q.terms, q.k, q.deny
         doc_parts, contrib_parts, dl_parts = [], [], []
         for t in sorted(set(terms)):
             tp = self._cache.get(t)
@@ -1552,17 +1649,17 @@ class BM25Searcher:
 
             m = ~isin_sorted(uniq, deny)
             uniq, scores = uniq[m], scores[m]
-        uniq, scores = self._apply_allow(uniq, scores, allow)
         sel = topk_order(scores, uniq, k)
         return uniq[sel], scores[sel]
 
-    def _score_constant(self, terms: list[str], k: int, after=None, deny=None,
-                        allow=None, slicing=None):
+    def _score_constant(self, q: _Query):
         """Constant-score union (Lucene MultiTermQuery CONSTANT_SCORE
         rewrite; OpenSearch terms/prefix/wildcard queries): every doc
         containing ANY of the terms scores 1.0; the engine's (score desc,
         docid asc) total order makes the top-k the k smallest matching
         docids. Only the docid streams are decoded."""
+        terms, k, after, deny, allow = q.terms, q.k, q.after, q.deny, q.allow
+        slicing = q.slicing
         doc_parts = []
         for t in terms:
             tp = self._cache.get(t)
@@ -1586,13 +1683,14 @@ class BM25Searcher:
         uniq = uniq[:k]
         return uniq, np.ones(len(uniq), dtype=np.float64)
 
-    def _explain(self, terms: list[str], docids_sel: np.ndarray):
+    def _explain(self, q: _Query):
         """Per-term score breakdown for the given docs (the Lucene explain
         analog): one row per (doc, matching term) with tf, df and the term's
         BM25 contribution — contributions sum (term-ascending, the engine's
         accumulation order) to the search score exactly."""
+        terms = q.terms
         out_doc, out_term, out_tf, out_df, out_contrib = [], [], [], [], []
-        sel = np.sort(np.asarray(docids_sel, dtype=np.int64))
+        sel = np.sort(np.asarray(q.docids or [], dtype=np.int64))
         for t in terms:  # ascending term order == accumulation order
             tp = self._cache.get(t)
             if tp is None or len(sel) == 0:
@@ -1653,19 +1751,20 @@ class BM25Searcher:
             self._conv_off = np.sort(np.concatenate(offs))
         return self._conv_off
 
-    def _score_collapse(self, terms: list[str], k: int, round6: bool = False,
-                        inner: int = 0):
+    def _score_collapse(self, q: _Query):
         """Field collapsing on the conversation (OpenSearch collapse): the
         top-k CONVERSATIONS by their best-scoring turn; one hit (the best
         turn) per conversation. Needs every match's score, so it rides the
-        exhaustive scorer. ``round6`` orders by 6-decimal-rounded scores —
-        the driver's cross-engine float policy — instead of raw float64.
+        exhaustive scorer. ``collapse_round6`` orders by 6-decimal-rounded
+        scores — the driver's cross-engine float policy — instead of raw
+        float64.
 
-        ``inner`` > 0 is OpenSearch collapse ``inner_hits``: each of the
-        top-k conversations returns its best ``inner`` turns (score desc,
+        ``collapse_inner`` > 0 is OpenSearch collapse ``inner_hits``: each of
+        the top-k conversations returns its best ``inner`` turns (score desc,
         docid asc within the conversation), flattened conversation-major —
         rank then numbers the flattened rows."""
-        docids, scores = self._score_exhaustive(terms, k=1 << 62)
+        k, round6, inner = q.k, self.collapse_round6, self.collapse_inner
+        docids, scores = self._score_exhaustive(_Query(q.qid, q.terms, 1 << 62))
         if len(docids) == 0:
             return docids, scores
         cmp = np.round(scores, 6) if round6 else scores
@@ -1683,12 +1782,13 @@ class BM25Searcher:
         return (np.asarray(out_d, dtype=np.int64),
                 np.asarray(out_s, dtype=np.float64))
 
-    def _score_blended(self, groups: list[list[str]], k: int):
+    def _score_blended(self, q: _Query):
         """Lucene SynonymQuery blended scoring: each synonym group scores as
         ONE pseudo-term with df = max over the group's members and per-doc
         tf = sum of the members' tfs (dl is a doc property, shared). Groups
         accumulate in ascending (lexicographic group) order in float64, the
         engine's determinism convention."""
+        groups, k = q.groups, q.k
         doc_parts, contrib_parts = [], []
         for group in sorted(tuple(sorted(set(g))) for g in groups):
             members = [
@@ -1727,13 +1827,14 @@ class BM25Searcher:
         sel = topk_order(scores, uniq, k)
         return uniq[sel], scores[sel]
 
-    def _score_dismax(self, terms: list[str], k: int):
+    def _score_dismax(self, q: _Query):
         """Lucene DisjunctionMaxQuery over the query's term queries: a doc
         scores max(term contributions) + tie_breaker * (sum - max) — the
         best single term dominates instead of term contributions adding up.
         tie_breaker=0 is the classic dis_max; tie_breaker=1 equals the OR
         sum. max is order-independent; the residual sum accumulates
         term-ascending as everywhere else."""
+        terms, k = q.terms, q.k
         doc_parts, contrib_parts = [], []
         for t in terms:
             tp = self._cache.get(t)
@@ -1775,8 +1876,9 @@ class BM25Searcher:
         keep = isin_sorted(uniq, allow)
         return uniq[keep], scores[keep]
 
-    def _score_exhaustive(self, terms: list[str], k: int, after=None, deny=None,
-                          demote=None, allow=None, slicing=None, weights=None):
+    def _score_exhaustive(self, q: _Query):
+        terms, k, after, deny, allow = q.terms, q.k, q.after, q.deny, q.allow
+        demote, slicing, weights = q.demote, q.slicing, q.weights
         need = self._need(terms)
         if need > 1:
             n_present = sum(1 for t in terms if self._cache.get(t) is not None)
@@ -1861,8 +1963,7 @@ class BM25Searcher:
         sel = topk_order(scores, uniq, k)
         return uniq[sel], scores[sel]
 
-    def _score_bmw(self, terms: list[str], k: int, after=None, deny=None,
-                   allow=None):
+    def _score_bmw(self, q: _Query):
         """Vectorized block-max pruning ("bmw", the default).
 
         The doc space splits into docid-range chunks with a precomputed
@@ -1880,6 +1981,7 @@ class BM25Searcher:
         filled too late; measured 17% SLOWER than exhaustive at sf0.1) —
         best-first turns those into a handful of scored chunks + one break.
         """
+        terms, k, after, deny, allow = q.terms, q.k, q.after, q.deny, q.allow
         need = self._need(terms)
         if need > 1:
             n_present = sum(1 for t in terms if self._cache.get(t) is not None)
@@ -1967,416 +2069,152 @@ class BM25Searcher:
                 threshold = float(top_scores[-1])
         return top_docs, top_scores
 
-    def _score_wand(self, terms: list[str], k: int):
-        cursors = []
-        for t in terms:
-            tp = self._cache.get(t)
-            if tp is not None:
-                cursors.append(_Cursor(t, tp, _idf(self.N, tp.df)))
-        if not cursors:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        heap: list[tuple[float, int]] = []  # (score, -docid): worst on top
-        INF = np.iinfo(np.int64).max
-
-        def threshold() -> float:
-            return heap[0][0] if len(heap) >= k else -np.inf
-
-        while True:
-            cursors = [c for c in cursors if not c.exhausted]
-            if not cursors:
-                break
-            cursors.sort(key=lambda c: c.cur)
-            # WAND pivot: first prefix whose max-score sum beats the threshold
-            ub, pivot = 0.0, -1
-            th = threshold()
-            for i, c in enumerate(cursors):
-                ub += c.max_ub
-                if ub > th:
-                    pivot = i
-                    break
-            if pivot < 0:
-                break
-            pivot_doc = cursors[pivot].cur
-            if pivot_doc == INF:
-                break
-            if cursors[0].cur == pivot_doc:
-                # block-max check over the lists that will contribute
-                bub = 0.0
-                for c in cursors[: pivot + 1]:
-                    c.next_geq(pivot_doc)
-                involved = [c for c in cursors if c.cur == pivot_doc]
-                for c in involved:
-                    bub += c.block_ub()
-                if bub <= th and len(heap) >= k:
-                    # the involved lists' current blocks cannot compete: jump
-                    # past the nearest block boundary — but never past the cur
-                    # of a list not positioned at pivot_doc (its docs in the
-                    # skipped range would otherwise be missed)
-                    boundary = min(c.block_last() for c in involved) + 1
-                    others = [c.cur for c in cursors if c.cur > pivot_doc]
-                    if others:
-                        boundary = min(boundary, min(others))
-                    for c in involved:
-                        c.next_geq(boundary)
-                    continue
-                if self._skip_doc(pivot_doc):
-                    for c in involved:  # deleted / filtered-out doc: skip
-                        c.advance()
-                    continue
-                # full evaluation, contributions in ascending-term order
-                involved.sort(key=lambda c: c.term)
-                score = 0.0
-                for c in involved:
-                    score += c.contrib(self.k1, self.b, self.avgdl)
-                if len(heap) < k:
-                    heapq.heappush(heap, (score, -pivot_doc))
-                elif score > heap[0][0]:
-                    heapq.heapreplace(heap, (score, -pivot_doc))
-                for c in involved:
-                    c.advance()
-            else:
-                # advance the lagging lists up to the pivot
-                for c in cursors[:pivot]:
-                    c.next_geq(pivot_doc)
-
-        items = sorted(heap, key=lambda sd: (-sd[0], -sd[1]))
-        return (
-            np.array([-d for _, d in items], dtype=np.int64),
-            np.array([s for s, _ in items], dtype=np.float64),
-        )
-
     # -- batch entry ----------------------------------------------------------
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch["query_id"].to_pylist()
-        if self.mode == "explain":
-            # per-term breakdown of the given (query, doc) pairs; the docs
-            # arrive as an explain_docids list column per query row
-            texts = batch["text"].to_pylist()
-            sels = batch["explain_docids"].to_pylist()
-            e_qid, e_doc, e_term, e_tf, e_df, e_c = [], [], [], [], [], []
-            all_terms = sorted(
-                {t for x in texts for t in analyze_text(x or "", self._analyzer)}
-            )
-            if all_terms:
-                self._load_terms(all_terms)
-            for qid, text, sel in zip(qids, texts, sels):
-                terms = sorted(set(analyze_text(text or "", self._analyzer)))
-                d, tm, tf, dfv, c = self._explain(
-                    terms, np.asarray(sel or [], dtype=np.int64)
-                )
-                e_qid.extend([int(qid)] * len(d))
-                e_doc.extend(d)
-                e_term.extend(tm)
-                e_tf.extend(tf)
-                e_df.extend(dfv)
-                e_c.extend(c)
-            return pa.table(
-                {
-                    "query_id": pa.array(e_qid, type=pa.int64()),
-                    "docid": pa.array(e_doc, type=pa.int64()),
-                    "term": pa.array(e_term, type=pa.string()),
-                    "tf": pa.array(e_tf, type=pa.int64()),
-                    "df": pa.array(e_df, type=pa.int64()),
-                    "contrib": pa.array(e_c, type=pa.float64()),
-                }
-            )
-        ks = batch["k"].to_pylist() if "k" in batch.column_names else [10] * len(qids)
-        per_query_offsets = [None] * len(qids)  # phrase-mode position gaps
-        if self.mode == "blended":
+        row = validate(self.mode, batch.column_names)
+        score = getattr(self, row.scorer)
+        ranked = "rank" in row.schema.names
+        cols = [[] for _ in row.schema]
+        for q in self._parse(batch, row):
+            hits = score(q)
+            n = len(hits[0])
+            if ranked:
+                hits = (range(1, n + 1), hits[0].tolist(), hits[1].tolist())
+            cols[0].extend([q.qid] * n)
+            for c, h in zip(cols[1:], hits):
+                c.extend(h)
+        return pa.Table.from_arrays(
+            [pa.array(c, type=f.type) for c, f in zip(cols, row.schema)],
+            schema=row.schema,
+        )
+
+    def _parse(self, batch: pa.Table, row: Mode) -> list[_Query]:
+        """One ``_Query`` per row of ``batch``, with every optional column
+        present read into it (``validate`` has checked them against the
+        mode's row); loads the postings and positions the batch touches."""
+        an = self._analyzer
+        cols = set(batch.column_names)
+
+        def col(name: str) -> list:
+            return batch[name].to_pylist()
+
+        def bags(texts: list) -> list[list[str]]:
+            return [sorted(set(analyze_text(t or "", an))) for t in texts]
+
+        n = batch.num_rows
+        offsets = groups = [None] * n
+        if "groups" in cols:
             # synonym groups (list<list<string>> column): each group scores
             # as one pseudo-term (SynonymQuery; pipelines/expand.search_synonyms)
-            groups_lists = [
-                [list(g or []) for g in (gs or [])]
-                for gs in batch["groups"].to_pylist()
-            ]
-            per_query_terms = [
-                sorted({t for g in gs for t in g}) for gs in groups_lists
-            ]
-        elif "terms" in batch.column_names:
+            groups = [[list(g or []) for g in (gs or [])] for gs in col("groups")]
+            terms = [sorted({t for g in gs for t in g}) for gs in groups]
+        elif "terms" in cols:
             # pre-analyzed term lists (pipelines/expand: terms / prefix /
             # wildcard / fuzzy queries) — exact terms, no tokenization
-            lists = batch["terms"].to_pylist()
-            if self.mode == "phrase":
-                per_query_terms = [list(lst or []) for lst in lists]
-            else:
-                per_query_terms = [sorted(set(lst or [])) for lst in lists]
-            if "weights" in batch.column_names:
-                # per-term query boosts (OpenSearch query_string term^boost):
-                # a list<double> column aligned element-wise with `terms`;
-                # the dict survives the distinct-sort above
-                if self.mode != "exhaustive":
-                    raise ValueError(
-                        f"weights is not supported in {self.mode} mode"
-                    )
-                weight_maps = [
-                    dict(zip(lst or [], ws or [])) or None
-                    for lst, ws in zip(lists, batch["weights"].to_pylist())
-                ]
-        elif self.mode in ("phrase", "span_near", "intervals",
-                           "span_containing", "span_within"):
-            # phrase/span/interval semantics: token ORDER matters, duplicates kept;
-            # under a filtering analyzer the pre-filter token indices ride
-            # along so the matcher demands the index's position gaps
+            terms = [list(lst or []) if row.offsets else sorted(set(lst or []))
+                     for lst in col("terms")]
+        elif row.ordered:
+            # phrase/span/interval semantics: token ORDER matters, duplicates
+            # kept; under a filtering analyzer the pre-filter token indices
+            # ride along so the phrase matcher demands the index's position
+            # gaps
             from remote_vector_index_builder_ray.functions.tokenizer import (
                 analyze_text_positions,
             )
 
-            texts = batch["text"].to_pylist()
-            analyzed = [analyze_text_positions(t or "", self._analyzer) for t in texts]
-            per_query_terms = [a[0] for a in analyzed]
-            per_query_offsets = [a[1] for a in analyzed]
+            analyzed = [analyze_text_positions(t or "", an) for t in col("text")]
+            terms = [a[0] for a in analyzed]
+            offsets = [a[1] for a in analyzed]
         else:
-            texts = batch["text"].to_pylist()
-            per_query_terms = [
-                sorted(set(analyze_text(t or "", self._analyzer))) for t in texts
-            ]
-        # span_not exclude spans (optional per-query span_exclude column):
-        # the single-term span whose occurrences void nearby include spans
-        cols0 = batch.column_names
-        if "span_exclude" in cols0:
-            if self.mode != "span_not":
-                raise ValueError("span_exclude is only supported in span_not mode")
-            excl_spans = []
-            for t in batch["span_exclude"].to_pylist():
-                toks = analyze_text(t or "", self._analyzer)
-                excl_spans.append(toks[0] if toks else None)
-        else:
-            excl_spans = [None] * len(qids)
-        # span_containing/span_within little spans (optional per-query
-        # span_little column): the single-term inner span tested for
-        # containment against the big ordered two-term span
-        if "span_little" in cols0:
-            if self.mode not in ("span_containing", "span_within"):
-                raise ValueError(
-                    "span_little is only supported in span_containing/"
-                    "span_within mode"
-                )
-            little_spans = []
-            for t in batch["span_little"].to_pylist():
-                toks = analyze_text(t or "", self._analyzer)
-                little_spans.append(toks[0] if toks else None)
-        else:
-            little_spans = [None] * len(qids)
+            terms = bags(col("text"))
+        ks = col("k") if "k" in cols else [10] * n
+        qs = [_Query(int(qid), t, int(k) if k is not None else 10)
+              for qid, t, k in zip(col("query_id"), terms, ks)]
+        for q, off, gs in zip(qs, offsets, groups):
+            q.offsets, q.groups = off, gs
+        if "explain_docids" in cols:
+            for q, sel in zip(qs, col("explain_docids")):
+                q.docids = sel
+        # single-term spans: span_not's exclude span (its occurrences void
+        # nearby include spans) and span_containing/span_within's little
+        # span (tested for containment against the big two-term span)
+        for name, attr in (("span_exclude", "exclude"), ("span_little", "little")):
+            if name in cols:
+                for q, t in zip(qs, col(name)):
+                    toks = analyze_text(t or "", an)
+                    setattr(q, attr, toks[0] if toks else None)
         all_terms = sorted(
-            {t for terms in per_query_terms for t in terms}
-            | {t for t in excl_spans if t is not None}
-            | {t for t in little_spans if t is not None}
+            {t for q in qs for t in q.terms}
+            | {t for q in qs for t in (q.exclude, q.little) if t is not None}
         )
         if all_terms:
             self._load_terms(all_terms)
-            if self.mode in ("phrase", "span_near"):
+            if row.positions == "pruned":
                 # phrase/span_near require EVERY term in a matching doc, so
                 # positional loads prune to the per-query candidate unions —
                 # a stopword's 100k-row positional read becomes a few
                 # hundred rows when paired with a rare term
                 self._load_positions_pruned(
-                    all_terms, self._phrase_needed(per_query_terms)
+                    all_terms, self._phrase_needed([q.terms for q in qs])
                 )
-            elif self.mode in ("span_first", "span_not", "intervals",
-                               "span_containing", "span_within"):
+            elif row.positions:
                 self._load_positions(all_terms)
-        # search_after cursors (optional per-query columns): a row with
-        # non-null after_score/after_docid returns only docs STRICTLY after
-        # that (score, docid) in the engine's (score desc, docid asc) order
-        cols = batch.column_names
-        if "after_score" in cols and "after_docid" in cols:
-            if self.mode in ("wand", "phrase", "blended"):
-                raise ValueError(
-                    f"search_after is not supported in {self.mode} mode"
-                )
-            afters = [
-                None if s is None else (float(s), int(d))
-                for s, d in zip(
-                    batch["after_score"].to_pylist(),
-                    batch["after_docid"].to_pylist(),
-                )
-            ]
-        else:
-            afters = [None] * len(qids)
-        # bool.must_not (optional exclude_text column): analyzed exclusion
-        # terms whose posting docids form a per-query deny set
+
+        def posting_sets(name: str) -> list:
+            # the sorted posting-docid union of each row's analyzed terms
+            # (None for an empty row); the main query terms ride along in
+            # the load so a cache eviction cannot drop postings the scorer
+            # needs
+            lists = bags(col(name))
+            load = {t for lst in lists for t in lst}
+            if load:
+                self._load_terms(sorted(set(all_terms) | load))
+            return [self._deny_set(lst) if lst else None for lst in lists]
+
+        # search_after cursor: docs STRICTLY after (score, docid) in the
+        # engine's (score desc, docid asc) order; a null cursor = first page
+        if _AFTER <= cols:
+            for q, sc, d in zip(qs, col("after_score"), col("after_docid")):
+                q.after = None if sc is None else (float(sc), int(d))
+        # bool.must_not: docs holding any excluded term drop
         if "exclude_text" in cols:
-            if self.mode in ("wand", "phrase", "blended"):
-                raise ValueError(
-                    f"exclude_text is not supported in {self.mode} mode"
-                )
-            excl_lists = [
-                sorted(set(analyze_text(t or "", self._analyzer)))
-                for t in batch["exclude_text"].to_pylist()
-            ]
-            excl_load = sorted({t for lst in excl_lists for t in lst})
-            if excl_load:
-                # include the main query terms so a cache eviction triggered
-                # by this load cannot drop postings the scorer needs below
-                self._load_terms(sorted(set(all_terms) | set(excl_load)))
-            denies = [
-                self._deny_set(lst) if lst else None for lst in excl_lists
-            ]
-        else:
-            denies = [None] * len(qids)
-        # bool.filter on the INDEXED field (optional filter_text column):
-        # the filter text analyzes to terms whose posting-docid union forms
-        # a per-query ALLOW set — OpenSearch filter-context semantics
-        # (candidates outside the set drop, scores unchanged). A filter
-        # whose terms are all absent from the index matches nothing.
-        if "filter_text" in cols and "allow_docids" in cols:
-            raise ValueError("pass either filter_text or allow_docids, not both")
+            for q, deny in zip(qs, posting_sets("exclude_text")):
+                q.deny = deny
+        # bool.filter on the INDEXED field — OpenSearch filter-context
+        # semantics (candidates outside the set drop, scores unchanged). A
+        # filter whose terms are all absent from the index matches nothing.
         if "filter_text" in cols:
-            if self.mode not in ("exhaustive", "bmw", "constant"):
-                raise ValueError(
-                    f"filter_text is not supported in {self.mode} mode"
-                )
-            filt_lists = [
-                sorted(set(analyze_text(t or "", self._analyzer)))
-                for t in batch["filter_text"].to_pylist()
-            ]
-            filt_load = sorted({t for lst in filt_lists for t in lst})
-            if filt_load:
-                self._load_terms(sorted(set(all_terms) | set(filt_load)))
-            # _deny_set is just "sorted posting union of these terms" —
-            # polarity (deny vs allow) is decided at the application site
-            allows = [
-                self._deny_set(lst) if lst else None for lst in filt_lists
-            ]
-        elif "allow_docids" in cols:
-            # EXPLICIT per-query docid allow-list (optional list<int64>
-            # column) — same filter-context application as filter_text
-            # (candidates outside the set drop, scores unchanged). An EMPTY
-            # list matches nothing; a null entry leaves that query
-            # unrestricted. Used by search_terminate_after's second pass.
-            if self.mode not in ("exhaustive", "bmw", "constant"):
-                raise ValueError(
-                    f"allow_docids is not supported in {self.mode} mode"
-                )
-            allows = [
-                None if lst is None
-                else np.sort(np.asarray(lst, dtype=np.int64))
-                for lst in batch["allow_docids"].to_pylist()
-            ]
-        else:
-            allows = [None] * len(qids)
-        # boosting query (optional negative_text column): docs matching the
-        # negative query keep matching, score *= negative_boost
+            for q, allow in zip(qs, posting_sets("filter_text")):
+                q.allow = allow
+        if "allow_docids" in cols:
+            # EXPLICIT per-query docid allow-list, same application as
+            # filter_text. An EMPTY list matches nothing; a null entry
+            # leaves that query unrestricted (search_terminate_after's
+            # second pass)
+            for q, lst in zip(qs, col("allow_docids")):
+                q.allow = (None if lst is None
+                           else np.sort(np.asarray(lst, dtype=np.int64)))
+        # boosting query: docs matching the negative query keep matching,
+        # score *= negative_boost
         if "negative_text" in cols:
-            if self.mode != "exhaustive":
-                raise ValueError(
-                    "negative_text (boosting query) requires mode='exhaustive'"
-                    " — demotion invalidates block-max pruning bounds"
-                )
-            neg_lists = [
-                sorted(set(analyze_text(t or "", self._analyzer)))
-                for t in batch["negative_text"].to_pylist()
-            ]
-            neg_load = sorted({t for lst in neg_lists for t in lst})
-            if neg_load:
-                self._load_terms(sorted(set(all_terms) | set(neg_load)))
-            demotes = [
-                (self._deny_set(lst), self.negative_boost) if lst else None
-                for lst in neg_lists
-            ]
-        else:
-            demotes = [None] * len(qids)
-        if self.mode != "blended":
-            groups_lists = [None] * len(qids)
-        # match_phrase slop (optional per-query int column, phrase mode)
+            for q, neg in zip(qs, posting_sets("negative_text")):
+                q.demote = None if neg is None else (neg, self.negative_boost)
         if "slop" in cols:
-            if self.mode not in ("phrase", "span_near", "span_containing",
-                                 "span_within"):
-                raise ValueError(
-                    "slop is only supported in phrase/span_near/"
-                    "span_containing/span_within mode"
-                )
-            slops = [int(s or 0) for s in batch["slop"].to_pylist()]
-        else:
-            slops = [0] * len(qids)
-        # intervals max_gaps bound (optional per-query int column)
+            for q, v in zip(qs, col("slop")):
+                q.slop = int(v or 0)
         if "max_gaps" in cols:
-            if self.mode != "intervals":
-                raise ValueError("max_gaps is only supported in intervals mode")
-            gapss = [int(g) if g is not None else 0
-                     for g in batch["max_gaps"].to_pylist()]
-        else:
-            gapss = [0] * len(qids)
-        # span_first end bound (optional per-query int column, span_first
-        # mode): positions strictly below `span_end` qualify
-        if "span_end" in cols:
-            if self.mode != "span_first":
-                raise ValueError("span_end is only supported in span_first mode")
-            ends = [int(e) if e is not None else 1
-                    for e in batch["span_end"].to_pylist()]
-        else:
-            ends = [1] * len(qids)
-        # sliced scroll (optional per-query int columns slice_id/slice_max):
-        # this slice keeps docid % slice_max == slice_id candidates
-        if "slice_id" in cols and "slice_max" in cols:
-            if self.mode not in ("exhaustive", "constant"):
-                # slicing drops candidates arbitrarily — block-max pruning
-                # bounds no longer hold, so bmw/wand are out
-                raise ValueError(f"slice is not supported in {self.mode} mode")
-            slicings = [
-                None if i is None or m is None else (int(i), int(m))
-                for i, m in zip(batch["slice_id"].to_pylist(),
-                                batch["slice_max"].to_pylist())
-            ]
-        else:
-            slicings = [None] * len(qids)
-        if "weights" not in cols or "terms" not in cols:
-            weight_maps = [None] * len(qids)
-        out_qid, out_rank, out_doc, out_score = [], [], [], []
-        for qid, terms, k, after, deny, groups, poffs, slop, demote, allow, end, espan, slc, wmap, gaps, lspan in zip(
-            qids, per_query_terms, ks, afters, denies, groups_lists,
-            per_query_offsets, slops, demotes, allows, ends, excl_spans,
-            slicings, weight_maps, gapss, little_spans,
-        ):
-            k = int(k) if k is not None else 10
-            if self.mode == "bmw":
-                docids, scores = self._score_bmw(terms, k, after, deny, allow)
-            elif self.mode == "wand":
-                docids, scores = self._score_wand(terms, k)
-            elif self.mode == "span_near":
-                docids, scores = self._score_span_near(terms, k, slop)
-            elif self.mode == "span_first":
-                docids, scores = self._score_span_first(terms, k, end)
-            elif self.mode == "span_or":
-                docids, scores = self._score_span_or(terms, k)
-            elif self.mode == "intervals":
-                docids, scores = self._score_intervals(terms, k, gaps)
-            elif self.mode == "span_not":
-                docids, scores = self._score_span_not(terms, k, espan)
-            elif self.mode == "span_containing":
-                docids, scores = self._score_span_containing(terms, k, lspan, slop)
-            elif self.mode == "span_within":
-                docids, scores = self._score_span_within(terms, k, lspan, slop)
-            elif self.mode == "phrase" and slop > 0:
-                docids, scores = self._score_phrase_slop(terms, k, slop, poffs)
-            elif self.mode == "phrase":
-                docids, scores = self._score_phrase(terms, k, poffs)
-            elif self.mode == "constant":
-                docids, scores = self._score_constant(terms, k, after, deny,
-                                                      allow, slc)
-            elif self.mode == "blended":
-                docids, scores = self._score_blended(groups, k)
-            elif self.mode == "dismax":
-                docids, scores = self._score_dismax(terms, k)
-            elif self.mode == "collapse":
-                docids, scores = self._score_collapse(terms, k, self.collapse_round6,
-                                                      self.collapse_inner)
-            elif self.mode == "terms_set":
-                docids, scores = self._score_terms_set(terms, k, deny, allow)
-            else:
-                docids, scores = self._score_exhaustive(terms, k, after, deny,
-                                                        demote, allow, slc,
-                                                        wmap)
-            n = len(docids)
-            out_qid.extend([int(qid)] * n)
-            out_rank.extend(range(1, n + 1))
-            out_doc.extend(docids.tolist())
-            out_score.extend(scores.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int32()),
-                "docid": pa.array(out_doc, type=pa.int64()),
-                "score": pa.array(out_score, type=pa.float64()),
-            }
-        )
+            for q, v in zip(qs, col("max_gaps")):
+                q.gaps = int(v) if v is not None else 0
+        if "span_end" in cols:  # positions strictly below span_end qualify
+            for q, v in zip(qs, col("span_end")):
+                q.end = int(v) if v is not None else 1
+        # sliced scroll: this slice keeps docid % slice_max == slice_id
+        if _SLICE <= cols:
+            for q, i, m in zip(qs, col("slice_id"), col("slice_max")):
+                q.slicing = None if i is None or m is None else (int(i), int(m))
+        if "weights" in cols:
+            # per-term query boosts (OpenSearch query_string term^boost): a
+            # list<double> column aligned element-wise with `terms`
+            for q, lst, ws in zip(qs, col("terms"), col("weights")):
+                q.weights = dict(zip(lst or [], ws or [])) or None
+        return qs

@@ -21,7 +21,7 @@ def _gold(smoke_oracle, smoke_fixture):
     return smoke_oracle.run_queries(qdf)
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "bmw", "wand"])
+@pytest.mark.parametrize("mode", ["exhaustive", "bmw"])
 def test_rank_identity_vs_oracle(smoke_index, smoke_fixture, smoke_oracle, mode):
     gold = _gold(smoke_oracle, smoke_fixture)
     res = (

@@ -73,4 +73,4 @@ def test_and_missing_term_no_hits(smoke_fixture, smoke_index):
 def test_and_invalid_mode_raises(smoke_fixture, smoke_index):
     with pytest.raises(ValueError, match="not supported"):
         search(smoke_index["index_dir"], smoke_fixture["queries"],
-               mode="wand", operator="and")
+               mode="dismax", operator="and")

@@ -67,7 +67,7 @@ def del_index(smoke_fixture, tmp_path_factory):
     return {"index_dir": idx, "df": df, "convs": convs, "dead": dead}
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "bmw", "wand"])
+@pytest.mark.parametrize("mode", ["exhaustive", "bmw"])
 def test_logical_delete_rank_identity(del_index, smoke_fixture, smoke_oracle, mode):
     qdf = pq.read_table(smoke_fixture["queries"]).to_pandas()
     gold = _filtered_topk(smoke_oracle, qdf, del_index["dead"])

@@ -35,7 +35,7 @@ def _filtered_gold(oracle, queries: pd.DataFrame, allowed: set[int]) -> pd.DataF
     )
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "bmw", "wand"])
+@pytest.mark.parametrize("mode", ["exhaustive", "bmw"])
 def test_role_filter_rank_identity(smoke_fixture, smoke_index, smoke_oracle, mode):
     df = _corpus(smoke_fixture)
     allowed = set(df.loc[df["role"] == "user", "docid"])

@@ -53,7 +53,7 @@ def inc_index(split_corpus, tmp_path_factory):
     return {"index_dir": idx, "manifest": man}
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "bmw", "wand"])
+@pytest.mark.parametrize("mode", ["exhaustive", "bmw"])
 def test_append_rank_identity_vs_full_oracle(inc_index, smoke_fixture, smoke_oracle, mode):
     qdf = pq.read_table(smoke_fixture["queries"]).to_pandas()
     gold = smoke_oracle.run_queries(qdf).sort_values(["query_id", "rank"]).reset_index(drop=True)

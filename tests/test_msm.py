@@ -84,7 +84,7 @@ def test_msm_validation(smoke_fixture, smoke_index):
                operator="and", min_should_match=2)
     with pytest.raises(ValueError, match="not supported"):
         search(smoke_index["index_dir"], smoke_fixture["queries"],
-               mode="wand", min_should_match=2)
+               mode="dismax", min_should_match=2)
     with pytest.raises(ValueError, match=">= 1"):
         search(smoke_index["index_dir"], smoke_fixture["queries"],
                min_should_match=0)

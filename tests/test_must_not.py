@@ -59,10 +59,10 @@ def test_must_not_self_exclusion_empties(smoke_index):
     assert len(res) == 0
 
 
-def test_must_not_rejected_in_wand(smoke_fixture, smoke_index):
+def test_must_not_rejected_in_dismax(smoke_fixture, smoke_index):
     qdf = _with_excludes(pq.read_table(smoke_fixture["queries"]).to_pandas())
     with pytest.raises(ValueError, match="not supported"):
-        search(smoke_index["index_dir"], qdf, mode="wand")
+        search(smoke_index["index_dir"], qdf, mode="dismax")
 
 
 NEGATIVES = ["the", "w000001", "zz_absent", ""]

@@ -226,7 +226,7 @@ def test_allow_docids_column_validation(smoke_index, smoke_fixture):
     q = pd.read_parquet(smoke_fixture["queries"]).head(2)
     q2 = q.assign(allow_docids=[[0, 1], [2]])
     with pytest.raises(ValueError, match="allow_docids"):
-        search(smoke_index["index_dir"], q2, mode="wand")
+        search(smoke_index["index_dir"], q2, mode="dismax")
     with pytest.raises(ValueError, match="not both"):
         search(smoke_index["index_dir"], q2.assign(filter_text=["a", "b"]),
                mode="exhaustive")

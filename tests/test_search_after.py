@@ -62,12 +62,12 @@ def test_constant_mode_pagination(smoke_index):
     assert len(paged) == 21
 
 
-def test_search_after_rejected_in_wand(smoke_fixture, smoke_index):
+def test_search_after_rejected_in_dismax(smoke_fixture, smoke_index):
     q = pq.read_table(smoke_fixture["queries"]).to_pandas()
     q["after_score"] = 1.0
     q["after_docid"] = 0
     with pytest.raises(ValueError, match="not supported"):
-        search(smoke_index["index_dir"], q, mode="wand")
+        search(smoke_index["index_dir"], q, mode="dismax")
 
 
 def test_scroll_pages_equal_oracle_topk(smoke_index, smoke_fixture, smoke_oracle):
