@@ -3,8 +3,7 @@
     python -m remote_vector_index_builder_ray build  --input <glob...> --index-dir DIR [--dedup] [...]
     python -m remote_vector_index_builder_ray search --index-dir DIR --queries q.parquet --out out.parquet
     python -m remote_vector_index_builder_ray serve [--host H] [--port P]
-        (blocking HTTP server: /_build /_status /_jobs /_heart_beat /_search
-         /_delete_by_query /_update_by_query — http_api.py routes; searches
+        (blocking HTTP server for every route in http_api.ROUTES; searches
          ride the warm QueryService pool)
 
 Owns its Ray session (guarded init) — the library itself never calls

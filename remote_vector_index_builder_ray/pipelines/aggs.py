@@ -45,6 +45,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
+
 # docids per match-set shard: one shard's members for one query are at most
 # STRIDE * 8 bytes; with dense docids a 4M stride bounds a worst-case
 # (match-everything) query at 32 MB per shard per query
@@ -212,18 +214,6 @@ class _ShardedMatches:
         return {qid: self._concat(ps) for qid, ps in parts.items()}
 
 
-def _meta_files(index_dir: str) -> list[str]:
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
-    from remote_vector_index_builder_ray.state import fs
-
-    return [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
-
-
 def _probe_batch(batch: pa.Table, probe_cls, ctor_args) -> pa.Table:
     return probe_cls(*ctor_args)(batch)
 
@@ -236,7 +226,7 @@ def _probe_ds(index_dir, columns, probe_cls, shard_refs, ctor_extra=()):
     from remote_vector_index_builder_ray.state import fs
 
     return ray.data.read_parquet(
-        **fs.for_ray_paths(_meta_files(index_dir)), columns=columns
+        **fs.for_ray_paths(docmeta_files(index_dir)), columns=columns
     ).map_batches(
         _probe_batch,
         fn_args=(probe_cls, (shard_refs, _MATCH_SHARD_STRIDE, *ctor_extra)),
@@ -1930,7 +1920,7 @@ def global_terms_agg(
         return t.rename_columns([field, "s", "n"])
 
     partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(_meta_files(index_dir)),
+        ray.data.read_parquet(**fs.for_ray_paths(docmeta_files(index_dir)),
                               columns=[field, metric_field])
         .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
         .to_pandas()

@@ -89,7 +89,7 @@ def _resolve_victims(index_dir: str, docids, conv_ids) -> pa.Table:
     import ray
     import ray.data
 
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
 
     if (docids is None) == (conv_ids is None):
         raise ValueError("pass exactly one of docids= or conv_ids=")
@@ -109,12 +109,7 @@ def _resolve_victims(index_dir: str, docids, conv_ids) -> pa.Table:
             mask = np.isin(vals, self.keys)
             return batch.filter(pa.array(mask)).select(["docid", "doc_len"])
 
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
     ds = ray.data.read_parquet(
         **fs.for_ray_paths(meta_files), columns=["docid", "doc_len", "conv_id"]
     ).map_batches(
@@ -260,7 +255,7 @@ def delete_by_query(
         _MATCH_SHARD_STRIDE,
         _sharded_matches,
     )
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
 
     man = _load_manifest(index_dir)
     q = pd.DataFrame({
@@ -273,12 +268,7 @@ def delete_by_query(
     if not shard_refs:
         return {"deleted": 0, "total_tombstoned": int(len(existing))}
     existing_ref = ray.put(existing)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
     batches = man.data.setdefault("tombstones", [])
     base = len(batches) + 1
     fs.makedirs(fs.join(index_dir, "tombstones"))

@@ -126,6 +126,18 @@ def docmeta_dirs(index_dir: str) -> list[str]:
     return [d for d in out if fs.exists(d)]
 
 
+def docmeta_files(index_dir: str) -> list[str]:
+    """Every docmeta Parquet file of this index, base and generations: the
+    flat file list ``read_parquet`` takes (a multi-dir list is not a
+    supported input)."""
+    return [
+        fs.join(d, rel)
+        for d in docmeta_dirs(index_dir)
+        for rel in fs.listdir(d, recursive=True)
+        if rel.endswith(".parquet")
+    ]
+
+
 def append_index(
     index_dir: str,
     input_paths: list[str],
@@ -349,12 +361,7 @@ def update_docs(
             out = batch.filter(pa.array(mask)).select(["docid"])
             return out.append_column("key", pa.array(packed[mask]))
 
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
     old = (
         ray.data.read_parquet(
             **fs.for_ray_paths(meta_files),
@@ -435,12 +442,7 @@ def update_by_query(
             return out.append_column("text", new_text).select(
                 ["conv_id", "turn_idx", "role", "text", "tool", "ts"])
 
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
     (
         ray.data.read_parquet(**fs.for_ray_paths(meta_files))
         .map_batches(_Rewrite, fn_constructor_args=(allow, append_text),

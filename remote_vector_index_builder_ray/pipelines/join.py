@@ -169,18 +169,13 @@ def has_child(
     (6-rounded; ties broken conv_id ascending). ``min_children`` drops
     conversations with fewer matching turns (OpenSearch min_children).
     Returns (query_id, rank, conv_id, score, n_matching)."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
     from remote_vector_index_builder_ray.state import fs
 
     shard_refs, qid_list, counts = _sharded_matches(
         index_dir, queries, where=where, scored=True
     )
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
     partials = ray.data.read_parquet(
         **fs.for_ray_paths(meta_files), columns=["docid", "conv_id"]
     ).map_batches(
@@ -240,7 +235,7 @@ def has_parent(index_dir: str, queries, k: int = 10) -> pd.DataFrame:
     (turn_idx == 0); children are that conversation's other turns. Returns
     (query_id, conv_id, turn_idx, docid, score), ordered by
     (query_id, score desc, conv_id, turn_idx)."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
     from remote_vector_index_builder_ray.pipelines.query import hydrate, search
     from remote_vector_index_builder_ray.state import fs
 
@@ -291,12 +286,7 @@ def has_parent(index_dir: str, queries, k: int = 10) -> pd.DataFrame:
             out = out[["query_id", "conv_id", "turn_idx", "docid", "score"]]
             return pa.Table.from_pandas(out.astype(cols), preserve_index=False)
 
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
     kids = (
         ray.data.read_parquet(
             **fs.for_ray_paths(meta_files),

@@ -70,16 +70,11 @@ def resolve_filter_docids(index_dir: str, where):
     import pyarrow.parquet as pq
     import ray
 
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
     from remote_vector_index_builder_ray.state import fs
 
     expr = where if not isinstance(where, list) else pq.filters_to_expression(where)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
     ds = ray.data.read_parquet(
         **fs.for_ray_paths(meta_files), columns=["docid"], filter=expr
     )
@@ -605,16 +600,9 @@ def hydrate(index_dir: str, results: ray.data.Dataset,
             mask = self.wanted[idx] == ids
             return batch.filter(pa.array(mask))
 
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
 
-    # expand generation docmeta dirs to files: a multi-dir list is not a
-    # supported read_parquet input, a flat file list is
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
     read_kw = fs.for_ray_paths(meta_files)
     if columns is not None:
         read_kw["columns"] = list(dict.fromkeys(["docid", *columns]))
@@ -1799,7 +1787,7 @@ def _fetch_doc_lens(index_dir: str, docids: "np.ndarray") -> pd.DataFrame:
     import numpy as np
     import ray
 
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
     from remote_vector_index_builder_ray.state import fs
 
     wanted = np.unique(np.asarray(docids, dtype=np.int64))
@@ -1816,12 +1804,7 @@ def _fetch_doc_lens(index_dir: str, docids: "np.ndarray") -> pd.DataFrame:
             mask = self.wanted[idx] == ids if len(self.wanted) else np.zeros(len(ids), bool)
             return batch.filter(pa.array(mask))
 
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
     return (
         ray.data.read_parquet(**fs.for_ray_paths(meta_files),
                               columns=["docid", "doc_len"])
@@ -2301,17 +2284,12 @@ def resolve_script_docids(index_dir: str, expr: str, field: str = "doc_len"):
     selective-filter contract as ``where``."""
     import ray
 
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
     from remote_vector_index_builder_ray.stages.search import _compile_int_script
     from remote_vector_index_builder_ray.state import fs
 
     fn = _compile_int_script(expr)
-    meta_files = [
-        fs.join(d, rel)
-        for d in docmeta_dirs(index_dir)
-        for rel in fs.listdir(d, recursive=True)
-        if rel.endswith(".parquet")
-    ]
+    meta_files = docmeta_files(index_dir)
 
     def keep(batch: pa.Table) -> pa.Table:
         ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)

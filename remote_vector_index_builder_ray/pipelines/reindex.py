@@ -36,7 +36,7 @@ def reindex(
     under ``dst_index_dir/source/`` (resumable: reused if present)."""
     from remote_vector_index_builder_ray.pipelines.build import build_index
     from remote_vector_index_builder_ray.pipelines.delete import load_tombstones
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_dirs
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
 
     man = fs.read_json(fs.join(src_index_dir, "manifest.json"))
     # the CUMULATIVE set: docmeta keeps expunged docs' rows (compaction
@@ -44,12 +44,7 @@ def reindex(
     tombs = load_tombstones(src_index_dir, None, include_expunged=True)
     src_dir = fs.join(dst_index_dir, "source")
     if not fs.exists(src_dir):
-        meta_files = [
-            fs.join(d, rel)
-            for d in docmeta_dirs(src_index_dir)
-            for rel in fs.listdir(d, recursive=True)
-            if rel.endswith(".parquet")
-        ]
+        meta_files = docmeta_files(src_index_dir)
         cols = ["docid"] + _SOURCE_COLUMNS
 
         def _live_source(batch: pa.Table) -> pa.Table:

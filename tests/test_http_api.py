@@ -608,6 +608,7 @@ def test_forcemerge_aliases_rollover_render_routes(api):
     code, rows = _get(base + "/_cat/indices?index_dir="
                       + __import__("urllib.parse", fromlist=["quote"]).quote(idx, safe=""))
     assert code == 200 and rows[0]["docs.count"] == 2004
+    assert rows[0]["segments.count"] == 1
 
     # render template
     code, out = _post(base + "/_render/template", {
@@ -620,6 +621,35 @@ def test_forcemerge_aliases_rollover_render_routes(api):
     with pytest.raises(urllib.error.HTTPError) as ei:
         _post(base + "/_rollover", {"index_dir": idx})
     assert ei.value.code == 400
+
+
+def test_cat_indices_counts_live_state(api):
+    """GET /_cat/indices counts live state: a delete-by-query shows as
+    docs.deleted until a force-merge expunges it, then only as the smaller
+    docs.count. The route's path matches exactly."""
+    import urllib.parse
+
+    from remote_vector_index_builder_ray import BuildConfig, build_index
+
+    base, fx, idx_root = api
+    idx = str(idx_root / "cat_live")
+    build_index(BuildConfig(input_paths=fx["transcripts"], index_dir=idx,
+                            num_partitions=2))
+    query = "?index_dir=" + urllib.parse.quote(idx, safe="")
+    code, dbq = _post(base + "/_delete_by_query",
+                      {"index_dir": idx, "text": "play"})
+    assert code == 200 and dbq["deleted"] > 0
+    code, rows = _get(base + "/_cat/indices" + query)
+    assert code == 200 and rows[0]["docs.deleted"] == dbq["deleted"]
+    code, _ = _post(base + "/_forcemerge", {"index_dir": idx})
+    assert code == 200
+    code, rows = _get(base + "/_cat/indices" + query)
+    assert code == 200 and rows[0]["docs.deleted"] == 0
+    assert rows[0]["docs.count"] == 2000 - dbq["deleted"]
+    assert rows[0]["segments.count"] == 1
+    with pytest.raises(urllib.error.HTTPError) as ei:
+        _get(base + "/_cat/indices_foo" + query)
+    assert ei.value.code == 404
 
 
 def test_search_route_similarity(api):
