@@ -15,8 +15,11 @@ aggs per shard and reduces — this engine does the same with Ray Data:
 3. The docmeta table — the BIG side — streams through ``map_batches`` exactly
    once (``_probe_partials``). Each block runs as a stateless task that
    constructs the agg's probe, fetches the shards its docid range touches,
-   probes each query with a sorted-array membership test and pre-aggregates
-   (combiner) into tiny per-block partials. No actor pool is spawned.
+   runs ONE vectorized semi-join for all queries at once
+   (``_ShardedMatches.pairs``: every matching (query, row) pair) and
+   pre-aggregates (combiner) those pairs with one grouped reduction keyed
+   by (query_id[, bucket key]) into tiny per-block partials. No actor pool
+   is spawned.
 4. The partials (queries x buckets rows) reduce driver-side.
 
 Scale note (100 TB): this is the broadcast-semi-join pattern, made
@@ -200,9 +203,42 @@ class _ShardedMatches:
             self._cache[sid] = d
         return d
 
+    def pairs(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's semi-join against every query's match set: (qids,
+        rows), two flat int64 arrays holding each (query, batch row) pair
+        whose docid ``ids[row]`` is in that query's match set, in no
+        particular order.
+
+        One pass for all queries: sort the batch's docids once, trim each
+        query's shard array to the batch's [min, max] docid range, then
+        place every surviving member with a left/right ``searchsorted``.
+        ``ids`` may be unsorted and may repeat a docid: a repeated docid
+        yields one pair per row carrying it, exactly like per-row
+        membership. Docmeta files are docid-ordered, so a batch spans a
+        narrow docid range and the trim leaves only its own members."""
+        order = np.argsort(ids, kind="stable")
+        srt = np.asarray(ids, dtype=np.int64)[order]
+        members, owners = [], []
+        if len(srt):
+            lo, hi = int(srt[0]), int(srt[-1])
+            for sid in range(lo // self._stride, hi // self._stride + 1):
+                for qid, arr in self._shard(sid).items():
+                    a, b = arr.searchsorted(lo), arr.searchsorted(hi, "right")
+                    if b > a:
+                        members.append(arr[a:b])
+                        owners.append(np.full(b - a, qid, dtype=np.int64))
+        if not members:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        m = np.concatenate(members)
+        left = srt.searchsorted(m, "left")
+        hit, pos = _expand(left, srt.searchsorted(m, "right") - left)
+        return np.concatenate(owners)[hit], order[pos]
+
     def for_batch(self, ids: np.ndarray) -> dict:
         """{qid: sorted docids} restricted to the batch's docid-range shards,
-        concatenated in ascending-shard order (still sorted per query)."""
+        concatenated in ascending-shard order (still sorted per query). Only
+        the top-k-shaped probes use it; bucket and metric probes take
+        ``pairs``."""
         if len(ids) == 0:
             return {}
         lo = int(ids.min()) // self._stride
@@ -212,6 +248,38 @@ class _ShardedMatches:
             for qid, v in self._shard(sid).items():
                 parts.setdefault(qid, []).append(v)
         return {qid: self._concat(ps) for qid, ps in parts.items()}
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray):
+    """Flatten the ranges [starts[i], starts[i] + counts[i]): (owner, pos)
+    with one entry per range member, ``owner`` the range's index."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, np.asarray(starts)[owner] + (np.arange(len(owner)) - first)
+
+
+def _np(batch: pa.Table, field: str) -> np.ndarray:
+    return batch[field].combine_chunks().to_numpy(zero_copy_only=False)
+
+
+def _grouped(keys: dict, aggs: dict, cols: dict | None = None) -> pd.DataFrame:
+    """The per-batch combiner over the semi-join pairs: ONE grouped
+    reduction of the pair columns ``cols`` keyed by ``keys`` (query_id
+    first). Null keys form no group (pandas dropna)."""
+    g = pd.DataFrame({**keys, **(cols or {})}).groupby(list(keys), sort=False)
+    if not aggs:
+        return g.size().reset_index(name="n")
+    # one SeriesGroupBy call per output: pandas' named .agg(**aggs) costs
+    # several ms of fixed overhead per call, more than the reduction itself
+    return pd.DataFrame({out: getattr(g[col], how)()
+                         for out, (col, how) in aggs.items()}).reset_index()
+
+
+def _table(df: pd.DataFrame, schema: dict) -> pa.Table:
+    """A partial frame as an Arrow table with a fixed schema, so every
+    block (empty ones too) carries the same column types."""
+    return pa.Table.from_pandas(df, pa.schema(schema.items()),
+                                preserve_index=False).replace_schema_metadata()
 
 
 def _probe_batch(batch: pa.Table, probe_cls, ctor_args) -> pa.Table:
@@ -248,8 +316,9 @@ def _probe_partials(index_dir, queries, where, probe_cls, ctor_extra, columns,
 
 
 class _ProbeAgg:
-    """Per-batch combiner: probe each query's sorted match set against the
-    batch's docids, pre-aggregate (bucket key -> count, metric sum) so only
+    """Per-batch combiner: semi-join every query's match set against the
+    batch (``_ShardedMatches.pairs``), then pre-aggregate (query, bucket
+    key) -> (count, metric sum) in one grouped reduction, so only
     queries x buckets rows leave the task."""
 
     def __init__(self, shard_refs, stride, field: str, interval: str | None,
@@ -266,10 +335,7 @@ class _ProbeAgg:
         return f"{'*' if lo is None else lo}-{'*' if hi is None else hi}"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        keys = batch[self.field].combine_chunks().to_numpy(zero_copy_only=False)
+        keys = _np(batch, self.field)
         if self.interval == "day":
             keys = keys.astype("datetime64[D]").astype("datetime64[us]")
         elif self.interval == "month":
@@ -277,9 +343,11 @@ class _ProbeAgg:
             keys = keys.astype("datetime64[M]").astype("datetime64[us]")
         elif self.interval == "7d":
             # OpenSearch fixed_interval=7d: epoch-anchored 7-day windows
-            # (1970-01-01 is day 0, so floor(days/7)*7 == the bucket start)
-            days = keys.astype("datetime64[D]").astype(np.int64)
-            keys = ((days // 7) * 7).astype("datetime64[D]").astype("datetime64[us]")
+            # (1970-01-01 is day 0, so day - day mod 7 == the bucket start;
+            # NaT stays NaT, so a null ts makes no bucket)
+            days = keys.astype("datetime64[D]")
+            keys = (days - (days.astype(np.int64) % 7).astype("timedelta64[D]")
+                    ).astype("datetime64[us]")
         elif self.interval == "histogram":
             # value-count histogram partials (percentiles_agg): the raw
             # integer value IS the bucket key
@@ -300,14 +368,16 @@ class _ProbeAgg:
             raise ValueError(f"unsupported interval {self.interval!r}")
         if self.ranges is not None:
             # numeric range buckets, [lo, hi) per OpenSearch range agg;
-            # values outside every range get a sentinel dropped below.
+            # values outside every range keep a null label (no bucket).
             # Timestamp fields (date_range agg) compare on epoch-us; a
             # range entry may carry an explicit label as its 3rd element.
+            # A null value (NaN / NaT) falls in no range.
             if keys.dtype.kind == "M":
-                vals = keys.astype("datetime64[us]").astype(np.int64).astype(np.float64)
+                us = keys.astype("datetime64[us]")
+                vals = np.where(np.isnat(us), np.nan, us.astype(np.int64))
             else:
                 vals = keys.astype(np.float64)
-            labels = np.full(len(vals), "", dtype=object)
+            labels = np.full(len(vals), None, dtype=object)
             for rng in self.ranges:
                 lo, hi = rng[0], rng[1]
                 label = rng[2] if len(rng) > 2 else self._range_key(lo, hi)
@@ -318,50 +388,22 @@ class _ProbeAgg:
                     m &= vals < hi
                 labels[m] = label
             keys = labels
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
         metric = (
-            batch[self.metric_field].combine_chunks()
-            .to_numpy(zero_copy_only=False).astype(np.int64)
+            _np(batch, self.metric_field).astype(np.int64)[rows]
             if self.metric_field
-            else None
+            else np.zeros(len(rows), dtype=np.int64)
         )
-        qids, out_keys, ns, sums = [], [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            kk = keys[mask]
-            mm = metric[mask] if metric is not None else None
-            if self.ranges is not None:
-                keep = kk != ""  # outside every range bucket
-                kk = kk[keep]
-                mm = mm[keep] if mm is not None else None
-                if len(kk) == 0:
-                    continue
-            df = pd.DataFrame({"key": kk})
-            if mm is not None:
-                df["m"] = mm
-                g = df.groupby("key", sort=False).agg(n=("m", "size"), s=("m", "sum"))
-            else:
-                g = df.groupby("key", sort=False).agg(n=("key", "size"))
-                g["s"] = 0
-            qids.extend([qid] * len(g))
-            out_keys.extend(g.index.tolist())
-            ns.extend(g["n"].tolist())
-            sums.extend(g["s"].tolist())
+        g = _grouped({"query_id": qids, "key": keys[rows]},
+                     {"n": ("s", "size"), "s": ("s", "sum")}, {"s": metric})
         if self.interval == "histogram" or isinstance(self.interval, (int, tuple)):
             key_type = pa.int64()
         elif self.interval:
             key_type = pa.timestamp("us")
         else:
             key_type = pa.string()
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "key": pa.array(out_keys, type=key_type),
-                "n": pa.array(ns, type=pa.int64()),
-                "s": pa.array(sums, type=pa.int64()),
-            }
-        )
+        return _table(g, {"query_id": pa.int64(), "key": key_type,
+                          "n": pa.int64(), "s": pa.int64()})
 
 
 def _run_agg_partials(
@@ -675,35 +717,14 @@ class _ProbeStats:
         self.field = field
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        vals = (
-            batch[self.field].combine_chunks()
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        qids, ns, ss, ss2, mns, mxs = [], [], [], [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            v = vals[mask]
-            qids.append(qid)
-            ns.append(len(v))
-            ss.append(int(v.sum()))
-            ss2.append(int((v * v).sum()))
-            mns.append(int(v.min()))
-            mxs.append(int(v.max()))
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "n": pa.array(ns, type=pa.int64()),
-                "s": pa.array(ss, type=pa.int64()),
-                "s2": pa.array(ss2, type=pa.int64()),
-                "mn": pa.array(mns, type=pa.int64()),
-                "mx": pa.array(mxs, type=pa.int64()),
-            }
-        )
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        v = _np(batch, self.field).astype(np.int64)[rows]
+        g = _grouped({"query_id": qids},
+                     {"n": ("v", "size"), "s": ("v", "sum"), "s2": ("v2", "sum"),
+                      "mn": ("v", "min"), "mx": ("v", "max")},
+                     {"v": v, "v2": v * v})
+        return _table(g, dict.fromkeys(["query_id", "n", "s", "s2", "mn", "mx"],
+                                       pa.int64()))
 
 
 def _stats_reduced(index_dir: str, queries, field: str, where) -> pd.DataFrame:
@@ -838,9 +859,6 @@ class _ProbeFilters:
         self.other_bucket = other_bucket
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
         names = sorted(self.filters)
         fmasks = {n: _eval_predicate(batch, self.filters[n]) for n in names}
         keys = list(names)
@@ -852,29 +870,17 @@ class _ProbeFilters:
                     masks.append(fmasks[a] & fmasks[b])
         if self.other_bucket:
             # OpenSearch other_bucket: matched docs satisfying NO named filter
-            none = np.ones(len(ids), dtype=bool)
+            none = np.ones(batch.num_rows, dtype=bool)
             for n in names:
                 none &= ~fmasks[n]
             keys.append("_other_")
             masks.append(none)
-        qids, out_keys, ns = [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            hit = isin_sorted(ids, arr)
-            if not hit.any():
-                continue
-            for key, fm in zip(keys, masks):
-                c = int((hit & fm).sum())
-                if c:
-                    qids.append(qid)
-                    out_keys.append(key)
-                    ns.append(c)
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "key": pa.array(out_keys, type=pa.string()),
-                "n": pa.array(ns, type=pa.int64()),
-            }
-        )
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        hits = [qids[m[rows]] for m in masks]  # per bucket: its matching pairs
+        g = _grouped({"query_id": np.concatenate([np.empty(0, np.int64), *hits]),
+                      "key": np.repeat(np.asarray(keys, dtype=object),
+                                       [len(h) for h in hits])}, {})
+        return _table(g, {"query_id": pa.int64(), "key": pa.string(), "n": pa.int64()})
 
 
 def filters_agg(
@@ -929,33 +935,17 @@ class _ProbeMissing:
         self.missing = missing
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        col = batch[self.field].combine_chunks()
         import pyarrow.compute as pc
 
+        col = batch[self.field].combine_chunks()
         absent = pc.or_kleene(
             pc.is_null(col), pc.equal(col, self.missing)
         ).to_numpy(zero_copy_only=False)
-        absent = np.asarray(absent, dtype=bool)
-        qids, nv, nm = [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            k = int(mask.sum())
-            if not k:
-                continue
-            miss = int(absent[mask].sum())
-            qids.append(qid)
-            nv.append(k - miss)
-            nm.append(miss)
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "nv": pa.array(nv, type=pa.int64()),
-                "nm": pa.array(nm, type=pa.int64()),
-            }
-        )
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        g = _grouped({"query_id": qids}, {"n": ("a", "size"), "nm": ("a", "sum")},
+                     {"a": np.asarray(absent, dtype=np.int64)[rows]})
+        g["nv"] = g["n"] - g["nm"]
+        return _table(g, dict.fromkeys(["query_id", "nv", "nm"], pa.int64()))
 
 
 def missing_agg(
@@ -1004,24 +994,10 @@ class _ProbeDistinct:
         self.field = field
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        vals = batch[self.field].combine_chunks()
-        qids, out_vals = [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            vv = vals.filter(pa.array(mask)).unique().to_pylist()
-            qids.extend([qid] * len(vv))
-            out_vals.extend(vv)
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
         return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "value": pa.array(out_vals, type=vals.type),
-            }
-        )
+            {"query_id": qids, "value": batch[self.field].take(rows)}
+        ).group_by(["query_id", "value"]).aggregate([])
 
 
 # HyperLogLog with 2^P registers; the standard bias-corrected estimator
@@ -1057,35 +1033,13 @@ class _ProbeHLL:
         self.field = field
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        vals = batch[self.field].combine_chunks()
         # deterministic 64-bit value hash (shared across tasks/processes)
-        hashed = pd.util.hash_array(
-            vals.to_numpy(zero_copy_only=False)
-        ).astype(np.uint64)
-        qids, regs, rhos = [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            idx, rho = _hll_rho(hashed[mask], _HLL_P)
-            reg_max = np.zeros(1 << _HLL_P, dtype=np.int64)
-            np.maximum.at(reg_max, idx, rho)
-            nz = np.flatnonzero(reg_max)
-            qids.extend([qid] * len(nz))
-            regs.extend(nz.tolist())
-            rhos.extend(reg_max[nz].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "register": pa.array(regs, type=pa.int64()),
-                "rho": pa.array(rhos, type=pa.int64()),
-            }
-        )
+        hashed = pd.util.hash_array(_np(batch, self.field)).astype(np.uint64)
+        idx, rho = _hll_rho(hashed, _HLL_P)
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        g = _grouped({"query_id": qids, "register": idx[rows]},
+                     {"rho": ("rho", "max")}, {"rho": rho[rows]})
+        return _table(g, dict.fromkeys(["query_id", "register", "rho"], pa.int64()))
 
 
 def _hll_estimate(reg: np.ndarray) -> float:
@@ -1278,37 +1232,15 @@ class _ProbeTTest:
         self.preds = (pred_a, pred_b)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        vals = (
-            batch[self.field].combine_chunks()
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        pmasks = [_eval_predicate(batch, p) for p in self.preds]
-        qids, grps, ns, ss, ss2 = [], [], [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            hit = isin_sorted(ids, arr)
-            if not hit.any():
-                continue
-            for grp, pm in enumerate(pmasks):
-                v = vals[hit & pm]
-                if len(v) == 0:
-                    continue
-                qids.append(qid)
-                grps.append(grp)
-                ns.append(len(v))
-                ss.append(int(v.sum()))
-                ss2.append(int((v * v).sum()))
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "grp": pa.array(grps, type=pa.int64()),
-                "n": pa.array(ns, type=pa.int64()),
-                "s": pa.array(ss, type=pa.int64()),
-                "s2": pa.array(ss2, type=pa.int64()),
-            }
-        )
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        v = _np(batch, self.field).astype(np.int64)[rows]
+        sel = [_eval_predicate(batch, p)[rows] for p in self.preds]
+        grp = np.repeat(np.arange(len(sel), dtype=np.int64), [int(m.sum()) for m in sel])
+        v = np.concatenate([v[m] for m in sel])
+        g = _grouped({"query_id": np.concatenate([qids[m] for m in sel]), "grp": grp},
+                     {"n": ("v", "size"), "s": ("v", "sum"), "s2": ("v2", "sum")},
+                     {"v": v, "v2": v * v})
+        return _table(g, dict.fromkeys(["query_id", "grp", "n", "s", "s2"], pa.int64()))
 
 
 def t_test_agg(
@@ -1563,11 +1495,15 @@ def top_hits_agg(
 # ---------------------------------------------------------------------------
 
 
+# (query, term) entries one significant_terms slice expands at most
+_EXPAND_MAX = 1 << 22
+
+
 class _ProbeSigTerms:
     """Per-batch partial for significant_terms: per query, the number of
     MATCHED docs in this batch containing each term — (query_id, term,
-    fg) rows. The batch tokenizes ONCE; per-query counting is numpy over
-    dictionary codes."""
+    fg) rows. The batch tokenizes ONCE; counting is one grouped reduction
+    over (query, dictionary code)."""
 
     def __init__(self, shard_refs, stride, analyzer):
         self.matches = _ShardedMatches(shard_refs, stride)
@@ -1575,49 +1511,36 @@ class _ProbeSigTerms:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from remote_vector_index_builder_ray.functions.tokenizer import analyze_column
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
 
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        by_query = self.matches.for_batch(ids)
-        empty = pa.table(
-            {
-                "query_id": pa.array([], type=pa.int64()),
-                "term": pa.array([], type=pa.string()),
-                "fg": pa.array([], type=pa.int64()),
-            }
-        )
-        if not by_query:
-            return empty
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        schema = {"query_id": pa.int64(), "term": pa.string(), "fg": pa.int64()}
+        if len(rows) == 0:
+            return _table(pd.DataFrame(columns=list(schema)), schema)
         tokens, doc_index, _dl = analyze_column(batch["text"], self.analyzer)
-        if len(tokens) == 0:
-            return empty
         dicted = tokens.dictionary_encode()
         if isinstance(dicted, pa.ChunkedArray):
             dicted = dicted.combine_chunks()
         codes = dicted.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        vocab = dicted.dictionary
-        # distinct (term, row) pairs: a term counts once per containing doc
-        pair = np.unique((codes << np.int64(32)) | doc_index)
-        p_code = (pair >> np.int64(32)).astype(np.int64)
-        p_row = (pair & np.int64(0xFFFFFFFF)).astype(np.int64)
-        qids, terms, fgs = [], [], []
-        for qid, arr in by_query.items():
-            mask = isin_sorted(ids, arr)
-            sel = mask[p_row]
-            if not sel.any():
-                continue
-            cnt = np.bincount(p_code[sel], minlength=len(vocab))
-            nz = np.flatnonzero(cnt)
-            qids.extend([qid] * len(nz))
-            terms.extend(vocab.take(pa.array(nz)).to_pylist())
-            fgs.extend(cnt[nz].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "term": pa.array(terms, type=pa.string()),
-                "fg": pa.array(fgs, type=pa.int64()),
-            }
-        )
+        # distinct (row, term) pairs, row-major: a term counts once per
+        # containing doc; each (query, row) pair then takes its row's terms.
+        # That expansion is Σ terms over the matched rows, so it runs in
+        # slices of at most _EXPAND_MAX entries (partial rows may repeat a
+        # (query, term); the reduce sums them)
+        pair = np.unique((np.asarray(doc_index, np.int64) << np.int64(32)) | codes)
+        p_row = pair >> np.int64(32)
+        first = np.searchsorted(p_row, np.arange(batch.num_rows))
+        n_terms = np.bincount(p_row, minlength=batch.num_rows)
+        step = max(1, _EXPAND_MAX // max(1, int(n_terms.max())))
+        parts = []
+        for s0 in range(0, len(rows), step):
+            sl = slice(s0, s0 + step)
+            hit, pos = _expand(first[rows[sl]], n_terms[rows[sl]])
+            parts.append(_grouped({"query_id": qids[sl][hit],
+                                   "code": pair[pos] & np.int64(0xFFFFFFFF)}, {}))
+        g = pd.concat(parts, ignore_index=True)
+        g["term"] = dicted.dictionary.take(pa.array(g["code"].to_numpy())).to_numpy(
+            zero_copy_only=False)
+        return _table(g.rename(columns={"n": "fg"}), schema)
 
 
 def significant_terms_agg(
@@ -1790,37 +1713,17 @@ class _DedupTextProbe:
         self.matches = _ShardedMatches(shard_refs, stride)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        by_query = self.matches.for_batch(ids)
-        empty = pa.table({"qt": pa.array([], type=pa.string()),
-                          "docid": pa.array([], type=pa.int64())})
-        if not by_query:
-            return empty
+        ids = _np(batch, "docid")
+        qids, rows = self.matches.pairs(ids)
         # hash ONLY rows matched by >= 1 query (vectorized 64-bit content
         # hash; equal texts hash equal — the dedup key for this run)
-        union = np.zeros(len(ids), dtype=bool)
-        masks = {}
-        for qid, arr in by_query.items():
-            m = isin_sorted(ids, arr)
-            if m.any():
-                masks[qid] = m
-                union |= m
-        if not masks:
-            return empty
-        texts = batch["text"].combine_chunks().to_numpy(zero_copy_only=False)
+        union = np.unique(rows)
         th = np.zeros(len(ids), dtype=np.uint64)
-        th[union] = pd.util.hash_array(texts[union].astype(object))
-        qts, docs = [], []
-        for qid, mask in masks.items():
-            d = ids[mask]
-            h = th[mask]
-            g = pd.DataFrame({"h": h, "docid": d}).groupby("h", sort=False)["docid"].min()
-            qts.extend(f"{qid}|{k}" for k in g.index)
-            docs.extend(int(v) for v in g.to_numpy())
-        return pa.table({"qt": pa.array(qts, type=pa.string()),
-                         "docid": pa.array(docs, type=pa.int64())})
+        th[union] = pd.util.hash_array(_np(batch, "text")[union].astype(object))
+        g = _grouped({"q": qids, "h": th[rows]}, {"docid": ("docid", "min")},
+                     {"docid": ids[rows]})
+        g["qt"] = g["q"].astype(str) + "|" + g["h"].astype(str)
+        return _table(g, {"qt": pa.string(), "docid": pa.int64()})
 
 
 def significant_text_agg(
@@ -2146,38 +2049,23 @@ class _ProbeStringStats:
         self.field = field
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        col = batch[self.field].combine_chunks()
-        lens = pc.binary_length(col).to_numpy(zero_copy_only=False).astype(np.int64)
-        vals = col.to_numpy(zero_copy_only=False)
-        qids, ns, ls, mn, mx, hists = [], [], [], [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            lv = lens[mask]
-            joined = "".join(vals[mask])  # one join per (query, batch)
-            h = np.bincount(
-                np.frombuffer(joined.encode(), dtype=np.uint8), minlength=256
-            ).astype(np.int64)
-            qids.append(qid)
-            ns.append(int(mask.sum()))
-            ls.append(int(lv.sum()))
-            mn.append(int(lv.min()))
-            mx.append(int(lv.max()))
-            hists.append(h.tolist())
-        return pa.table({
-            "query_id": pa.array(qids, type=pa.int64()),
-            "n": pa.array(ns, type=pa.int64()),
-            "ls": pa.array(ls, type=pa.int64()),
-            "mn": pa.array(mn, type=pa.int64()),
-            "mx": pa.array(mx, type=pa.int64()),
-            "hist": pa.array(hists, type=pa.list_(pa.int64())),
-        })
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        # each row's UTF-8 bytes, read straight off the Arrow buffers
+        col = batch[self.field].combine_chunks().cast(pa.large_string())
+        off = np.frombuffer(col.buffers()[1], np.int64)[col.offset:col.offset + len(col) + 1]
+        data = np.frombuffer(col.buffers()[2] or b"", np.uint8)
+        lens = np.diff(off)[rows]
+        uq, q = np.unique(qids, return_inverse=True)
+        g = _grouped({"q": q}, {"n": ("l", "size"), "ls": ("l", "sum"),
+                                "mn": ("l", "min"), "mx": ("l", "max")}, {"l": lens})
+        # one byte histogram per query: a bincount over (query, byte) cells
+        hit, pos = _expand(off[:-1][rows], lens)
+        hist = np.bincount(q[hit] * 256 + data[pos], minlength=len(uq) * 256)
+        g["query_id"] = uq[g["q"]]
+        hist = hist.reshape(-1, 256)[g["q"]].astype(np.int64).ravel()
+        return _table(g, dict.fromkeys(["query_id", "n", "ls", "mn", "mx"], pa.int64())
+                      ).append_column("hist", pa.FixedSizeListArray.from_arrays(
+                          hist, 256).cast(pa.list_(pa.int64())))
 
 
 def string_stats_agg(
@@ -2287,36 +2175,12 @@ class _ProbeComposite:
         self.date_field = date_field
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        tkeys = batch[self.term_field].combine_chunks().to_numpy(zero_copy_only=False)
-        dkeys = (
-            batch[self.date_field].combine_chunks()
-            .to_numpy(zero_copy_only=False)
-            .astype("datetime64[D]").astype("datetime64[us]")
-        )
-        qids, t_out, d_out, ns = [], [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            g = (
-                pd.DataFrame({"t": tkeys[mask], "d": dkeys[mask]})
-                .groupby(["t", "d"], sort=False).size()
-            )
-            qids.extend([qid] * len(g))
-            t_out.extend(g.index.get_level_values(0).tolist())
-            d_out.extend(g.index.get_level_values(1).tolist())
-            ns.extend(g.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "key_term": pa.array(t_out, type=pa.string()),
-                "key_day": pa.array(d_out, type=pa.timestamp("us")),
-                "n": pa.array(ns, type=pa.int64()),
-            }
-        )
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        days = _np(batch, self.date_field).astype("datetime64[D]").astype("datetime64[us]")
+        g = _grouped({"query_id": qids, "key_term": _np(batch, self.term_field)[rows],
+                      "key_day": days[rows]}, {})
+        return _table(g, {"query_id": pa.int64(), "key_term": pa.string(),
+                          "key_day": pa.timestamp("us"), "n": pa.int64()})
 
 
 def composite_agg(
@@ -2378,28 +2242,12 @@ class _ProbeWeighted:
         self.weight_field = weight_field
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        v = batch[self.value_field].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        w = batch[self.weight_field].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        qids, svw, sw = [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            qids.append(qid)
-            svw.append(int((v[mask] * w[mask]).sum()))
-            sw.append(int(w[mask].sum()))
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "svw": pa.array(svw, type=pa.int64()),
-                "sw": pa.array(sw, type=pa.int64()),
-            }
-        )
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        v = _np(batch, self.value_field).astype(np.int64)[rows]
+        w = _np(batch, self.weight_field).astype(np.int64)[rows]
+        g = _grouped({"query_id": qids}, {"svw": ("vw", "sum"), "sw": ("w", "sum")},
+                     {"vw": v * w, "w": w})
+        return _table(g, dict.fromkeys(["query_id", "svw", "sw"], pa.int64()))
 
 
 def weighted_avg_agg(
@@ -2444,30 +2292,16 @@ class _ProbeRanks:
         self.values = [float(v) for v in values]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        f = batch[self.field].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        qids, vals, les, tots = [], [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            fv = f[mask]
-            for v in self.values:
-                qids.append(qid)
-                vals.append(v)
-                les.append(int((fv <= v).sum()))
-                tots.append(len(fv))
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "value": pa.array(vals, type=pa.float64()),
-                "n_le": pa.array(les, type=pa.int64()),
-                "n_tot": pa.array(tots, type=pa.int64()),
-            }
-        )
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        f = _np(batch, self.field).astype(np.float64)[rows]
+        le = {str(i): (f <= v).astype(np.int64) for i, v in enumerate(self.values)}
+        g = _grouped({"query_id": qids},
+                     {"n_tot": ("f", "size"), **{k: (k, "sum") for k in le}},
+                     {"f": f, **le})
+        g = g.melt(id_vars=["query_id", "n_tot"], var_name="value", value_name="n_le")
+        g["value"] = np.asarray(self.values, dtype=np.float64)[g["value"].astype(np.int64)]
+        return _table(g, {"query_id": pa.int64(), "value": pa.float64(),
+                          "n_le": pa.int64(), "n_tot": pa.int64()})
 
 
 def percentile_ranks_agg(
@@ -2602,36 +2436,18 @@ class _ProbeMultiTerms:
         self.missing = missing
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        cols, valid = [], np.ones(len(ids), dtype=bool)
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        cols, valid = {}, np.ones(batch.num_rows, dtype=bool)
         for f in self.fields:
             arr = batch[f].combine_chunks()
             valid &= ~np.asarray(arr.is_null())
-            v = arr.to_numpy(zero_copy_only=False)
-            valid &= v != self.missing
-            cols.append(v)
-        qids, ns = [], []
-        outs: list[list] = [[] for _ in self.fields]
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr) & valid
-            if not mask.any():
-                continue
-            g = (
-                pd.DataFrame({f"k{i}": c[mask] for i, c in enumerate(cols)})
-                .groupby([f"k{i}" for i in range(len(cols))], sort=False)
-                .size()
-            )
-            qids.extend([qid] * len(g))
-            for i in range(len(cols)):
-                outs[i].extend(g.index.get_level_values(i).tolist())
-            ns.extend(g.tolist())
-        tbl = {"query_id": pa.array(qids, type=pa.int64())}
-        for f, o in zip(self.fields, outs):
-            tbl[f] = pa.array(o, type=pa.string())
-        tbl["n"] = pa.array(ns, type=pa.int64())
-        return pa.table(tbl)
+            cols[f] = arr.to_numpy(zero_copy_only=False)
+            valid &= cols[f] != self.missing
+        keep = valid[rows]
+        g = _grouped({"query_id": qids[keep],
+                      **{f: c[rows[keep]] for f, c in cols.items()}}, {})
+        return _table(g, {"query_id": pa.int64(),
+                          **dict.fromkeys(self.fields, pa.string()), "n": pa.int64()})
 
 
 def multi_terms_agg(
@@ -2792,35 +2608,13 @@ class _ProbeMatrix:
         self.field_y = field_y
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        x = batch[self.field_x].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        y = batch[self.field_y].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        qids, ns, sx, sy, sxx, syy, sxy = [], [], [], [], [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            xm, ym = x[mask], y[mask]
-            qids.append(qid)
-            ns.append(int(mask.sum()))
-            sx.append(int(xm.sum()))
-            sy.append(int(ym.sum()))
-            sxx.append(int((xm * xm).sum()))
-            syy.append(int((ym * ym).sum()))
-            sxy.append(int((xm * ym).sum()))
-        return pa.table({
-            "query_id": pa.array(qids, type=pa.int64()),
-            "n": pa.array(ns, type=pa.int64()),
-            "sx": pa.array(sx, type=pa.int64()),
-            "sy": pa.array(sy, type=pa.int64()),
-            "sxx": pa.array(sxx, type=pa.int64()),
-            "syy": pa.array(syy, type=pa.int64()),
-            "sxy": pa.array(sxy, type=pa.int64()),
-        })
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        x = _np(batch, self.field_x).astype(np.int64)[rows]
+        y = _np(batch, self.field_y).astype(np.int64)[rows]
+        sums = {"sx": x, "sy": y, "sxx": x * x, "syy": y * y, "sxy": x * y}
+        g = _grouped({"query_id": qids},
+                     {"n": ("sx", "size"), **{k: (k, "sum") for k in sums}}, sums)
+        return _table(g, dict.fromkeys(["query_id", "n", *sums], pa.int64()))
 
 
 def matrix_stats_agg(
@@ -3277,27 +3071,12 @@ class _ProbeDayKey:
         self.key_field = key_field
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        days = batch[self.field].combine_chunks().to_numpy(
-            zero_copy_only=False).astype("datetime64[D]").astype("datetime64[us]")
-        keys = batch[self.key_field].combine_chunks().to_numpy(
-            zero_copy_only=False)
-        qids, out_d, out_k = [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            df = pd.DataFrame({"d": days[mask], "k": keys[mask]}).drop_duplicates()
-            qids.extend([qid] * len(df))
-            out_d.extend(df["d"].tolist())
-            out_k.extend(df["k"].tolist())
-        return pa.table({
-            "query_id": pa.array(qids, type=pa.int64()),
-            "key": pa.array(out_d, type=pa.timestamp("us")),
-            "value": pa.array(out_k, type=pa.string()),
-        })
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        days = _np(batch, self.field).astype("datetime64[D]").astype("datetime64[us]")
+        df = pd.DataFrame({"query_id": qids, "key": days[rows],
+                           "value": _np(batch, self.key_field)[rows]}).drop_duplicates()
+        return _table(df, {"query_id": pa.int64(), "key": pa.timestamp("us"),
+                           "value": pa.string()})
 
 
 def cumulative_cardinality_agg(
@@ -3379,28 +3158,11 @@ class _ProbeScripted:
         self.fn = _compile_script(script, fields)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        cols = {
-            f: batch[f].combine_chunks().to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            for f in self.fields
-        }
-        qids, vals, ns = [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            v = self.fn({f: c[mask] for f, c in cols.items()})
-            qids.append(qid)
-            vals.append(int(np.asarray(v, dtype=np.int64).sum()))
-            ns.append(int(mask.sum()))
-        return pa.table({
-            "query_id": pa.array(qids, type=pa.int64()),
-            "v": pa.array(vals, type=pa.int64()),
-            "n": pa.array(ns, type=pa.int64()),
-        })
+        qids, rows = self.matches.pairs(_np(batch, "docid"))
+        v = self.fn({f: _np(batch, f).astype(np.int64)[rows] for f in self.fields})
+        g = _grouped({"query_id": qids}, {"v": ("v", "sum"), "n": ("v", "size")},
+                     {"v": np.broadcast_to(np.asarray(v, dtype=np.int64), len(rows))})
+        return _table(g, dict.fromkeys(["query_id", "v", "n"], pa.int64()))
 
 
 def scripted_metric_agg(
