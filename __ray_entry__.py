@@ -3036,13 +3036,11 @@ def _ensure_kmeans_artifact(sf_dir: str) -> tuple[str, str]:
     import pyarrow as pa
     import ray.data
 
-    from remote_vector_index_builder_ray.extras.ann import IVFAssign, train_centroids
+    from remote_vector_index_builder_ray.extras.ann import assign_buckets, train_centroids
 
     cpath, apath = _kmeans_artifact_paths(_sf_name(sf_dir))
     if os.path.exists(cpath) and os.path.exists(apath):
         return cpath, apath
-    import ray as _ray
-
     ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
     cent = train_centroids(ds, n_centroids=16)
     _write_atomic(
@@ -3053,10 +3051,8 @@ def _ensure_kmeans_artifact(sf_dir: str) -> tuple[str, str]:
         }),
         cpath,
     )
-    assigned = ds.map_batches(
-        IVFAssign, fn_constructor_args=(_ray.put(cent),),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).select_columns(["vec_id", "bucket"]).to_pandas()
+    assigned = assign_buckets(ds, cent).select_columns(
+        ["vec_id", "bucket"]).to_pandas()
     assigned = assigned.sort_values("vec_id").reset_index(drop=True)
     _write_atomic(pa.Table.from_pandas(assigned, preserve_index=False), apath)
     return cpath, apath
@@ -3065,7 +3061,7 @@ def _ensure_kmeans_artifact(sf_dir: str) -> tuple[str, str]:
 def _q_ann_kmeans(sf_dir: str):
     """Distributed k-means assignment (the IVF bucketing step as its own
     operator): every vector's nearest trained centroid by cosine
-    (extras/ann.train_centroids + IVFAssign). The SQL twin recomputes the
+    (extras/ann.train_centroids + assign_buckets). The SQL twin recomputes the
     argmax over the persisted centroids."""
     _, apath = _ensure_kmeans_artifact(sf_dir)
     out = pd.read_parquet(apath)
@@ -3203,8 +3199,7 @@ def _q_multimodal_resize(sf_dir: str):
 
     paths = _ensure_media_artifacts()
     out = ray.data.read_parquet(paths["media"]).map_batches(
-        MediaResize, fn_constructor_args=(224, "fake"),
-        batch_format="pyarrow", concurrency=(1, 2),
+        MediaResize(224, "fake"), batch_format="pyarrow",
     ).to_pandas()
     return out[["media_id", "width", "height", "out_width", "out_height"]].sort_values(
         "media_id"

@@ -12,6 +12,10 @@
   hyperplane LSH candidates + exact verification — the sub-quadratic scale
   path; the exact all-pairs scan below it is the pytest/SQL oracle baseline.
 
+Every per-batch stage is a stateless ``map_batches`` task over state
+broadcast once with ``ray.put`` (query matrices, centroids, codebooks);
+vector gathers are ``stages.merge.semi_join``.
+
 Rounding policy (shared with the DuckDB oracles): round-half-up via
 ``floor(x*1e6 + 0.5)/1e6`` — numpy/pandas ``round`` is half-to-even and can
 flake against SQL ``round`` at exact half-way values.
@@ -26,6 +30,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
+
+from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
 
 logger = logging.getLogger(__name__)
 
@@ -64,53 +70,58 @@ def _consolidate_vectors(*blocks):
     return ids[o], m[o]
 
 
-class CosineTopK:
-    """map_batches callable: per-batch exact cosine top-k partials.
+def _topk_rows(qids: np.ndarray, sims, batch: pa.Table, k: int,
+               probe_ref=None) -> pa.Table:
+    """Batch-local top-k partial: per query ``qi``, the ``k`` best entries
+    of its score row ``sims[qi]`` over the batch's vectors (unordered —
+    ``_finalize_topk`` ranks). With ``probe_ref`` (IVF mode) query ``qi``
+    only scores rows whose ``bucket`` is in its probe list."""
+    ids = _vec_ids(batch)
+    if probe_ref is not None:
+        probe = ray.get(probe_ref)
+        buckets = batch["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
+    out_q, out_id, out_s = [], [], []
+    for qi in range(len(qids)):
+        s, cid = sims[qi], ids
+        if probe_ref is not None:
+            cand = np.flatnonzero(np.isin(buckets, probe[qi]))
+            if not len(cand):
+                continue
+            s, cid = s[cand], ids[cand]
+        kk = min(k, len(s))
+        idx = np.argpartition(-s, kk - 1)[:kk] if len(s) > kk else np.arange(len(s))
+        out_q.extend([int(qids[qi])] * len(idx))
+        out_id.extend(cid[idx].tolist())
+        out_s.extend(s[idx].tolist())
+    return pa.table(
+        {
+            "query_id": pa.array(out_q, type=pa.int64()),
+            "vec_id": pa.array(out_id, type=pa.int64()),
+            "cosine": pa.array(out_s, type=pa.float64()),
+        }
+    )
 
-    With ``probe`` set (IVF mode) each query only scores candidates whose
-    ``bucket`` is in its probe list — same partial/reduce shape, restricted
-    candidate set."""
 
-    def __init__(self, queries_ref, k: int, probe_ref=None):
-        q = ray.get(queries_ref)  # (query_ids, matrix) broadcast once
-        self.qids, qm = q
-        self.qn = _normalize(qm)
-        self.k = k
-        self.probe = ray.get(probe_ref) if probe_ref is not None else None
+def _vec_ids(batch: pa.Table) -> np.ndarray:
+    return batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_batch_matrix(batch, "embedding"))
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        buckets = (
-            batch["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-            if self.probe is not None
-            else None
-        )
-        sims = self.qn @ m.T  # (nq, nbatch)
-        nq, nb = sims.shape
-        out_q, out_id, out_s = [], [], []
-        for qi in range(nq):
-            s = sims[qi]
-            if buckets is not None:
-                cand = np.flatnonzero(np.isin(buckets, self.probe[qi]))
-                if not len(cand):
-                    continue
-                s = s[cand]
-                cid = ids[cand]
-            else:
-                cid = ids
-            k = min(self.k, len(s))
-            idx = np.argpartition(-s, k - 1)[:k] if len(s) > k else np.arange(len(s))
-            out_q.extend([int(self.qids[qi])] * len(idx))
-            out_id.extend(cid[idx].tolist())
-            out_s.extend(s[idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "vec_id": pa.array(out_id, type=pa.int64()),
-                "cosine": pa.array(out_s, type=pa.float64()),
-            }
-        )
+
+def _cosine_topk(batch: pa.Table, queries_ref, k: int, probe_ref=None,
+                 dim: int | None = None) -> pa.Table:
+    """map_batches task: per-batch exact cosine top-k partials against the
+    broadcast (query ids, normalized query matrix). ``dim`` truncates the
+    batch's vectors to their first ``dim`` dims before normalizing
+    (Matryoshka); with ``probe_ref`` (IVF mode) each query only scores the
+    candidates in its probe buckets — same partial/reduce shape."""
+    qids, qn = ray.get(queries_ref)
+    m = _normalize(_batch_matrix(batch, "embedding")[:, :dim])
+    return _topk_rows(qids, qn @ m.T, batch, k, probe_ref)
+
+
+def _scored_partials(ds: ray.data.Dataset, fn, *args) -> pd.DataFrame:
+    """Run a scoring task over every batch; the driver-small partials."""
+    return to_frame(ds.map_batches(fn, fn_args=args, batch_format="pyarrow",
+                                   zero_copy_batch=True))
 
 
 def _finalize_topk(partials: pd.DataFrame, k: int) -> pd.DataFrame:
@@ -129,12 +140,9 @@ def brute_force_topk(
     ds: ray.data.Dataset, query_ids: np.ndarray, query_matrix: np.ndarray, k: int = 10
 ) -> pd.DataFrame:
     """Exact cosine top-k: batch partials -> tiny driver-side final reduce."""
-    ref = ray.put((np.asarray(query_ids, dtype=np.int64), np.asarray(query_matrix, dtype=np.float64)))
-    partials = ds.map_batches(
-        CosineTopK, fn_constructor_args=(ref, k),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()
-    return _finalize_topk(partials, k)
+    qm = _normalize(np.asarray(query_matrix, dtype=np.float64))
+    ref = ray.put((np.asarray(query_ids, dtype=np.int64), qm))
+    return _finalize_topk(_scored_partials(ds, _cosine_topk, ref, k), k)
 
 
 def matryoshka_topk(
@@ -151,39 +159,24 @@ def matryoshka_topk(
     FLOPs and bytes per batch. Same broadcast/partial/reduce shape as
     :func:`brute_force_topk`; ranking on 6dp-rounded scores so a SQL twin
     (list slicing + norm) admits identical edge cases."""
-    qm = np.asarray(query_matrix, dtype=np.float64)[:, :dim]
+    qm = _normalize(np.asarray(query_matrix, dtype=np.float64)[:, :dim])
     ref = ray.put((np.asarray(query_ids, dtype=np.int64), qm))
-
-    class _TruncCosineTopK(CosineTopK):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _batch_matrix(batch, "embedding")[:, :dim]
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            sims = self.qn @ _normalize(m).T
-            out_q, out_id, out_s = [], [], []
-            for qi in range(sims.shape[0]):
-                s = sims[qi]
-                kk = min(self.k, len(s))
-                idx = (np.argpartition(-s, kk - 1)[:kk]
-                       if len(s) > kk else np.arange(len(s)))
-                out_q.extend([int(self.qids[qi])] * len(idx))
-                out_id.extend(ids[idx].tolist())
-                out_s.extend(s[idx].tolist())
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "vec_id": pa.array(out_id, type=pa.int64()),
-                "cosine": pa.array(out_s, type=pa.float64()),
-            })
-
-    partials = ds.map_batches(
-        _TruncCosineTopK, fn_constructor_args=(ref, k),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()
-    return _finalize_topk(partials, k)
+    return _finalize_topk(
+        _scored_partials(ds, _cosine_topk, ref, k, None, dim), k)
 
 
-# ---------------------------------------------------------------------------
-# IVF-bucketed ANN (scale path)
-# ---------------------------------------------------------------------------
+def _range_rows(batch: pa.Table, queries_ref, thr: float) -> pa.Table:
+    """map_batches task: the (query, vec, score) rows of the batch whose
+    6dp-rounded cosine against a broadcast query reaches ``thr``."""
+    qids, qm = ray.get(queries_ref)
+    m = _normalize(_batch_matrix(batch, "embedding"))
+    sims = np.floor(qm @ m.T * 1e6 + 0.5) / 1e6
+    qi, vi = np.nonzero(sims >= thr)
+    return pa.table({
+        "query_id": pa.array(qids[qi], type=pa.int64()),
+        "vec_id": pa.array(_vec_ids(batch)[vi], type=pa.int64()),
+        "score": pa.array(sims[qi, vi], type=pa.float64()),
+    })
 
 
 def range_search(
@@ -201,28 +194,7 @@ def range_search(
     ordered (query_id, score desc, vec_id)."""
     qids = np.asarray(query_ids, dtype=np.int64)
     qm = _normalize(np.asarray(query_matrix, dtype=np.float64))
-    ref = ray.put((qids, qm))
-
-    class _Range:
-        def __init__(self, r, thr):
-            self.qids, self.qm = ray.get(r)
-            self.thr = float(thr)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            m = _normalize(_batch_matrix(batch, "embedding"))
-            sims = np.floor(self.qm @ m.T * 1e6 + 0.5) / 1e6
-            qi, vi = np.nonzero(sims >= self.thr)
-            return pa.table({
-                "query_id": pa.array(self.qids[qi], type=pa.int64()),
-                "vec_id": pa.array(ids[vi], type=pa.int64()),
-                "score": pa.array(sims[qi, vi], type=pa.float64()),
-            })
-
-    out = ds.map_batches(
-        _Range, fn_constructor_args=(ref, threshold),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()
+    out = _scored_partials(ds, _range_rows, ray.put((qids, qm)), float(threshold))
     cols = {"query_id": pd.Series(dtype=np.int64),
             "vec_id": pd.Series(dtype=np.int64),
             "score": pd.Series(dtype=np.float64)}
@@ -230,6 +202,11 @@ def range_search(
         return pd.DataFrame(cols)
     return out.sort_values(["query_id", "score", "vec_id"],
                            ascending=[True, False, True]).reset_index(drop=True)
+
+
+# ---------------------------------------------------------------------------
+# IVF-bucketed ANN (scale path)
+# ---------------------------------------------------------------------------
 
 
 def _bounded_sample(ds: ray.data.Dataset, sample_mod: int,
@@ -254,32 +231,29 @@ def _bounded_sample(ds: ray.data.Dataset, sample_mod: int,
     return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True).materialize()
 
 
-class _KMeansPartial:
-    """map_batches callable for one k-means iteration: assign each (normalized)
-    vector of the batch to its nearest centroid by cosine (the ``IVFAssign``
-    kernel) and emit the per-centroid PARTIAL (sum vector, count) — n_centroids
-    rows per batch, so only O(centroids x dim) ever reduces to the driver."""
-
-    def __init__(self, cent_ref):
-        self.cent = ray.get(cent_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_batch_matrix(batch, "embedding"))
-        assign = (m @ self.cent.T).argmax(axis=1)
-        ncent, dim = self.cent.shape
-        sums = np.zeros((ncent, dim), dtype=np.float64)
-        np.add.at(sums, assign, m)
-        counts = np.bincount(assign, minlength=ncent).astype(np.int64)
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # b0 keys the partial by its batch so the driver reduce can sum in a
-        # deterministic order (block completion order is not)
-        b0 = int(ids.min()) if len(ids) else -1
-        return pa.table({
-            "cid": pa.array(np.arange(ncent, dtype=np.int64)),
-            "b0": pa.array(np.full(ncent, b0, dtype=np.int64)),
-            "vsum": pa.array(list(sums), type=pa.list_(pa.float64())),
-            "n": pa.array(counts, type=pa.int64()),
-        })
+def _kmeans_partial(batch: pa.Table, cent_ref) -> pa.Table:
+    """map_batches task for one k-means iteration: assign each (normalized)
+    vector of the batch to its nearest centroid by cosine (the
+    ``_ivf_assign`` kernel) and emit the per-centroid PARTIAL (sum vector,
+    count) — n_centroids rows per batch, so only O(centroids x dim) ever
+    reduces to the driver."""
+    cent = ray.get(cent_ref)
+    m = _normalize(_batch_matrix(batch, "embedding"))
+    assign = (m @ cent.T).argmax(axis=1)
+    ncent, dim = cent.shape
+    sums = np.zeros((ncent, dim), dtype=np.float64)
+    np.add.at(sums, assign, m)
+    counts = np.bincount(assign, minlength=ncent).astype(np.int64)
+    ids = _vec_ids(batch)
+    # b0 keys the partial by its batch so the driver reduce can sum in a
+    # deterministic order (block completion order is not)
+    b0 = int(ids.min()) if len(ids) else -1
+    return pa.table({
+        "cid": pa.array(np.arange(ncent, dtype=np.int64)),
+        "b0": pa.array(np.full(ncent, b0, dtype=np.int64)),
+        "vsum": pa.array(list(sums), type=pa.list_(pa.float64())),
+        "n": pa.array(counts, type=pa.int64()),
+    })
 
 
 def train_centroids(ds: ray.data.Dataset, n_centroids: int, sample_mod: int = 5,
@@ -300,24 +274,11 @@ def train_centroids(ds: ray.data.Dataset, n_centroids: int, sample_mod: int = 5,
     )
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(ids, size=min(n_centroids, len(ids)), replace=False))
-    cref = ray.put(chosen)
-
-    def pick(batch: pa.Table) -> pa.Table:
-        want = ray.get(cref)
-        bi = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.filter(pa.array(np.isin(bi, want)))
-
-    seeds = (
-        sample.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-        .sort_values("vec_id")
-    )
+    seeds = to_frame(semi_join(sample, "vec_id", ray.put(chosen))).sort_values("vec_id")
     cent = _normalize(np.stack([np.asarray(v, np.float64) for v in seeds["embedding"]]))
     for _ in range(iters):
-        parts = sample.map_batches(
-            _KMeansPartial, fn_constructor_args=(ray.put(cent),),
-            batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-        ).to_pandas()  # blocks x n_centroids rows — driver-tiny
+        # blocks x n_centroids rows — driver-tiny
+        parts = _scored_partials(sample, _kmeans_partial, ray.put(cent))
         parts = parts.sort_values(["cid", "b0"])  # deterministic sum order
         sums = np.zeros_like(cent)
         counts = np.zeros(len(cent), dtype=np.int64)
@@ -330,14 +291,18 @@ def train_centroids(ds: ray.data.Dataset, n_centroids: int, sample_mod: int = 5,
     return cent
 
 
-class IVFAssign:
-    def __init__(self, cent_ref):
-        self.cent = ray.get(cent_ref)
+def _ivf_assign(batch: pa.Table, cent_ref) -> pa.Table:
+    m = _normalize(_batch_matrix(batch, "embedding"))
+    assign = (m @ ray.get(cent_ref).T).argmax(axis=1).astype(np.int32)
+    return batch.append_column("bucket", pa.array(assign, type=pa.int32()))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_batch_matrix(batch, "embedding"))
-        assign = (m @ self.cent.T).argmax(axis=1).astype(np.int32)
-        return batch.append_column("bucket", pa.array(assign, type=pa.int32()))
+
+def assign_buckets(ds: ray.data.Dataset, cent: np.ndarray) -> ray.data.Dataset:
+    """``ds`` plus an int32 ``bucket`` column: every vector's nearest
+    centroid by cosine (the IVF bucketing step), as stateless tasks over
+    the centroid matrix broadcast once."""
+    return ds.map_batches(_ivf_assign, fn_args=(ray.put(cent),),
+                          batch_format="pyarrow", zero_copy_batch=True)
 
 
 def ivf_topk(
@@ -351,29 +316,57 @@ def ivf_topk(
     """Approximate top-k probing only the nprobe nearest IVF buckets.
 
     Fully distributed: bucket assignment and probed scoring are both
-    ``map_batches`` partials (the same CosineTopK stage as the brute-force
-    path, restricted per query to its probe buckets); only the tiny
-    (queries x k)-bounded partials reach the driver."""
+    ``map_batches`` partials (the same ``_cosine_topk`` task as the
+    brute-force path, restricted per query to its probe buckets); only the
+    tiny (queries x k)-bounded partials reach the driver."""
     cent = train_centroids(ds, n_centroids)
-    cent_ref = ray.put(cent)
-    assigned = ds.map_batches(
-        IVFAssign, fn_constructor_args=(cent_ref,),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    )
     qm = _normalize(np.asarray(query_matrix, dtype=np.float64))
     probe = np.argsort(-(qm @ cent.T), axis=1)[:, :nprobe]  # buckets per query
-    qref = ray.put((np.asarray(query_ids, dtype=np.int64), qm))
-    pref = ray.put(probe.astype(np.int64))
-    partials = assigned.map_batches(
-        CosineTopK, fn_constructor_args=(qref, k, pref),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()
+    qref = ray.put((np.asarray(query_ids, dtype=np.int64), _normalize(qm)))
+    partials = _scored_partials(assign_buckets(ds, cent), _cosine_topk, qref, k,
+                                ray.put(probe.astype(np.int64)))
     return _finalize_topk(partials, k)
 
 
 # ---------------------------------------------------------------------------
 # embedding near-dup (cosine >= threshold)
 # ---------------------------------------------------------------------------
+
+
+def _band_keys(batch: pa.Table, planes_ref, nbands: int,
+               band_size: int) -> pa.Table:
+    """map_batches task: per vector, one LSH key per band — the sign bits
+    of its projections on the broadcast hyperplanes, ``band_size`` bits a
+    band."""
+    m = _normalize(_batch_matrix(batch, "embedding"))
+    bits = ((m @ ray.get(planes_ref)) > 0).astype(np.uint64)  # (n, n_planes)
+    n = len(m)
+    bk = bits[:, : nbands * band_size].reshape(n, nbands, band_size)
+    key = np.zeros((n, nbands), dtype=np.uint64)
+    for j in range(band_size):
+        key = (key << np.uint64(1)) | bk[:, :, j]
+    return pa.table(
+        {
+            "vec_id": pa.array(np.repeat(_vec_ids(batch), nbands), type=pa.int64()),
+            "band": pa.array(np.tile(np.arange(nbands, dtype=np.int32), n), type=pa.int32()),
+            "band_key": pa.array(key.reshape(-1).view(np.int64), type=pa.int64()),
+        }
+    )
+
+
+def _verify_pairs(batch: pa.Table, mat_ref, threshold: float) -> pa.Table:
+    """map_batches over the candidate-pair stream: look both sides up in
+    the broadcast candidate matrix, keep pairs at cosine >= threshold."""
+    ids, m = ray.get(mat_ref)
+    a = batch["vec_id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
+    b = batch["vec_id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+    sims = np.einsum("ij,ij->i", m[np.searchsorted(ids, a)], m[np.searchsorted(ids, b)])
+    keep = sims >= threshold
+    return pa.table({
+        "vec_id_a": pa.array(a[keep], type=pa.int64()),
+        "vec_id_b": pa.array(b[keep], type=pa.int64()),
+        "cosine": pa.array(_round6(sims[keep]), type=pa.float64()),
+    })
 
 
 def embedding_near_dup(
@@ -396,7 +389,7 @@ def embedding_near_dup(
     pairs into the shuffle); dropped buckets are logged, model
     ``dedup.ngram_jaccard_pairs.max_shingle_df``. Candidates are verified
     exactly AND distributed: the candidate embeddings are gathered via a
-    broadcast ``np.isin`` filter, consolidated into one object-store matrix
+    broadcast semi-join (``stages.merge.semi_join``), consolidated into one object-store matrix
     by a worker-side task (never the driver), and each candidate-pair batch
     scores its dot products in ``map_batches`` — only verified pairs (the
     contract-small result) reach the driver. The shuffle key is
@@ -409,27 +402,6 @@ def embedding_near_dup(
     pref = ray.put(planes)
     nbands = max(1, n_planes // band_size)
     band_size = min(band_size, n_planes)
-
-    class BandKeys:
-        def __init__(self, pref):
-            self.planes = ray.get(pref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _normalize(_batch_matrix(batch, "embedding"))
-            bits = ((m @ self.planes) > 0).astype(np.uint64)  # (n, n_planes)
-            n = len(m)
-            bk = bits[:, : nbands * band_size].reshape(n, nbands, band_size)
-            key = np.zeros((n, nbands), dtype=np.uint64)
-            for j in range(band_size):
-                key = (key << np.uint64(1)) | bk[:, :, j]
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "vec_id": pa.array(np.repeat(ids, nbands), type=pa.int64()),
-                    "band": pa.array(np.tile(np.arange(nbands, dtype=np.int32), n), type=pa.int32()),
-                    "band_key": pa.array(key.reshape(-1).view(np.int64), type=pa.int64()),
-                }
-            )
 
     def emit_pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"vec_id_a": pd.Series(dtype="int64"),
@@ -447,8 +419,8 @@ def embedding_near_dup(
         return pd.DataFrame({"vec_id_a": ids[a], "vec_id_b": ids[b]})
 
     cand = (
-        ds.map_batches(BandKeys, fn_constructor_args=(pref,), batch_format="pyarrow",
-                       zero_copy_batch=True, concurrency=(1, 4))
+        ds.map_batches(_band_keys, fn_args=(pref, nbands, band_size),
+                       batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["band", "band_key"])
         .map_groups(emit_pairs, batch_format="pandas")
         .materialize()  # feeds the wanted-id pass AND the verify pass
@@ -468,52 +440,39 @@ def embedding_near_dup(
         return pd.DataFrame(
             {"vec_id_a": pd.Series(dtype="int64"), "vec_id_b": pd.Series(dtype="int64"), "cosine": pd.Series(dtype="float64")}
         )
-    wref = ray.put(np.sort(wanted))
-
-    def collect(batch: pa.Table) -> pa.Table:
-        keep = ray.get(wref)
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.filter(pa.array(np.isin(ids, keep)))
-
     # consolidate the gathered candidate vectors into ONE (ids, matrix)
     # object — built by a worker task from the gather's object-store blocks,
     # so the embeddings never visit the driver
-    sub_refs = ds.map_batches(
-        collect, batch_format="pyarrow", zero_copy_batch=True
-    ).to_arrow_refs()
+    sub_refs = semi_join(ds, "vec_id", ray.put(np.sort(wanted))).to_arrow_refs()
     mat_ref = _consolidate_vectors.remote(*sub_refs)
-
-    class VerifyPairs:
-        """map_batches over the candidate-pair stream: look both sides up in
-        the broadcast candidate matrix, keep pairs at cosine >= threshold."""
-
-        def __init__(self, mat_ref, threshold: float):
-            self.ids, self.m = ray.get(mat_ref)
-            self.threshold = threshold
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            a = batch["vec_id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            b = batch["vec_id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            ia = np.searchsorted(self.ids, a)
-            ib = np.searchsorted(self.ids, b)
-            sims = np.einsum("ij,ij->i", self.m[ia], self.m[ib])
-            keep = sims >= self.threshold
-            return pa.table({
-                "vec_id_a": pa.array(a[keep], type=pa.int64()),
-                "vec_id_b": pa.array(b[keep], type=pa.int64()),
-                "cosine": pa.array(_round6(sims[keep]), type=pa.float64()),
-            })
-
-    out = cand.map_batches(
-        VerifyPairs, fn_constructor_args=(mat_ref, threshold),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()  # verified pairs only: the near-dup-contract-small result
-    if "vec_id_a" not in out.columns:  # zero rows -> column-less frame
-        return pd.DataFrame(
-            {"vec_id_a": pd.Series(dtype="int64"), "vec_id_b": pd.Series(dtype="int64"), "cosine": pd.Series(dtype="float64")}
-        )
+    # verified pairs only: the near-dup-contract-small result
+    out = to_frame(cand.map_batches(
+        _verify_pairs, fn_args=(mat_ref, threshold),
+        batch_format="pyarrow", zero_copy_batch=True,
+    ))
     out = out.drop_duplicates(["vec_id_a", "vec_id_b"])
     return out.sort_values(["vec_id_a", "vec_id_b"]).reset_index(drop=True)
+
+
+def _pair_scan(batch: pa.Table, corpus_ref, threshold: float) -> pa.Table:
+    """map_batches task: every (batch vector, later corpus vector) pair at
+    cosine >= threshold against the broadcast corpus matrix."""
+    ids_all, m_all = ray.get(corpus_ref)
+    ids = _vec_ids(batch)
+    sims = _normalize(_batch_matrix(batch, "embedding")) @ m_all.T  # (nbatch, N)
+    out_a, out_b, out_s = [], [], []
+    for i in range(len(ids)):
+        js = np.flatnonzero((sims[i] >= threshold) & (ids_all > ids[i]))
+        out_a.extend([int(ids[i])] * len(js))
+        out_b.extend(ids_all[js].tolist())
+        out_s.extend(_round6(sims[i][js]).tolist())
+    return pa.table(
+        {
+            "vec_id_a": pa.array(out_a, type=pa.int64()),
+            "vec_id_b": pa.array(out_b, type=pa.int64()),
+            "cosine": pa.array(out_s, type=pa.float64()),
+        }
+    )
 
 
 def embedding_near_dup_exact(ds: ray.data.Dataset, threshold: float = 0.9) -> pd.DataFrame:
@@ -526,35 +485,7 @@ def embedding_near_dup_exact(ds: ray.data.Dataset, threshold: float = 0.9) -> pd
     full = ds.select_columns(["vec_id", "embedding"]).to_pandas()
     ids_all = full["vec_id"].to_numpy().astype(np.int64)
     m_all = _normalize(np.stack([np.asarray(v, np.float64) for v in full["embedding"]]))
-    ref = ray.put((ids_all, m_all))
-
-    class PairScan:
-        def __init__(self, ref):
-            self.ids_all, self.m_all = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _normalize(_batch_matrix(batch, "embedding"))
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            sims = m @ self.m_all.T  # (nbatch, N)
-            out_a, out_b, out_s = [], [], []
-            for i in range(len(ids)):
-                mask = (sims[i] >= threshold) & (self.ids_all > ids[i])
-                js = np.flatnonzero(mask)
-                out_a.extend([int(ids[i])] * len(js))
-                out_b.extend(self.ids_all[js].tolist())
-                out_s.extend(_round6(sims[i][js]).tolist())
-            return pa.table(
-                {
-                    "vec_id_a": pa.array(out_a, type=pa.int64()),
-                    "vec_id_b": pa.array(out_b, type=pa.int64()),
-                    "cosine": pa.array(out_s, type=pa.float64()),
-                }
-            )
-
-    pairs = ds.map_batches(
-        PairScan, fn_constructor_args=(ref,), batch_format="pyarrow",
-        zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()
+    pairs = _scored_partials(ds, _pair_scan, ray.put((ids_all, m_all)), threshold)
     return pairs.sort_values(["vec_id_a", "vec_id_b"]).reset_index(drop=True)
 
 
@@ -563,39 +494,44 @@ def embedding_near_dup_exact(ds: ray.data.Dataset, threshold: float = 0.9) -> pd
 # ---------------------------------------------------------------------------
 
 
-class _PQPartial:
+def _pq_encode(mat: np.ndarray, books: np.ndarray) -> np.ndarray:
+    """Per subspace, the L2-nearest codebook entry of every row:
+    (n, m) int64 codes."""
+    m, ncent, sub = books.shape
+    codes = np.empty((mat.shape[0], m), dtype=np.int64)
+    for mi in range(m):
+        x = mat[:, mi * sub:(mi + 1) * sub]
+        d2 = ((x[:, None, :] - books[mi][None, :, :]) ** 2).sum(axis=2)
+        codes[:, mi] = d2.argmin(axis=1)
+    return codes
+
+
+def _pq_partial(batch: pa.Table, books_ref) -> pa.Table:
     """One PQ k-means iteration over ALL subspaces in a single pass: per
     subspace, L2-assign the batch's rows to the current codebook and emit
     (subspace, cid, sum vector, count) partials — m x n_centroids rows per
     batch."""
-
-    def __init__(self, books_ref):
-        self.books = ray.get(books_ref)  # (m, ncent, sub)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _normalize(_batch_matrix(batch, "embedding"))
-        m, ncent, sub = self.books.shape
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b0 = int(ids.min()) if len(ids) else -1
-        out_mi, out_cid, out_sum, out_n = [], [], [], []
-        for mi in range(m):
-            x = mat[:, mi * sub:(mi + 1) * sub]
-            d2 = ((x[:, None, :] - self.books[mi][None, :, :]) ** 2).sum(axis=2)
-            assign = d2.argmin(axis=1)
-            sums = np.zeros((ncent, sub), dtype=np.float64)
-            np.add.at(sums, assign, x)
-            counts = np.bincount(assign, minlength=ncent).astype(np.int64)
-            out_mi.extend([mi] * ncent)
-            out_cid.extend(range(ncent))
-            out_sum.extend(list(sums))
-            out_n.extend(counts.tolist())
-        return pa.table({
-            "mi": pa.array(out_mi, type=pa.int64()),
-            "cid": pa.array(out_cid, type=pa.int64()),
-            "b0": pa.array(np.full(len(out_mi), b0, dtype=np.int64)),
-            "vsum": pa.array(out_sum, type=pa.list_(pa.float64())),
-            "n": pa.array(out_n, type=pa.int64()),
-        })
+    books = ray.get(books_ref)  # (m, ncent, sub)
+    mat = _normalize(_batch_matrix(batch, "embedding"))
+    m, ncent, sub = books.shape
+    ids = _vec_ids(batch)
+    b0 = int(ids.min()) if len(ids) else -1
+    codes = _pq_encode(mat, books)
+    out_mi, out_cid, out_sum, out_n = [], [], [], []
+    for mi in range(m):
+        sums = np.zeros((ncent, sub), dtype=np.float64)
+        np.add.at(sums, codes[:, mi], mat[:, mi * sub:(mi + 1) * sub])
+        out_mi.extend([mi] * ncent)
+        out_cid.extend(range(ncent))
+        out_sum.extend(list(sums))
+        out_n.extend(np.bincount(codes[:, mi], minlength=ncent).tolist())
+    return pa.table({
+        "mi": pa.array(out_mi, type=pa.int64()),
+        "cid": pa.array(out_cid, type=pa.int64()),
+        "b0": pa.array(np.full(len(out_mi), b0, dtype=np.int64)),
+        "vsum": pa.array(out_sum, type=pa.list_(pa.float64())),
+        "n": pa.array(out_n, type=pa.int64()),
+    })
 
 
 def train_pq_codebooks(
@@ -627,18 +563,7 @@ def train_pq_codebooks(
         for _ in range(m)
     ]
     want_all = np.unique(np.concatenate(chosen_per_sub))
-    wref = ray.put(want_all)
-
-    def pick(batch: pa.Table) -> pa.Table:
-        want = ray.get(wref)
-        bi = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.filter(pa.array(np.isin(bi, want)))
-
-    seeds = (
-        sample.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-        .sort_values("vec_id")
-    )
+    seeds = to_frame(semi_join(sample, "vec_id", ray.put(want_all))).sort_values("vec_id")
     seed_ids = seeds["vec_id"].to_numpy(np.int64)
     seed_mat = _normalize(np.stack([np.asarray(v, np.float64)
                                     for v in seeds["embedding"]]))
@@ -654,10 +579,7 @@ def train_pq_codebooks(
         if len(cent) < n_centroids:
             books[mi, len(cent):] = cent[0]
     for _ in range(iters):
-        parts = sample.map_batches(
-            _PQPartial, fn_constructor_args=(ray.put(books),),
-            batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-        ).to_pandas()
+        parts = _scored_partials(sample, _pq_partial, ray.put(books))
         parts = parts.sort_values(["mi", "cid", "b0"])  # deterministic sums
         for (mi, cid), g in parts.groupby(["mi", "cid"], sort=True):
             n = int(g["n"].sum())
@@ -668,70 +590,33 @@ def train_pq_codebooks(
     return books
 
 
-class PQScoreTopK:
-    """map_batches callable: encode the batch's (normalized) vectors to PQ
-    codes and score every query via its ADC lookup table — score(q, x) =
-    Σ_m LUT[m, code_m(x)] with LUT[m, j] = q_m · c_{m,j} — keeping the
-    batch-local top-k partial (same reduce shape as CosineTopK). Encoding
-    per batch keeps the operator single-pass; a persisted-codes variant
-    would split encode/score into two stages with the codes parquet in
-    between (the FAISS write_index/read_index analog)."""
+def _pq_queries(query_ids, query_matrix, books: np.ndarray):
+    """The broadcast side of ADC scoring: (query ids, per-query LUT) with
+    LUT[q, m, j] = q_m · c_{m,j} over the normalized queries."""
+    qn = _normalize(np.asarray(query_matrix, dtype=np.float64))
+    m, ncent, sub = books.shape
+    lut = np.empty((qn.shape[0], m, ncent), dtype=np.float64)
+    for mi in range(m):
+        lut[:, mi, :] = qn[:, mi * sub:(mi + 1) * sub] @ books[mi].T
+    return ray.put((np.asarray(query_ids, dtype=np.int64), lut))
 
-    def __init__(self, queries_ref, books_ref, k: int, probe_ref=None):
-        q = ray.get(queries_ref)
-        self.qids, qm = q
-        qn = _normalize(qm)
-        self.books = ray.get(books_ref)  # (m, ncent, sub)
-        m, ncent, sub = self.books.shape
-        nq = qn.shape[0]
-        self.lut = np.empty((nq, m, ncent), dtype=np.float64)
-        for mi in range(m):
-            self.lut[:, mi, :] = qn[:, mi * sub:(mi + 1) * sub] @ self.books[mi].T
-        self.k = k
-        # IVF mode: per-query probe-bucket lists (same restriction contract
-        # as CosineTopK)
-        self.probe = ray.get(probe_ref) if probe_ref is not None else None
 
-    def _encode(self, mat: np.ndarray) -> np.ndarray:
-        m, ncent, sub = self.books.shape
-        codes = np.empty((mat.shape[0], m), dtype=np.int64)
-        for mi in range(m):
-            x = mat[:, mi * sub:(mi + 1) * sub]
-            d2 = ((x[:, None, :] - self.books[mi][None, :, :]) ** 2).sum(axis=2)
-            codes[:, mi] = d2.argmin(axis=1)
-        return codes
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _normalize(_batch_matrix(batch, "embedding"))
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        buckets = (
-            batch["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-            if self.probe is not None
-            else None
-        )
-        codes = self._encode(mat)
-        nq = self.lut.shape[0]
-        out_q, out_id, out_s = [], [], []
-        for qi in range(nq):
-            # gather LUT values per subspace, sum across subspaces
-            s = np.take_along_axis(self.lut[qi], codes.T, axis=1).sum(axis=0)
-            cid = ids
-            if buckets is not None:
-                cand = np.flatnonzero(np.isin(buckets, self.probe[qi]))
-                if not len(cand):
-                    continue
-                s = s[cand]
-                cid = ids[cand]
-            k = min(self.k, len(s))
-            idx = np.argpartition(-s, k - 1)[:k] if len(s) > k else np.arange(len(s))
-            out_q.extend([int(self.qids[qi])] * len(idx))
-            out_id.extend(cid[idx].tolist())
-            out_s.extend(s[idx].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, type=pa.int64()),
-            "vec_id": pa.array(out_id, type=pa.int64()),
-            "cosine": pa.array(out_s, type=pa.float64()),
-        })
+def _pq_topk(batch: pa.Table, queries_ref, books_ref, k: int,
+             probe_ref=None) -> pa.Table:
+    """map_batches task: encode the batch's (normalized) vectors to PQ codes
+    and score every query via its ADC lookup table — score(q, x) =
+    Σ_m LUT[m, code_m(x)] — keeping the batch-local top-k partial (same
+    reduce shape as ``_cosine_topk``, including the IVF probe restriction).
+    Encoding per batch keeps the operator single-pass; a persisted-codes
+    variant would split encode/score into two stages with the codes parquet
+    in between (the FAISS write_index/read_index analog)."""
+    qids, lut = ray.get(queries_ref)
+    codes = _pq_encode(_normalize(_batch_matrix(batch, "embedding")),
+                       ray.get(books_ref))
+    # gather LUT values per subspace, sum across subspaces
+    sims = [np.take_along_axis(lut[qi], codes.T, axis=1).sum(axis=0)
+            for qi in range(len(qids))]
+    return _topk_rows(qids, sims, batch, k, probe_ref)
 
 
 def pq_topk(
@@ -756,52 +641,33 @@ def pq_topk(
     rounding then match the brute-force scorer on everything the shortlist
     caught. ``rerank=None`` returns raw ADC scores."""
     books = train_pq_codebooks(ds, m=m, n_centroids=n_centroids)
-    bref = ray.put(books)
-    qids = np.asarray(query_ids, dtype=np.int64)
-    qm = np.asarray(query_matrix, dtype=np.float64)
-    qref = ray.put((qids, qm))
     kk = k if rerank is None else rerank * k
-    partials = ds.map_batches(
-        PQScoreTopK, fn_constructor_args=(qref, bref, kk),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()
-    short = _finalize_topk(partials, kk)
-    if rerank is None:
+    partials = _scored_partials(ds, _pq_topk, _pq_queries(query_ids, query_matrix, books),
+                                ray.put(books), kk)
+    return _refine(ds, query_ids, query_matrix, partials, k, rerank)
+
+
+def _refine(ds: ray.data.Dataset, query_ids, query_matrix,
+            partials: pd.DataFrame, k: int, rerank: int | None) -> pd.DataFrame:
+    """FAISS refine stage shared by the compressed-index paths (PQ, SQ, BQ,
+    IVF-PQ): rank the approximate partials to a ``rerank * k`` shortlist,
+    gather the shortlist's ORIGINAL vectors with one broadcast semi-join
+    (the shortlist is queries x rerank*k — tiny) and re-score exactly;
+    final ranking and 6-decimal rounding then match the brute-force scorer
+    on everything the shortlist caught. ``rerank=None`` returns the raw
+    approximate top-k; an empty shortlist returns as is."""
+    short = _finalize_topk(partials, k if rerank is None else rerank * k)
+    if rerank is None or short.empty:
         return short
-    return _exact_rerank(ds, qids, qm, short, k)
-
-
-def _exact_rerank(ds: ray.data.Dataset, qids: np.ndarray, qm: np.ndarray,
-                  short: pd.DataFrame, k: int) -> pd.DataFrame:
-    """FAISS refine stage shared by the compressed-index paths (PQ, SQ):
-    gather the shortlist's ORIGINAL vectors with one broadcast ``isin``
-    filter pass (shortlist is queries x rerank*k — tiny) and re-score
-    exactly; final ranking and 6-decimal rounding then match the
-    brute-force scorer on everything the shortlist caught."""
-    wanted = np.unique(short["vec_id"].to_numpy(np.int64))
-    wref = ray.put(wanted)
-
-    class GatherVecs:
-        def __init__(self, ref):
-            self.wanted = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(self.wanted, ids)
-            pos = np.clip(pos, 0, len(self.wanted) - 1)
-            return batch.filter(pa.array(self.wanted[pos] == ids))
-
-    got = ds.map_batches(
-        GatherVecs, fn_constructor_args=(wref,),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 4),
-    ).to_pandas().sort_values("vec_id")
+    wanted = ray.put(np.unique(short["vec_id"].to_numpy(np.int64)))
+    got = to_frame(semi_join(ds, "vec_id", wanted)).sort_values("vec_id")
     # vectorized exact rescore of the whole shortlist at once: one gather of
     # the candidate matrix, one row-wise dot (the round-2 per-query pandas
     # loop re-stacked the matrix per query)
     ids_sorted = got["vec_id"].to_numpy(np.int64)
     mat = _normalize(np.stack([np.asarray(v, np.float64) for v in got["embedding"]]))
-    qn = _normalize(qm)
-    qrow = {int(q): i for i, q in enumerate(qids)}
+    qn = _normalize(np.asarray(query_matrix, dtype=np.float64))
+    qrow = {int(q): i for i, q in enumerate(query_ids)}
     pos = np.searchsorted(ids_sorted, short["vec_id"].to_numpy(np.int64))
     qi = short["query_id"].map(qrow).to_numpy(np.int64)
     s = np.einsum("ij,ij->i", mat[pos], qn[qi])
@@ -841,43 +707,45 @@ def train_sq_minmax(ds: ray.data.Dataset) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-class SQScoreTopK:
-    """map_batches callable for the SQ8 scoring pass: quantize the batch's
-    (normalized) vectors to uint8 codes — code = round((x-lo)/(hi-lo)*255)
-    — and score every query against the RECONSTRUCTION
-    x̂ = lo + code/255*(hi-lo), which folds into one matmul per batch:
-    score(q, x) = (codes * step) @ q + q·lo. Batch-local top-k partials,
-    same reduce shape as CosineTopK."""
+def _quantized_topk(batch: pa.Table, queries_ref, params_ref, k: int,
+                    one_bit: bool) -> pa.Table:
+    """map_batches task for the SQ8 and 1-bit scoring passes: quantize the
+    batch's (normalized) vectors and score every query against the
+    RECONSTRUCTION x̂, folded into one (n, dim) x (dim, nq) matmul per
+    batch; batch-local top-k partials, same reduce shape as
+    ``_cosine_topk``. ``(lo, hi)`` are the exact streaming per-dim min/max.
 
-    def __init__(self, queries_ref, params_ref, k: int):
-        self.qids, qm = ray.get(queries_ref)
-        self.qn = _normalize(qm)
-        lo, hi = ray.get(params_ref)
-        self.lo = lo
-        self.step = (hi - lo) / 255.0
-        self.qconst = self.qn @ lo  # (nq,)
-        self.k = k
+    - SQ8: code = round((x-lo)/(hi-lo)*255), x̂ = lo + code/255*(hi-lo), so
+      score(q, x) = (codes * step) @ q + q·lo.
+    - 1-bit: bit_d = x_d > midpoint_d (order-independent, so bits are
+      deterministic), two-level x̂ with c0_d = (3*lo+hi)/4 and
+      c1_d = (lo+3*hi)/4: score = (bits*(c1-c0)) @ q + q·c0 — 64x
+      compression before the rerank."""
+    qids, qn = ray.get(queries_ref)
+    lo, hi = ray.get(params_ref)
+    mat = _normalize(_batch_matrix(batch, "embedding"))
+    if one_bit:
+        base = (3.0 * lo + hi) / 4.0  # c0
+        span = (lo + 3.0 * hi) / 4.0 - base  # c1 - c0
+        recon = (mat > (lo + hi) / 2.0).astype(np.float64) * span
+    else:
+        base, step = lo, (hi - lo) / 255.0
+        safe = np.where(step > 0, step, 1.0)
+        recon = np.clip(np.rint((mat - lo) / safe), 0, 255) * step
+    s_all = recon @ qn.T + qn @ base  # (n, nq)
+    return _topk_rows(qids, s_all.T, batch, k)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _normalize(_batch_matrix(batch, "embedding"))
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        safe = np.where(self.step > 0, self.step, 1.0)
-        codes = np.clip(np.rint((mat - self.lo) / safe), 0, 255)
-        # one (n, dim) x (dim, nq) matmul scores the whole batch
-        s_all = (codes * self.step) @ self.qn.T + self.qconst  # (n, nq)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(len(self.qids)):
-            s = s_all[:, qi]
-            k = min(self.k, len(s))
-            idx = np.argpartition(-s, k - 1)[:k] if len(s) > k else np.arange(len(s))
-            out_q.extend([int(self.qids[qi])] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_s.extend(s[idx].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, type=pa.int64()),
-            "vec_id": pa.array(out_id, type=pa.int64()),
-            "cosine": pa.array(out_s, type=pa.float64()),
-        })
+
+def _quantized_search(ds, query_ids, query_matrix, k, rerank, one_bit):
+    """SQ8 / 1-bit top-k: exact streaming min/max training, one pass that
+    quantizes + scores every batch against the broadcast queries, then the
+    shared FAISS-refine stage."""
+    qn = _normalize(np.asarray(query_matrix, dtype=np.float64))
+    partials = _scored_partials(
+        ds, _quantized_topk, ray.put((np.asarray(query_ids, dtype=np.int64), qn)),
+        ray.put(train_sq_minmax(ds)), k if rerank is None else rerank * k,
+        one_bit)
+    return _refine(ds, query_ids, query_matrix, partials, k, rerank)
 
 
 def sq_topk(
@@ -894,20 +762,7 @@ def sq_topk(
     Compression: dim float64 -> dim bytes. ``rerank`` keeps a ``rerank*k``
     shortlist that the shared FAISS-refine stage re-scores exactly;
     ``rerank=None`` returns raw reconstruction scores."""
-    params = train_sq_minmax(ds)
-    pref = ray.put(params)
-    qids = np.asarray(query_ids, dtype=np.int64)
-    qm = np.asarray(query_matrix, dtype=np.float64)
-    qref = ray.put((qids, qm))
-    kk = k if rerank is None else rerank * k
-    partials = ds.map_batches(
-        SQScoreTopK, fn_constructor_args=(qref, pref, kk),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()
-    short = _finalize_topk(partials, kk)
-    if rerank is None:
-        return short
-    return _exact_rerank(ds, qids, qm, short, k)
+    return _quantized_search(ds, query_ids, query_matrix, k, rerank, one_bit=False)
 
 
 def ivfpq_topk(
@@ -928,73 +783,22 @@ def ivfpq_topk(
     per-bucket residuals (FAISS encodes residuals; documented
     simplification — the shared exact rerank makes final scores exact
     either way). Both stages are the existing distributed kernels:
-    ``IVFAssign`` adds the bucket column, ``PQScoreTopK`` gains the same
-    per-query probe restriction ``CosineTopK`` has."""
+    ``assign_buckets`` adds the bucket column, ``_pq_topk`` takes the
+    same per-query probe restriction ``_cosine_topk`` has."""
     cent = train_centroids(ds, n_centroids)
-    cent_ref = ray.put(cent)
     books = train_pq_codebooks(ds, m=m, n_centroids=pq_centroids)
-    bref = ray.put(books)
-    assigned = ds.map_batches(
-        IVFAssign, fn_constructor_args=(cent_ref,),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    )
-    qids = np.asarray(query_ids, dtype=np.int64)
-    qm = np.asarray(query_matrix, dtype=np.float64)
-    qn = _normalize(qm)
+    qn = _normalize(np.asarray(query_matrix, dtype=np.float64))
     probe = np.argsort(-(qn @ cent.T), axis=1)[:, :nprobe]
-    qref = ray.put((qids, qm))
-    pref = ray.put(probe.astype(np.int64))
-    kk = k if rerank is None else rerank * k
-    partials = assigned.map_batches(
-        PQScoreTopK, fn_constructor_args=(qref, bref, kk, pref),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()
-    short = _finalize_topk(partials, kk)
-    if rerank is None or short.empty:
-        return short
-    return _exact_rerank(ds, qids, qm, short, k)
+    partials = _scored_partials(
+        assign_buckets(ds, cent), _pq_topk,
+        _pq_queries(query_ids, query_matrix, books), ray.put(books),
+        k if rerank is None else rerank * k, ray.put(probe.astype(np.int64)))
+    return _refine(ds, query_ids, query_matrix, partials, k, rerank)
 
 
 # ---------------------------------------------------------------------------
 # Binary quantization (1-bit; the OpenSearch k-NN BQ / FAISS QT_1bit analog)
 # ---------------------------------------------------------------------------
-
-
-class BQScoreTopK:
-    """map_batches callable for the 1-bit pass: bit_d = x_d > midpoint_d
-    (midpoints from the exact streaming min/max — order-independent, so
-    bits are deterministic), scored against the two-level reconstruction
-    c0_d = (3*lo+hi)/4, c1_d = (lo+3*hi)/4: score = (bits*(c1-c0)) @ q
-    + q·c0 — one matmul per batch, 64x compression before the rerank."""
-
-    def __init__(self, queries_ref, params_ref, k: int):
-        self.qids, qm = ray.get(queries_ref)
-        self.qn = _normalize(qm)
-        lo, hi = ray.get(params_ref)
-        self.mid = (lo + hi) / 2.0
-        c0 = (3.0 * lo + hi) / 4.0
-        self.span = (lo + 3.0 * hi) / 4.0 - c0  # c1 - c0
-        self.qconst = self.qn @ c0
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _normalize(_batch_matrix(batch, "embedding"))
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bits = (mat > self.mid).astype(np.float64)
-        s_all = (bits * self.span) @ self.qn.T + self.qconst
-        out_q, out_id, out_s = [], [], []
-        for qi in range(len(self.qids)):
-            s = s_all[:, qi]
-            k = min(self.k, len(s))
-            idx = np.argpartition(-s, k - 1)[:k] if len(s) > k else np.arange(len(s))
-            out_q.extend([int(self.qids[qi])] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_s.extend(s[idx].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, type=pa.int64()),
-            "vec_id": pa.array(out_id, type=pa.int64()),
-            "cosine": pa.array(out_s, type=pa.float64()),
-        })
 
 
 def bq_topk(
@@ -1010,17 +814,4 @@ def bq_topk(
     against the two-level reconstruction, then the shared FAISS-refine
     exact rerank on a ``rerank*k`` shortlist (1-bit codes are coarse, so
     the default shortlist is wider than SQ8's)."""
-    params = train_sq_minmax(ds)
-    pref = ray.put(params)
-    qids = np.asarray(query_ids, dtype=np.int64)
-    qm = np.asarray(query_matrix, dtype=np.float64)
-    qref = ray.put((qids, qm))
-    kk = k if rerank is None else rerank * k
-    partials = ds.map_batches(
-        BQScoreTopK, fn_constructor_args=(qref, pref, kk),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-    ).to_pandas()
-    short = _finalize_topk(partials, kk)
-    if rerank is None:
-        return short
-    return _exact_rerank(ds, qids, qm, short, k)
+    return _quantized_search(ds, query_ids, query_matrix, k, rerank, one_bit=True)

@@ -16,6 +16,11 @@ Hashing is vectorized: blake2b runs once per UNIQUE token (dictionary-encode
 the token stream, hash the tiny vocab, gather by code); shingle hashes are a
 numpy polynomial combine of per-token hashes over sliding windows — no Python
 loop over tokens or shingles in any hot stage.
+
+Every per-batch stage is a stateless ``map_batches`` task (broadcast state
+such as minhash parameters or a benchmark shingle set travels in
+``fn_args`` or one ``ray.put``); every broadcast key filter is
+``stages.merge.semi_join``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ import pyarrow.compute as pc
 import ray.data
 
 from remote_vector_index_builder_ray.functions.tokenizer import tokenize_column
+from remote_vector_index_builder_ray.stages.merge import (
+    isin_sorted,
+    semi_join,
+    to_frame,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -165,63 +175,60 @@ def _minhash_params(num_hashes: int, seed: int = 12345):
     return a, b
 
 
-class MinHashSignatures:
-    """Actor-pool stage: per-doc minhash signature + band keys (stateful:
-    hash parameters built once per actor). Fully vectorized: one
-    (num_hashes x n_shingles) multiply-add per slab, per-doc mins via
+_SLAB = 1 << 18  # shingles per vectorized minhash slab (bounds the (H, S) temp)
+
+
+def _signatures(sh: np.ndarray, sh_doc: np.ndarray, n_docs: int,
+                a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-doc minhash signatures (n_docs x len(a)): one (num_hashes x
+    n_shingles) multiply-add per slab, per-doc mins via
     ``np.minimum.reduceat`` — no per-doc Python loop."""
-
-    SLAB = 1 << 18  # shingles per vectorized slab (bounds the (H, S) temp)
-
-    def __init__(self, num_hashes: int = 64, band_size: int = 4, shingle_k: int = 3):
-        self.a, self.b = _minhash_params(num_hashes)
-        self.num_hashes = num_hashes
-        self.band_size = band_size
-        self.shingle_k = shingle_k
-
-    def _signatures(self, sh: np.ndarray, sh_doc: np.ndarray, n_docs: int) -> np.ndarray:
-        sigs = np.full((n_docs, self.num_hashes), np.uint64(_MERSENNE), dtype=np.uint64)
-        if not len(sh):
-            return sigs
-        # per-doc contiguous runs (sh_doc is sorted by construction)
-        change = np.empty(len(sh_doc), dtype=bool)
-        change[0] = True
-        change[1:] = sh_doc[1:] != sh_doc[:-1]
-        starts = np.flatnonzero(change)
-        docs_with = sh_doc[starts]
-        mins = np.full((len(starts), self.num_hashes), np.uint64(_MERSENNE), dtype=np.uint64)
-        for lo in range(0, len(sh), self.SLAB):
-            hi = min(lo + self.SLAB, len(sh))
-            prod = (sh[lo:hi][None, :] * self.a[:, None] + self.b[:, None]) % np.uint64(_MERSENNE)
-            # run boundaries restricted to this slab
-            s_in = starts[(starts >= lo) & (starts < hi)]
-            cut = np.unique(np.concatenate([[lo], s_in])) - lo
-            part = np.minimum.reduceat(prod, cut, axis=1).T  # (runs_in_slab, H)
-            run_idx = np.searchsorted(starts, cut + lo, side="right") - 1
-            np.minimum.at(mins, run_idx, part)
-        sigs[docs_with] = mins
+    sigs = np.full((n_docs, len(a)), np.uint64(_MERSENNE), dtype=np.uint64)
+    if not len(sh):
         return sigs
+    # per-doc contiguous runs (sh_doc is sorted by construction)
+    change = np.empty(len(sh_doc), dtype=bool)
+    change[0] = True
+    change[1:] = sh_doc[1:] != sh_doc[:-1]
+    starts = np.flatnonzero(change)
+    docs_with = sh_doc[starts]
+    mins = np.full((len(starts), len(a)), np.uint64(_MERSENNE), dtype=np.uint64)
+    for lo in range(0, len(sh), _SLAB):
+        hi = min(lo + _SLAB, len(sh))
+        prod = (sh[lo:hi][None, :] * a[:, None] + b[:, None]) % np.uint64(_MERSENNE)
+        # run boundaries restricted to this slab
+        s_in = starts[(starts >= lo) & (starts < hi)]
+        cut = np.unique(np.concatenate([[lo], s_in])) - lo
+        part = np.minimum.reduceat(prod, cut, axis=1).T  # (runs_in_slab, H)
+        run_idx = np.searchsorted(starts, cut + lo, side="right") - 1
+        np.minimum.at(mins, run_idx, part)
+    sigs[docs_with] = mins
+    return sigs
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tokens, doc_index, n_tokens = tokenize_column(batch["text"])
-        tok_h = _token_hashes(tokens)
-        sh, sh_doc = _shingle_hashes_batch(tok_h, n_tokens, self.shingle_k)
-        n = batch.num_rows
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sigs = self._signatures(sh, sh_doc, n)
-        nbands = self.num_hashes // self.band_size
-        # band key: polynomial combine of the band's signature values
-        bk = sigs.reshape(n, nbands, self.band_size)
-        key = np.zeros((n, nbands), dtype=np.uint64)
-        for j in range(self.band_size):
-            key = key * _POLY + bk[:, :, j]
-        return pa.table(
-            {
-                "doc_id": pa.array(np.repeat(ids, nbands), type=pa.int64()),
-                "band": pa.array(np.tile(np.arange(nbands, dtype=np.int32), n), type=pa.int32()),
-                "band_key": pa.array(key.reshape(-1).view(np.int64), type=pa.int64()),
-            }
-        )
+
+def _minhash_band_keys(batch: pa.Table, a: np.ndarray, b: np.ndarray,
+                       band_size: int, shingle_k: int) -> pa.Table:
+    """map_batches task: per-doc minhash signature (hash parameters
+    ``a``, ``b`` from ``_minhash_params``) folded into one key per band."""
+    tokens, doc_index, n_tokens = tokenize_column(batch["text"])
+    tok_h = _token_hashes(tokens)
+    sh, sh_doc = _shingle_hashes_batch(tok_h, n_tokens, shingle_k)
+    n = batch.num_rows
+    ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    sigs = _signatures(sh, sh_doc, n, a, b)
+    nbands = len(a) // band_size
+    # band key: polynomial combine of the band's signature values
+    bk = sigs.reshape(n, nbands, band_size)
+    key = np.zeros((n, nbands), dtype=np.uint64)
+    for j in range(band_size):
+        key = key * _POLY + bk[:, :, j]
+    return pa.table(
+        {
+            "doc_id": pa.array(np.repeat(ids, nbands), type=pa.int64()),
+            "band": pa.array(np.tile(np.arange(nbands, dtype=np.int32), n), type=pa.int32()),
+            "band_key": pa.array(key.reshape(-1).view(np.int64), type=pa.int64()),
+        }
+    )
 
 
 def minhash_lsh_candidates(
@@ -238,10 +245,9 @@ def minhash_lsh_candidates(
     Pass ``None`` for the uncapped (oracle-comparison) behavior.
     """
     sigs = ds.map_batches(
-        MinHashSignatures,
-        fn_constructor_args=(num_hashes, band_size, shingle_k),
+        _minhash_band_keys,
+        fn_args=(*_minhash_params(num_hashes), band_size, shingle_k),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8),
     )
 
     def emit_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -304,11 +310,45 @@ def _consolidate_shingles(*blocks):
     return ids, offsets, flat
 
 
+def _verify_jaccard(batch: pa.Table, csr_ref, threshold: float) -> pa.Table:
+    """map_batches over the pair stream: slice both sides' sorted shingle
+    arrays out of the broadcast CSR, |A ∩ B| via intersect1d."""
+    ids, off, flat = ray.get(csr_ref)
+
+    def row(d: int):
+        i = int(np.searchsorted(ids, d))
+        if i >= len(ids) or ids[i] != d:
+            return None
+        return flat[off[i]:off[i + 1]]
+
+    a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
+    b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+    oa, ob, oj = [], [], []
+    for da, db in zip(a, b):
+        s1, s2 = row(int(da)), row(int(db))
+        n1 = 0 if s1 is None else len(s1)
+        n2 = 0 if s2 is None else len(s2)
+        inter = (len(np.intersect1d(s1, s2, assume_unique=True))
+                 if n1 and n2 else 0)
+        union = n1 + n2 - inter
+        j = inter / union if union else 0.0
+        if j >= threshold:
+            # floor(x*1e6+0.5)/1e6: round-half-up, identical in numpy and SQL
+            oa.append(int(da))
+            ob.append(int(db))
+            oj.append(float(np.floor(j * 1e6 + 0.5) / 1e6))
+    return pa.table({
+        "doc_a": pa.array(oa, type=pa.int64()),
+        "doc_b": pa.array(ob, type=pa.int64()),
+        "jaccard": pa.array(oj, type=pa.float64()),
+    })
+
+
 def jaccard_verify(ds: ray.data.Dataset, pairs: pd.DataFrame, shingle_k: int = 3, threshold: float = 0.7) -> pd.DataFrame:
     """Exact n-gram Jaccard over candidate pairs, DISTRIBUTED (the
-    ``VerifyPairs`` pattern, ``extras/ann.embedding_near_dup``): shingle
-    sets are built vectorized inside ``map_batches`` over the gathered
-    candidate docs, consolidated into one broadcast CSR object by a worker
+    ``extras/ann.embedding_near_dup`` verify pattern): shingle sets are
+    built inside ``map_batches`` over the candidate docs a broadcast
+    semi-join gathers, consolidated into one broadcast CSR object by a worker
     task, and the candidate-pair stream verifies against it in
     ``map_batches`` — no driver-side per-doc tokenize or per-pair loop. The
     candidate PAIR set is LSH-cap-bounded by the producers
@@ -317,89 +357,35 @@ def jaccard_verify(ds: ray.data.Dataset, pairs: pd.DataFrame, shingle_k: int = 3
         return pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
                              "doc_b": pd.Series(dtype="int64"),
                              "jaccard": pd.Series(dtype="float64")})
-    import ray as _ray
-
     from remote_vector_index_builder_ray.functions.tokenizer import tokenize_text
 
     wanted = np.unique(np.concatenate(
         [pairs["doc_a"].to_numpy(), pairs["doc_b"].to_numpy()]
     ).astype(np.int64))
-    ref = _ray.put(np.sort(wanted))
     k = int(shingle_k)
 
     def shingle_sets(batch: pa.Table) -> pa.Table:
-        keep = _ray.get(ref)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        m = np.isin(ids, keep)
-        if not m.any():
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "hashes": pa.array([], pa.list_(pa.uint64()))})
-        sub = batch.filter(pa.array(m))
-        out_ids = sub["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sets = []
-        for txt in sub["text"].to_pylist():
-            tk = np.asarray(tokenize_text(txt or ""), dtype=object)
-            sets.append(np.unique(_shingle_hashes(tk, k)))
+        sets = [np.unique(_shingle_hashes(
+                    np.asarray(tokenize_text(txt or ""), dtype=object), k))
+                for txt in batch["text"].to_pylist()]
         return pa.table({
-            "doc_id": pa.array(out_ids, type=pa.int64()),
+            "doc_id": pa.array(batch["doc_id"].to_numpy(zero_copy_only=False)
+                               .astype(np.int64), type=pa.int64()),
             "hashes": pa.array([s.tolist() for s in sets],
                                type=pa.list_(pa.uint64())),
         })
 
-    sub_refs = ds.map_batches(
+    sub_refs = semi_join(ds, "doc_id", ray.put(wanted)).map_batches(
         shingle_sets, batch_format="pyarrow", zero_copy_batch=True
     ).to_arrow_refs()
     csr_ref = _consolidate_shingles.remote(*sub_refs)
-
-    class VerifyJaccard:
-        """map_batches over the pair stream: slice both sides' sorted
-        shingle arrays out of the broadcast CSR, |A ∩ B| via intersect1d."""
-
-        def __init__(self, csr_ref, threshold: float):
-            self.ids, self.off, self.flat = ray.get(csr_ref)
-            self.threshold = float(threshold)
-
-        def _row(self, d: int):
-            i = int(np.searchsorted(self.ids, d))
-            if i >= len(self.ids) or self.ids[i] != d:
-                return None
-            return self.flat[self.off[i]:self.off[i + 1]]
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            oa, ob, oj = [], [], []
-            for da, db in zip(a, b):
-                s1, s2 = self._row(int(da)), self._row(int(db))
-                n1 = 0 if s1 is None else len(s1)
-                n2 = 0 if s2 is None else len(s2)
-                inter = (len(np.intersect1d(s1, s2, assume_unique=True))
-                         if n1 and n2 else 0)
-                union = n1 + n2 - inter
-                j = inter / union if union else 0.0
-                if j >= self.threshold:
-                    # floor(x*1e6+0.5)/1e6: round-half-up, identical in
-                    # numpy and SQL
-                    oa.append(int(da))
-                    ob.append(int(db))
-                    oj.append(float(np.floor(j * 1e6 + 0.5) / 1e6))
-            return pa.table({
-                "doc_a": pa.array(oa, type=pa.int64()),
-                "doc_b": pa.array(ob, type=pa.int64()),
-                "jaccard": pa.array(oj, type=pa.float64()),
-            })
-
-    out = ray.data.from_pandas(
+    # verified pairs only: the near-dup-contract-small result
+    return to_frame(ray.data.from_pandas(
         pairs[["doc_a", "doc_b"]].reset_index(drop=True)
     ).map_batches(
-        VerifyJaccard, fn_constructor_args=(csr_ref, threshold),
-        batch_format="pyarrow", concurrency=(1, 8),
-    ).to_pandas()  # verified pairs only: the near-dup-contract-small result
-    if "doc_a" not in out.columns:  # zero rows -> column-less frame
-        return pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                             "doc_b": pd.Series(dtype="int64"),
-                             "jaccard": pd.Series(dtype="float64")})
-    return out.reset_index(drop=True)
+        _verify_jaccard, fn_args=(csr_ref, float(threshold)),
+        batch_format="pyarrow",
+    )).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------
@@ -660,35 +646,22 @@ def benchmark_decontaminate_ds(
                  else np.empty(0, np.uint64))
     bench_ref = ray.put(bench_set)
 
-    class _Check:
-        def __init__(self, ref):
-            self.bench = ray.get(ref)  # one object-store copy per node
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            d, v = doc_shingles(batch, keep_benchmark=False)
-            if len(d) == 0:
-                return pa.table({id_col: pa.array([], type=pa.int64()),
-                                 "n_shingles": pa.array([], type=pa.int64()),
-                                 "n_shared": pa.array([], type=pa.int64())})
-            idx = np.searchsorted(self.bench, v)
-            idx = np.clip(idx, 0, max(len(self.bench) - 1, 0))
-            hit = (self.bench[idx] == v) if len(self.bench) else np.zeros(len(v), bool)
-            uniq, inv = np.unique(d, return_inverse=True)
-            n_sh = np.zeros(len(uniq), np.int64)
-            np.add.at(n_sh, inv, 1)
-            n_hit = np.zeros(len(uniq), np.int64)
-            np.add.at(n_hit, inv, hit.astype(np.int64))
-            return pa.table({id_col: pa.array(uniq, type=pa.int64()),
-                             "n_shingles": pa.array(n_sh, type=pa.int64()),
-                             "n_shared": pa.array(n_hit, type=pa.int64()),
-                             "contaminated": pa.array(
-                                 (n_hit > 0).astype(np.int64),
-                                 type=pa.int64())})
+    def check(batch: pa.Table) -> pa.Table:
+        d, v = doc_shingles(batch, keep_benchmark=False)
+        hit = isin_sorted(v, ray.get(bench_ref))
+        uniq, inv = np.unique(d, return_inverse=True)
+        n_sh = np.zeros(len(uniq), np.int64)
+        np.add.at(n_sh, inv, 1)
+        n_hit = np.zeros(len(uniq), np.int64)
+        np.add.at(n_hit, inv, hit.astype(np.int64))
+        return pa.table({id_col: pa.array(uniq, type=pa.int64()),
+                         "n_shingles": pa.array(n_sh, type=pa.int64()),
+                         "n_shared": pa.array(n_hit, type=pa.int64()),
+                         "contaminated": pa.array((n_hit > 0).astype(np.int64),
+                                                  type=pa.int64())})
 
     return (
-        ds.map_batches(_Check, fn_constructor_args=(bench_ref,),
-                       batch_format="pyarrow", zero_copy_batch=True,
-                       concurrency=(1, 8))
+        ds.map_batches(check, batch_format="pyarrow", zero_copy_batch=True)
         .sort(id_col)
     )
 
@@ -1002,11 +975,9 @@ def dedup_apply(
     one doc per cluster — the cluster minimum — plus every unclustered doc.
     The drop set (clustered docs other than their cluster min) is
     queries-x-pairs small by the near-dup contract; it broadcasts via
-    ``ray.put`` once and the corpus streams through a vectorized anti-join
-    filter — no shuffle touches the full dataset. Returns the surviving
-    rows as a Dataset (all input columns)."""
-    import ray as _ray
-
+    ``ray.put`` once and the corpus streams through the broadcast anti-join
+    (``stages.merge.semi_join(anti=True)``) — no shuffle touches the full
+    dataset. Returns the surviving rows as a Dataset (all input columns)."""
     clusters = dedup_clusters(ds, shingle_k=shingle_k, threshold=threshold,
                               text_col=text_col, id_col=id_col,
                               max_shingle_df=max_shingle_df)
@@ -1016,22 +987,7 @@ def dedup_apply(
         ].to_numpy(np.int64))
     else:
         drop = np.empty(0, dtype=np.int64)
-    dref = _ray.put(drop)
-
-    class KeepSurvivors:
-        def __init__(self, ref):
-            self.drop = _ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-            ids = batch[id_col].combine_chunks().to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            return batch.filter(pa.array(~isin_sorted(ids, self.drop)))
-
-    return ds.map_batches(KeepSurvivors, fn_constructor_args=(dref,),
-                          batch_format="pyarrow", zero_copy_batch=True,
-                          concurrency=(1, 4))
+    return semi_join(ds, id_col, ray.put(drop), anti=True)
 
 
 # ---------------------------------------------------------------------------

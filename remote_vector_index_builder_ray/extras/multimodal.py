@@ -1,10 +1,10 @@
 """Multimodal column stages: opaque binary payloads + typed metadata.
 
 Image/audio/video payloads are ``binary`` columns with metadata columns
-(mime, width/height/duration). The Ray-side plumbing — schema, actor-pool
-stage shape, small batch sizes for wide rows, output layout — is real and
-tested; the actual codec calls are STUBBED because no image/audio libraries
-exist in this environment:
+(mime, width/height/duration). The Ray-side plumbing — schema, stateless
+``map_batches`` stage shape, small batch sizes for wide rows, output
+layout — is real and tested; the actual codec calls are STUBBED because no
+image/audio libraries exist in this environment:
 
 * ``MediaDecode(backend="real")`` raises NotImplementedError at the decode
   call site (clearly marked), exactly where PIL/ffmpeg would plug in.
@@ -14,8 +14,13 @@ exist in this environment:
   the full dataflow.
 
 Batch sizing note (memory-aware): payload rows are wide, so stages here use
-small ``batch_size`` (default 64) — batch x concurrency must fit the worker
-heap, per the Ray Data guidance for large binary rows.
+small ``batch_size`` (default 64) — a batch per concurrent task must fit the
+worker heap, per the Ray Data guidance for large binary rows.
+
+Execution: each stage object is mapped as stateless tasks (the instance is
+the task's function; its fake backend has no init cost). A real decoder
+whose construction is measured to be costly is what would justify an
+actor pool here.
 """
 
 from __future__ import annotations
@@ -56,17 +61,18 @@ def synth_media_table(n: int, seed: int = 5) -> pa.Table:
 
 
 class MediaDecode:
-    """Actor-pool stage: decode payload -> per-media feature vector.
+    """Stage: decode payload -> per-media feature vector.
 
-    Real backend would hold the decoder state (model weights, codec contexts)
-    per actor — the reason this is a callable CLASS, mirroring the reference's
-    GPU-resident index builder state (``faiss_gpu_index_cagra_builder.py:227-279``).
+    A real backend would hold decoder state (model weights, codec contexts)
+    built in ``__init__`` — the reason this is a callable CLASS, mirroring
+    the reference's GPU-resident index builder state
+    (``faiss_gpu_index_cagra_builder.py:227-279``).
     """
 
     def __init__(self, backend: str = "fake"):
         self.backend = backend
         if backend == "real":
-            # STUB: the real decoder would be constructed here, once per actor:
+            # STUB: the real decoder would be constructed here:
             #   import PIL.Image / torchaudio / av ...
             pass
 
@@ -103,7 +109,7 @@ class MediaDecode:
 
 
 class MediaResize:
-    """Actor-pool stage shape for resize/frame-sample (stubbed identically)."""
+    """Stage shape for resize/frame-sample (stubbed identically)."""
 
     def __init__(self, target: int = 224, backend: str = "fake"):
         self.target = target
@@ -138,7 +144,7 @@ def synth_video_table(n: int, seed: int = 7) -> pa.Table:
 
 
 class FrameSample:
-    """Actor-pool stage: sample frames at ``target_fps`` from each video row.
+    """Stage: sample frames at ``target_fps`` from each video row.
 
     One input row fans out to ceil(duration * target_fps) output rows
     (media_id, frame_idx, frame_ts_ms, feature) — the flat-map shape a real
@@ -152,7 +158,7 @@ class FrameSample:
         self.target_fps = target_fps
         self.backend = backend
         if backend == "real":
-            # STUB: open codec contexts once per actor here (av/ffmpeg)
+            # STUB: open codec contexts here (av/ffmpeg)
             pass
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -196,19 +202,17 @@ def sample_frames(
     ds: ray.data.Dataset, target_fps: float = 1.0, backend: str = "fake", batch_size: int = 16
 ) -> ray.data.Dataset:
     """Frame-sampling pipeline stage: tiny batches (row fan-out is ~duration
-    x fps), actor pool, zero-copy Arrow in/out."""
+    x fps), stateless tasks, zero-copy Arrow in/out."""
     return ds.map_batches(
-        FrameSample, fn_constructor_args=(target_fps, backend),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=(1, 4), num_cpus=1,
+        FrameSample(target_fps, backend), batch_format="pyarrow",
+        zero_copy_batch=True, batch_size=batch_size,
     )
 
 
 def decode_features(ds: ray.data.Dataset, backend: str = "fake", batch_size: int = 64) -> ray.data.Dataset:
     """The canonical multimodal pipeline stage: small batches (wide rows),
-    actor pool, zero-copy Arrow in/out."""
+    stateless tasks, zero-copy Arrow in/out."""
     return ds.map_batches(
-        MediaDecode, fn_constructor_args=(backend,),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=(1, 4), num_cpus=1,
+        MediaDecode(backend), batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=batch_size,
     )

@@ -216,25 +216,19 @@ def token_stats_ds(ds: ray.data.Dataset) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 
-class _BucketTokenCounts:
+def _bucket_token_counts(batch: pa.Table, bucket_docs: int, id_col: str,
+                         text_col: str) -> pa.Table:
     """Phase-1 partial: per doc_id-range bucket, the token-count sum for the
     batch's rows — only (bucket, partial_sum) rows leave each task."""
-
-    def __init__(self, bucket_docs: int, id_col: str, text_col: str):
-        self.bucket_docs = bucket_docs
-        self.id_col = id_col
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col].combine_chunks().to_numpy(zero_copy_only=False)
-        _, _, dl = tokenize_column(batch[self.text_col])
-        bucket = (ids // self.bucket_docs).astype(np.int64)
-        uniq, inv = np.unique(bucket, return_inverse=True)
-        sums = np.bincount(inv, weights=dl.astype(np.float64)).astype(np.int64)
-        return pa.table({
-            "bucket": pa.array(uniq, type=pa.int64()),
-            "s": pa.array(sums, type=pa.int64()),
-        })
+    ids = batch[id_col].combine_chunks().to_numpy(zero_copy_only=False)
+    _, _, dl = tokenize_column(batch[text_col])
+    bucket = (ids // bucket_docs).astype(np.int64)
+    uniq, inv = np.unique(bucket, return_inverse=True)
+    sums = np.bincount(inv, weights=dl.astype(np.float64)).astype(np.int64)
+    return pa.table({
+        "bucket": pa.array(uniq, type=pa.int64()),
+        "s": pa.array(sums, type=pa.int64()),
+    })
 
 
 def pack_sequences(
@@ -269,11 +263,10 @@ def pack_sequences(
 
     partials = (
         ds.map_batches(
-            _BucketTokenCounts,
-            fn_constructor_args=(bucket_docs, id_col, text_col),
+            _bucket_token_counts,
+            fn_args=(bucket_docs, id_col, text_col),
             batch_format="pyarrow",
             zero_copy_batch=True,
-            concurrency=(1, 8),
         )
         .to_pandas()
     )
@@ -415,52 +408,43 @@ def repetition_stats_ds(ds: ray.data.Dataset, n: int = 3) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 
-class _TermCountPartials:
+def _term_count_partials(batch: pa.Table) -> pa.Table:
     """Per-batch combiner: (term, count) partial unigram counts."""
-
-    def __init__(self, text_col: str):
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tokens, _, _ = tokenize_column(batch[self.text_col])
-        if len(tokens) == 0:
-            return pa.table({"term": pa.array([], type=pa.string()),
-                             "cnt": pa.array([], type=pa.int64())})
-        dicted = tokens.dictionary_encode()
-        if isinstance(dicted, pa.ChunkedArray):
-            dicted = dicted.combine_chunks()
-        codes = dicted.indices.to_numpy(zero_copy_only=False)
-        cnt = np.bincount(codes, minlength=len(dicted.dictionary))
-        return pa.table({"term": dicted.dictionary,
-                         "cnt": pa.array(cnt, type=pa.int64())})
+    tokens, _, _ = tokenize_column(batch["text"])
+    if len(tokens) == 0:
+        return pa.table({"term": pa.array([], type=pa.string()),
+                         "cnt": pa.array([], type=pa.int64())})
+    dicted = tokens.dictionary_encode()
+    if isinstance(dicted, pa.ChunkedArray):
+        dicted = dicted.combine_chunks()
+    codes = dicted.indices.to_numpy(zero_copy_only=False)
+    cnt = np.bincount(codes, minlength=len(dicted.dictionary))
+    return pa.table({"term": dicted.dictionary,
+                     "cnt": pa.array(cnt, type=pa.int64())})
 
 
-class _LMScore:
+def _lm_score(batch: pa.Table, lm_ref) -> pa.Table:
     """Per-batch scorer: avg token log-probability under the broadcast
     unigram LM — the lookup is one searchsorted over the sorted vocab."""
+    import ray
 
-    def __init__(self, lm_ref):
-        import ray
-
-        self.vocab, self.lp = ray.get(lm_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        tokens, doc_index, dl = tokenize_column(batch["text"])
-        sums = np.zeros(len(ids), dtype=np.float64)
-        if len(tokens):
-            toks_np = tokens.to_numpy(zero_copy_only=False).astype(np.str_)
-            pos = np.searchsorted(self.vocab, toks_np)
-            lp = self.lp[pos]  # LM trained on the same corpus: no OOV
-            sums = np.bincount(doc_index, weights=lp, minlength=len(ids))
-        n = dl.astype(np.float64)
-        avg = np.where(n > 0, sums / np.maximum(n, 1), 0.0)
-        return pa.table({
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "n_tokens": pa.array(dl.astype(np.int64), type=pa.int64()),
-            "avg_logprob": pa.array(np.floor(avg * 1e6 + 0.5) / 1e6,
-                                    type=pa.float64()),
-        })
+    vocab, lp_all = ray.get(lm_ref)
+    ids = batch["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
+    tokens, doc_index, dl = tokenize_column(batch["text"])
+    sums = np.zeros(len(ids), dtype=np.float64)
+    if len(tokens):
+        toks_np = tokens.to_numpy(zero_copy_only=False).astype(np.str_)
+        pos = np.searchsorted(vocab, toks_np)
+        lp = lp_all[pos]  # LM trained on the same corpus: no OOV
+        sums = np.bincount(doc_index, weights=lp, minlength=len(ids))
+    n = dl.astype(np.float64)
+    avg = np.where(n > 0, sums / np.maximum(n, 1), 0.0)
+    return pa.table({
+        "doc_id": pa.array(ids, type=pa.int64()),
+        "n_tokens": pa.array(dl.astype(np.int64), type=pa.int64()),
+        "avg_logprob": pa.array(np.floor(avg * 1e6 + 0.5) / 1e6,
+                                type=pa.float64()),
+    })
 
 
 def unigram_lm_scores(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -479,9 +463,8 @@ def unigram_lm_scores(ds: ray.data.Dataset) -> ray.data.Dataset:
     import ray
 
     partials = (
-        ds.map_batches(_TermCountPartials, fn_constructor_args=("text",),
-                       batch_format="pyarrow", zero_copy_batch=True,
-                       concurrency=(1, 8))
+        ds.map_batches(_term_count_partials, batch_format="pyarrow",
+                       zero_copy_batch=True)
         .to_pandas()
     )
     if partials.empty:
@@ -495,9 +478,8 @@ def unigram_lm_scores(ds: ray.data.Dataset) -> ray.data.Dataset:
     vocab = cf.index.to_numpy(np.str_)
     lp = np.log(cf.to_numpy(np.float64) / total)
     lm_ref = ray.put((vocab, lp))
-    return ds.map_batches(_LMScore, fn_constructor_args=(lm_ref,),
-                          batch_format="pyarrow", zero_copy_batch=True,
-                          concurrency=(1, 8))
+    return ds.map_batches(_lm_score, fn_args=(lm_ref,),
+                          batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,13 @@ def load_tombstones(
 def _resolve_victims(index_dir: str, docids, conv_ids) -> pa.Table:
     """(docid, doc_len) of the requested victims, via a distributed filtered
     scan of every docmeta root (base + generations). The predicate set is
-    broadcast once (``ray.put``); each batch filters vectorized (np.isin) —
-    the same broadcast-semi-join shape as ``pipelines.query.hydrate``."""
+    broadcast once (``ray.put``) into ``stages.merge.semi_join`` — the
+    same broadcast semi-join as ``pipelines.query.hydrate``."""
     import ray
     import ray.data
 
     from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
+    from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
 
     if (docids is None) == (conv_ids is None):
         raise ValueError("pass exactly one of docids= or conv_ids=")
@@ -97,31 +98,10 @@ def _resolve_victims(index_dir: str, docids, conv_ids) -> pa.Table:
         key_col, keys = "docid", np.unique(np.asarray(list(docids), dtype=np.int64))
     else:
         key_col, keys = "conv_id", np.unique(np.asarray(sorted(set(conv_ids)), dtype=object))
-    ref = ray.put(keys)
-
-    class FilterVictims:
-        def __init__(self, ref, key_col):
-            self.keys = ray.get(ref)
-            self.key_col = key_col
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vals = batch[self.key_col].combine_chunks().to_numpy(zero_copy_only=False)
-            mask = np.isin(vals, self.keys)
-            return batch.filter(pa.array(mask)).select(["docid", "doc_len"])
-
-    meta_files = docmeta_files(index_dir)
-    ds = ray.data.read_parquet(
-        **fs.for_ray_paths(meta_files), columns=["docid", "doc_len", "conv_id"]
-    ).map_batches(
-        FilterVictims, fn_constructor_args=(ref, key_col),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 4),
-    )
+    dm = ray.data.read_parquet(**fs.for_ray_paths(docmeta_files(index_dir)),
+                               columns=["docid", "doc_len", "conv_id"])
     # a delete batch is driver-small by contract (see module docstring)
-    df = ds.to_pandas()
-    if len(df) == 0:
-        return pa.table(
-            {"docid": pa.array([], pa.int64()), "doc_len": pa.array([], pa.int64())}
-        )
+    df = to_frame(semi_join(dm, key_col, ray.put(keys)))
     return pa.Table.from_pandas(df[["docid", "doc_len"]], preserve_index=False)
 
 

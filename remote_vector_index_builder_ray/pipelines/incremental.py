@@ -323,7 +323,8 @@ def update_docs(
 
     The old-docid lookup is a broadcast semi-join: the update batch's keys
     (driver-small by contract — it is a write request, not a corpus) probe
-    the docmeta stream via one pruned-column ``map_batches`` pass."""
+    the packed (conv_id|turn_idx) keys of one pruned-column docmeta scan
+    (``stages.merge.semi_join``)."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -332,7 +333,7 @@ def update_docs(
     import ray.data
 
     from remote_vector_index_builder_ray.pipelines.delete import delete_docs
-    from remote_vector_index_builder_ray.stages.merge import isin_sorted
+    from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
 
     keys = pd.concat(
         [pq.read_table(p, columns=["conv_id", "turn_idx"]).to_pandas()
@@ -343,43 +344,29 @@ def update_docs(
         (keys["conv_id"].astype(str) + "|" + keys["turn_idx"].astype(str))
         .to_numpy(np.str_)
     )
-    ref = ray.put(key_set)
 
-    class _FindOld:
-        def __init__(self, r):
-            self.keys = ray.get(r)
+    def _pack_key(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
+        return pa.table({"docid": batch["docid"], "key": pc.binary_join_element_wise(
+            pc.cast(batch["conv_id"], pa.string()),
+            pc.cast(batch["turn_idx"], pa.string()),
+            "|",
+        )})
 
-            packed = pc.binary_join_element_wise(
-                pc.cast(batch["conv_id"], pa.string()),
-                pc.cast(batch["turn_idx"], pa.string()),
-                "|",
-            ).to_numpy(zero_copy_only=False).astype(np.str_)
-            mask = isin_sorted(packed, self.keys)
-            out = batch.filter(pa.array(mask)).select(["docid"])
-            return out.append_column("key", pa.array(packed[mask]))
-
-    meta_files = docmeta_files(index_dir)
-    old = (
-        ray.data.read_parquet(
-            **fs.for_ray_paths(meta_files),
-            columns=["docid", "conv_id", "turn_idx"],
-        )
-        .map_batches(_FindOld, fn_constructor_args=(ref,),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     concurrency=(1, 8))
-        .to_pandas()
-    )
-    if "docid" in old.columns and len(old):
+    docmeta = ray.data.read_parquet(
+        **fs.for_ray_paths(docmeta_files(index_dir)),
+        columns=["docid", "conv_id", "turn_idx"],
+    ).map_batches(_pack_key, batch_format="pyarrow", zero_copy_batch=True)
+    old = to_frame(semi_join(docmeta, "key", ray.put(key_set)))
+    if len(old):
         delete_docs(index_dir, docids=old["docid"].tolist())
     man = append_index(index_dir, input_paths, num_partitions=num_partitions,
                        docid_mode="sort")
     # OpenSearch bulk distinguishes updated (key replaced an existing doc)
     # from created. A key updated twice matches BOTH its tombstoned and live
     # docmeta rows, so count DISTINCT matched keys, not matched docids.
-    n_updated = int(old["key"].nunique()) if "key" in old.columns else 0
+    n_updated = int(old["key"].nunique())
     return {"updated": n_updated,
             "inserted": int(len(keys)) - n_updated, "manifest": man}
 
@@ -410,6 +397,7 @@ def update_by_query(
     import ray.data
 
     from remote_vector_index_builder_ray.pipelines.query import search
+    from remote_vector_index_builder_ray.stages.merge import semi_join
 
     q = pd.DataFrame({"query_id": np.array([0], dtype=np.int64),
                       "text": [query_text],
@@ -418,36 +406,22 @@ def update_by_query(
     if m.empty or "docid" not in m.columns:
         return {"updated": 0, "inserted": 0, "manifest": None}
     allow = ray.put(np.sort(m["docid"].to_numpy(np.int64)))
+    cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 
-    class _Rewrite:
-        def __init__(self, r, suffix):
-            self.allow = ray.get(r)
-            self.suffix = suffix
+    def _append_text(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
+        new_text = pc.binary_join_element_wise(
+            batch["text"].combine_chunks().cast(pa.string()),
+            pa.array([append_text] * batch.num_rows, type=pa.string()), "",
+        )
+        return batch.select(cols[:3] + cols[4:]).append_column(
+            "text", new_text).select(cols)
 
-            from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-            ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-            hit = batch.filter(pa.array(isin_sorted(ids, self.allow)))
-            if hit.num_rows == 0:
-                return hit.select(
-                    ["conv_id", "turn_idx", "role", "text", "tool", "ts"])
-            new_text = pc.binary_join_element_wise(
-                hit["text"].combine_chunks().cast(pa.string()),
-                pa.array([self.suffix] * hit.num_rows, type=pa.string()), "",
-            )
-            out = hit.select(["conv_id", "turn_idx", "role", "tool", "ts"])
-            return out.append_column("text", new_text).select(
-                ["conv_id", "turn_idx", "role", "text", "tool", "ts"])
-
-    meta_files = docmeta_files(index_dir)
+    docmeta = ray.data.read_parquet(**fs.for_ray_paths(docmeta_files(index_dir)))
     (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files))
-        .map_batches(_Rewrite, fn_constructor_args=(allow, append_text),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     concurrency=(1, 8))
+        semi_join(docmeta, "docid", allow)
+        .map_batches(_append_text, batch_format="pyarrow", zero_copy_batch=True)
         # fs-mediated write + listing: out_dir may be s3:// / mock:// like
         # every other index root this engine supports
         .write_parquet(**fs.for_ray(out_dir))

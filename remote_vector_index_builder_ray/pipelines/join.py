@@ -25,9 +25,10 @@ shuffle:
   corpus stats unchanged — Lucene scores parent docs against the whole
   index, the join field only partitions doc types). Each child of a top-k
   parent inherits the parent's score (OpenSearch has_parent score=true).
-  Children hydrate via the broadcast-semi-join pattern: the tiny
-  (conv_id -> [(query, score)]) table ships once via ``ray.put`` and the
-  docmeta scan probes it per batch — no shuffle.
+  Children hydrate via the broadcast semi-join: the top parents' conv_id
+  set ships once via ``ray.put``, the docmeta scan keeps those
+  conversations' turns (``stages.merge.semi_join``), and the driver-small
+  child rows take their parent's score on the driver — no shuffle.
 
 Reference analog: the reference's workflow has no query engine at all
 (``remote_vector_index_builder/app/...`` builds one index per request);
@@ -43,9 +44,14 @@ import ray
 import ray.data
 
 from remote_vector_index_builder_ray.pipelines.aggs import (
-    _MATCH_SHARD_STRIDE,
-    _ShardedScored,
+    _probe_ds,
     _sharded_matches,
+    _ShardedScored,
+)
+from remote_vector_index_builder_ray.stages.merge import (
+    isin_sorted,
+    semi_join,
+    to_frame,
 )
 
 _CHILD_COLS = {
@@ -71,8 +77,6 @@ class _ProbeChildAgg:
         self.matches = _ShardedScored(shard_refs, stride)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
         ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
         convs = batch["conv_id"].combine_chunks().to_numpy(zero_copy_only=False)
         qids, out_convs, ns, smaxs, smins, ssums = [], [], [], [], [], []
@@ -133,26 +137,20 @@ def _combine_child(df: pd.DataFrame, score_mode: str) -> pd.DataFrame:
     return g[["query_id", "conv_id", "n_matching", "score"]]
 
 
-class _BlockTopK:
+def _block_top_k(batch: pa.Table, k: int, score_mode: str,
+                 min_children: int) -> pa.Table:
     """Per-block top-k combiner over combined (query, conv) rows — the
     distributed reduce's second stage. Runs AFTER the (query, conv) hash
     groupby, so each pair is complete in exactly one block; applying the
     min_children filter here keeps the per-block cut exact. Associative:
     merging per-block top-k partials and cutting again gives the global
     top-k."""
-
-    def __init__(self, k: int, score_mode: str, min_children: int):
-        self.k = k
-        self.score_mode = score_mode
-        self.min_children = min_children
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        df = _combine_child(batch.to_pandas(), self.score_mode)
-        df = df[df["n_matching"] >= self.min_children]
-        df = df.sort_values(["query_id", "score", "conv_id"],
-                            ascending=[True, False, True])
-        top = df.groupby("query_id", sort=False).head(self.k)
-        return pa.Table.from_pandas(top, preserve_index=False)
+    df = _combine_child(batch.to_pandas(), score_mode)
+    df = df[df["n_matching"] >= min_children]
+    df = df.sort_values(["query_id", "score", "conv_id"],
+                        ascending=[True, False, True])
+    top = df.groupby("query_id", sort=False).head(k)
+    return pa.Table.from_pandas(top, preserve_index=False)
 
 
 def has_child(
@@ -169,22 +167,11 @@ def has_child(
     (6-rounded; ties broken conv_id ascending). ``min_children`` drops
     conversations with fewer matching turns (OpenSearch min_children).
     Returns (query_id, rank, conv_id, score, n_matching)."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
-    from remote_vector_index_builder_ray.state import fs
-
-    shard_refs, qid_list, counts = _sharded_matches(
+    shard_refs, _, counts = _sharded_matches(
         index_dir, queries, where=where, scored=True
     )
-    meta_files = docmeta_files(index_dir)
-    partials = ray.data.read_parquet(
-        **fs.for_ray_paths(meta_files), columns=["docid", "conv_id"]
-    ).map_batches(
-        _ProbeChildAgg,
-        fn_constructor_args=(shard_refs, _MATCH_SHARD_STRIDE),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 8),
-    )
+    partials = _probe_ds(index_dir, ["docid", "conv_id"], _ProbeChildAgg,
+                         shard_refs)
     total = sum(counts.values())
     if total > distributed_threshold:
         # scale path: a (query, conv) pair may span two adjacent batches, so
@@ -209,7 +196,7 @@ def has_child(
                      smin=("smin", "min"), ssum=("ssum", "sum")),
                 batch_format="pandas",
             )
-            .map_batches(_BlockTopK(k, score_mode, min_children),
+            .map_batches(_block_top_k, fn_args=(k, score_mode, min_children),
                          batch_format="pyarrow")
         )
         g = combined.to_pandas()
@@ -264,41 +251,13 @@ def has_parent(index_dir: str, queries, k: int = 10) -> pd.DataFrame:
     pmap = hyd[["query_id", "conv_id", "score"]].drop_duplicates()
     if pmap.empty:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
-    ref = ray.put(pmap)
-
-    class _Children:
-        def __init__(self, ref):
-            self.parents = ray.get(ref)  # (query_id, conv_id, score)
-            self.convs = set(self.parents["conv_id"])
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            df = df[(df["turn_idx"] > 0) & df["conv_id"].isin(self.convs)]
-            if df.empty:
-                return pa.table({
-                    "query_id": pa.array([], type=pa.int64()),
-                    "conv_id": pa.array([], type=pa.string()),
-                    "turn_idx": pa.array([], type=pa.int32()),
-                    "docid": pa.array([], type=pa.int64()),
-                    "score": pa.array([], type=pa.float64()),
-                })
-            out = df.merge(self.parents, on="conv_id", how="inner")
-            out = out[["query_id", "conv_id", "turn_idx", "docid", "score"]]
-            return pa.Table.from_pandas(out.astype(cols), preserve_index=False)
-
-    meta_files = docmeta_files(index_dir)
-    kids = (
-        ray.data.read_parquet(
-            **fs.for_ray_paths(meta_files),
-            columns=["docid", "conv_id", "turn_idx"],
-        )
-        .map_batches(_Children, fn_constructor_args=(ref,),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     concurrency=(1, 8))
-        .to_pandas()
-    )
+    convs = ray.put(np.sort(pmap["conv_id"].unique().astype(object)))
+    dm = ray.data.read_parquet(**fs.for_ray_paths(docmeta_files(index_dir)),
+                               columns=["docid", "conv_id", "turn_idx"])
+    kids = to_frame(semi_join(dm, "conv_id", convs))
+    kids = kids[kids["turn_idx"] > 0].merge(pmap, on="conv_id", how="inner")
     if kids.empty:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
     kids = kids.sort_values(["query_id", "score", "conv_id", "turn_idx"],
                             ascending=[True, False, True, True])
-    return kids.reset_index(drop=True).astype(cols)
+    return kids[list(cols)].reset_index(drop=True).astype(cols)

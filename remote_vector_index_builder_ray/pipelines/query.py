@@ -17,6 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
 from remote_vector_index_builder_ray.stages.search import BM25Searcher, validate
 
 
@@ -87,7 +88,6 @@ def search(
     index_dir: str,
     queries,
     mode: str = "bmw",
-    concurrency=None,
     batch_size: int | None = None,
     where=None,
     operator: str = "or",
@@ -160,10 +160,11 @@ def search(
     warm searcher pool of the index (``query_service.default_service``);
     the call returns once every batch has finished, and the returned Dataset
     wraps the result blocks in the object store (docids never visit the
-    driver). ``concurrency`` applies to Dataset and parquet-path inputs
-    only: their per-call actor pool scales with the cluster (one searcher
-    per 2 CPUs, capped at 32) — each actor amortizes postings loads across
-    its batches via the term cache.
+    driver). A Dataset or parquet-path input runs on a per-call
+    ``BM25Searcher`` actor pool sized from the cluster (one searcher per 2
+    CPUs, capped at 32) — the one actor pool among the package's Ray Data
+    maps, because each actor amortizes postings loads across its batches
+    via its term cache.
     """
     from remote_vector_index_builder_ray.query_service import (
         bucket_affine,
@@ -217,16 +218,14 @@ def search(
     if isinstance(queries, (pd.DataFrame, pa.Table)):
         return _on_warm_pool(index_dir, queries, mode, options, allow_ref,
                              batch_size)
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        concurrency = (max(1, min(4, cpus // 8)), max(2, min(32, cpus // 2)))
+    cpus = int(ray.cluster_resources().get("CPU", 8))
     return _as_dataset(queries, batch_size).map_batches(
         BM25Searcher,
         fn_constructor_args=(index_dir, mode, allow_ref),
         fn_constructor_kwargs=options,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=(max(1, min(4, cpus // 8)), max(2, min(32, cpus // 2))),
         num_cpus=1,
     )
 
@@ -578,39 +577,18 @@ def hydrate(index_dir: str, results: ray.data.Dataset,
     small-side lookup at 100 TB scale. ``columns`` prunes the docmeta read to
     (docid + those fields) — a caller needing ONE field must not decode the
     whole text column of every docmeta file. Returns a pandas DataFrame
-    (results are queries x k rows — driver-small by construction).
+    (results are queries x k rows — driver-small by construction). A
+    zero-row ``results`` returns its own columns plus the fields, 0 rows.
     """
-    import numpy as np
-    import ray
-
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
     from remote_vector_index_builder_ray.state import fs
 
-    res = results.to_pandas()
-    wanted = np.unique(res["docid"].to_numpy())
-    ref = ray.put(wanted)
-
-    class FilterDocs:
-        def __init__(self, ref):
-            self.wanted = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(self.wanted, ids)
-            idx = np.clip(idx, 0, len(self.wanted) - 1)
-            mask = self.wanted[idx] == ids
-            return batch.filter(pa.array(mask))
-
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
-
-    meta_files = docmeta_files(index_dir)
-    read_kw = fs.for_ray_paths(meta_files)
+    res = to_frame(results)
+    ref = ray.put(np.unique(res["docid"].to_numpy(np.int64)))
+    read_kw = fs.for_ray_paths(docmeta_files(index_dir))
     if columns is not None:
         read_kw["columns"] = list(dict.fromkeys(["docid", *columns]))
-    dm = ray.data.read_parquet(**read_kw).map_batches(
-        FilterDocs, fn_constructor_args=(ref,), batch_format="pyarrow",
-        zero_copy_batch=True, concurrency=(1, 4),
-    )
-    meta = dm.to_pandas()
+    meta = to_frame(semi_join(ray.data.read_parquet(**read_kw), "docid", ref))
     return res.merge(meta, on="docid", how="left")
 
 
@@ -1784,35 +1762,13 @@ def _fetch_doc_lens(index_dir: str, docids: "np.ndarray") -> pd.DataFrame:
     """(docid, doc_len) for an explicit docid set: broadcast-semi-join over
     a pruned docmeta scan (the ``hydrate`` pattern — the small side is
     ray.put once, docmeta streams, no shuffle)."""
-    import numpy as np
-    import ray
-
     from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
     from remote_vector_index_builder_ray.state import fs
 
-    wanted = np.unique(np.asarray(docids, dtype=np.int64))
-    ref = ray.put(wanted)
-
-    class FilterDocs:
-        def __init__(self, ref):
-            self.wanted = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-            idx = np.clip(np.searchsorted(self.wanted, ids), 0,
-                          max(len(self.wanted) - 1, 0))
-            mask = self.wanted[idx] == ids if len(self.wanted) else np.zeros(len(ids), bool)
-            return batch.filter(pa.array(mask))
-
-    meta_files = docmeta_files(index_dir)
-    return (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files),
-                              columns=["docid", "doc_len"])
-        .map_batches(FilterDocs, fn_constructor_args=(ref,),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     concurrency=(1, 4))
-        .to_pandas()
-    )
+    ref = ray.put(np.unique(np.asarray(docids, dtype=np.int64)))
+    dm = ray.data.read_parquet(**fs.for_ray_paths(docmeta_files(index_dir)),
+                               columns=["docid", "doc_len"])
+    return to_frame(semi_join(dm, "docid", ref))
 
 
 def search_combined_fields(

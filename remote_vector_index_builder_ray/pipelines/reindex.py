@@ -13,8 +13,6 @@ whenever the source has tombstones, else keeps the dense path.
 
 from __future__ import annotations
 
-import numpy as np
-import pyarrow as pa
 import ray.data
 
 from remote_vector_index_builder_ray.config import AnalyzerConfig, BM25Config, BuildConfig
@@ -37,6 +35,7 @@ def reindex(
     from remote_vector_index_builder_ray.pipelines.build import build_index
     from remote_vector_index_builder_ray.pipelines.delete import load_tombstones
     from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
+    from remote_vector_index_builder_ray.stages.merge import semi_join
 
     man = fs.read_json(fs.join(src_index_dir, "manifest.json"))
     # the CUMULATIVE set: docmeta keeps expunged docs' rows (compaction
@@ -44,22 +43,12 @@ def reindex(
     tombs = load_tombstones(src_index_dir, None, include_expunged=True)
     src_dir = fs.join(dst_index_dir, "source")
     if not fs.exists(src_dir):
-        meta_files = docmeta_files(src_index_dir)
-        cols = ["docid"] + _SOURCE_COLUMNS
-
-        def _live_source(batch: pa.Table) -> pa.Table:
-            if len(tombs):
-                from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-                ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-                dead = isin_sorted(ids.astype(np.int64), tombs)
-                if dead.any():
-                    batch = batch.filter(pa.array(~dead))
-            return batch.select(_SOURCE_COLUMNS)
-
-        ds = ray.data.read_parquet(
-            **fs.for_ray_paths(meta_files), columns=cols
-        ).map_batches(_live_source, batch_format="pyarrow", zero_copy_batch=True)
+        docmeta = ray.data.read_parquet(
+            **fs.for_ray_paths(docmeta_files(src_index_dir)),
+            columns=["docid"] + _SOURCE_COLUMNS,
+        )
+        ds = semi_join(docmeta, "docid", ray.put(tombs), anti=True).select_columns(
+            _SOURCE_COLUMNS)
         fs.atomic_write_dir(lambda d: ds.write_parquet(**fs.for_ray(d)), src_dir)
     input_paths = [
         fs.join(src_dir, f) for f in fs.listdir(src_dir) if f.endswith(".parquet")

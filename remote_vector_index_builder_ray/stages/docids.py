@@ -45,7 +45,7 @@ class ShardedOffsets:
     """Conv-RANGE-sharded (conv_id -> docid offset) lookup: the conv-sorted
     offsets table lives as object-store blocks; the driver holds only one
     (first conv_id, ObjectRef) pair per block. ``assign_docids_dense``
-    dispatches to an actor-pool lookup that fetches just the blocks
+    dispatches to a per-task lookup that fetches just the blocks
     overlapping each batch's conv range — the 10^12-conversation path the
     module docstring promises (``Dataset.join`` would re-shuffle the 100 TB
     turn table; a range-sharded broadcast probe moves only offset blocks)."""
@@ -157,73 +157,55 @@ def compute_conv_offsets(ds: ray.data.Dataset, validate_dense: bool = True):
     return ShardedOffsets(off_refs, first_convs, n_docs), None, n_docs, n_docs
 
 
-class _ShardedOffsetAssign:
-    """Actor-pool lookup over ``ShardedOffsets``: per batch, binary-search the
-    block boundaries for the batch's conv range and fetch (then cache) only
-    those offset blocks — O(batch's conv span), never the whole conv table."""
+def _lookup_docids(batch: pa.Table, conv_ids_s: np.ndarray,
+                   offsets_s: np.ndarray) -> pa.Table:
+    """``docid = offset[conv_id] + turn_idx`` against one conv-sorted
+    (conv_ids, offsets) pair."""
+    conv = batch["conv_id"].combine_chunks().to_numpy(zero_copy_only=False)
+    idx = np.searchsorted(conv_ids_s, conv)
+    if (idx >= len(conv_ids_s)).any() or (conv_ids_s[idx] != conv).any():
+        raise SchemaValidationError("conv_id seen in data but absent from offsets pass")
+    turn = batch["turn_idx"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
+    docid = offsets_s[idx] + turn
+    return batch.append_column("docid", pa.array(docid, type=pa.int64()))
 
-    def __init__(self, block_refs: list, firsts_ref):
-        self._refs = block_refs
-        self._firsts = ray.get(firsts_ref)
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _block(self, bi: int) -> tuple[np.ndarray, np.ndarray]:
-        b = self._cache.get(bi)
-        if b is None:
-            t = ray.get(self._refs[bi])
-            b = (
-                t["conv_id"].to_numpy(zero_copy_only=False),
-                t["offset"].to_numpy(zero_copy_only=False).astype(np.int64),
-            )
-            self._cache[bi] = b
-        return b
+def _assign_broadcast(batch: pa.Table, conv_ref, off_ref) -> pa.Table:
+    return _lookup_docids(batch, ray.get(conv_ref), ray.get(off_ref))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        conv = batch["conv_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        if len(conv) == 0:
-            return batch.append_column("docid", pa.array([], type=pa.int64()))
-        lo = max(0, int(np.searchsorted(self._firsts, conv.min(), side="right")) - 1)
-        hi = max(0, int(np.searchsorted(self._firsts, conv.max(), side="right")) - 1)
-        parts = [self._block(bi) for bi in range(lo, hi + 1)]
-        conv_ids_s = np.concatenate([p[0] for p in parts])  # blocks are sorted+disjoint
-        offsets_s = np.concatenate([p[1] for p in parts])
-        idx = np.searchsorted(conv_ids_s, conv)
-        if (idx >= len(conv_ids_s)).any() or (conv_ids_s[idx] != conv).any():
-            raise SchemaValidationError("conv_id seen in data but absent from offsets pass")
-        turn = batch["turn_idx"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
-        docid = offsets_s[idx] + turn
-        return batch.append_column("docid", pa.array(docid, type=pa.int64()))
+
+def _assign_sharded(batch: pa.Table, block_refs: list, firsts_ref) -> pa.Table:
+    """Range probe over ``ShardedOffsets``: binary-search the block
+    boundaries for the batch's conv range and fetch only those offset
+    blocks — O(batch's conv span), never the whole conv table."""
+    if batch.num_rows == 0:
+        return batch.append_column("docid", pa.array([], type=pa.int64()))
+    conv = batch["conv_id"].combine_chunks().to_numpy(zero_copy_only=False)
+    firsts = ray.get(firsts_ref)
+    lo, hi = (max(0, int(np.searchsorted(firsts, v, side="right")) - 1)
+              for v in (conv.min(), conv.max()))
+    parts = ray.get(block_refs[lo:hi + 1])  # blocks are sorted + disjoint
+    return _lookup_docids(
+        batch,
+        np.concatenate([t["conv_id"].to_numpy(zero_copy_only=False) for t in parts]),
+        np.concatenate([t["offset"].to_numpy(zero_copy_only=False).astype(np.int64)
+                        for t in parts]),
+    )
 
 
 def assign_docids_dense(ds: ray.data.Dataset, conv_ids, offsets=None) -> ray.data.Dataset:
-    """map_batches stage: ``docid = offset[conv_id] + turn_idx``.
-
-    With numpy arrays (the broadcast path): stateless TASKS — the
-    (sorted conv_ids, offsets) pair is put in the object store ONCE and each
-    task reads it zero-copy via ``ray.get`` (never re-shipped per batch).
-    With a ``ShardedOffsets`` (the beyond-``_CONV_DRIVER_MAX`` path): an
-    actor pool that range-probes only the offset blocks its batches touch."""
+    """map_batches stage: ``docid = offset[conv_id] + turn_idx``, as
+    stateless TASKS on both paths. With numpy arrays (the broadcast path)
+    the (sorted conv_ids, offsets) pair is put in the object store ONCE and
+    each task reads it zero-copy via ``ray.get`` (never re-shipped per
+    batch). With a ``ShardedOffsets`` (the beyond-``_CONV_DRIVER_MAX``
+    path) each task range-probes only the offset blocks its batch touches."""
     if isinstance(conv_ids, ShardedOffsets):
-        sh = conv_ids
-        return ds.map_batches(
-            _ShardedOffsetAssign,
-            fn_constructor_args=(sh.block_refs, ray.put(sh.first_convs)),
-            batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8),
-        )
-    conv_ref = ray.put(conv_ids)
-    off_ref = ray.put(offsets)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        conv_ids_s, offsets_s = ray.get(conv_ref), ray.get(off_ref)
-        conv = batch["conv_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(conv_ids_s, conv)
-        if (idx >= len(conv_ids_s)).any() or (conv_ids_s[idx] != conv).any():
-            raise SchemaValidationError("conv_id seen in data but absent from offsets pass")
-        turn = batch["turn_idx"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
-        docid = offsets_s[idx] + turn
-        return batch.append_column("docid", pa.array(docid, type=pa.int64()))
-
-    return ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
+        fn, args = _assign_sharded, (conv_ids.block_refs, ray.put(conv_ids.first_convs))
+    else:
+        fn, args = _assign_broadcast, (ray.put(conv_ids), ray.put(offsets))
+    return ds.map_batches(fn, fn_args=args, batch_format="pyarrow",
+                          zero_copy_batch=True)
 
 
 @ray.remote

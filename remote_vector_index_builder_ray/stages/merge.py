@@ -110,12 +110,49 @@ def make_merge_fn(avgdl: float, k1: float, b: float, block_size: int):
 
 
 def isin_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
-    """Vectorized membership of ``values`` in a SORTED int64 array."""
+    """Vectorized membership of ``values`` in a SORTED array (int64 docids,
+    or strings compared as Python objects)."""
     if len(sorted_set) == 0:
         return np.zeros(len(values), dtype=bool)
     idx = np.searchsorted(sorted_set, values)
     idx[idx == len(sorted_set)] = 0
     return sorted_set[idx] == values
+
+
+def semi_join(ds, column: str, sorted_keys_ref, anti: bool = False):
+    """Broadcast semi-join: the rows of ``ds`` whose ``column`` value is in
+    the SORTED key array behind ``sorted_keys_ref`` (``anti=True``: the rows
+    whose value is not). The small side is ``ray.put`` once by the caller;
+    every block filters with one ``isin_sorted`` in a stateless task — no
+    shuffle, no actor pool. An empty key set keeps no row (anti: every
+    row); collect a possibly empty result with ``to_frame``."""
+    return ds.map_batches(
+        _semi_join_batch, fn_args=(column, sorted_keys_ref, anti),
+        batch_format="pyarrow", zero_copy_batch=True,
+    )
+
+
+def _semi_join_batch(batch: pa.Table, column: str, sorted_keys_ref,
+                     anti: bool) -> pa.Table:
+    import ray
+
+    vals = batch[column].to_numpy(zero_copy_only=False)
+    hit = isin_sorted(vals, ray.get(sorted_keys_ref))
+    return batch.filter(pa.array(hit != anti))
+
+
+def to_frame(ds) -> "pd.DataFrame":
+    """``ds`` as a pandas frame that keeps its columns at zero rows — Ray's
+    ``to_pandas`` skips empty blocks, so a Dataset whose blocks are all
+    empty yields a frame with no columns, while each empty block still
+    carries them."""
+    import ray
+
+    ds = ds.materialize()
+    df = ds.to_pandas()
+    if len(df.columns) == 0 and ds.num_blocks():
+        return ray.get(ds.to_pandas_refs()[0])
+    return df
 
 
 def merge_partials_table(

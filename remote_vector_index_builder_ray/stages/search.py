@@ -487,7 +487,10 @@ class _StatsBucketReader:
 
 
 class BM25Searcher:
-    """Callable class for ``queries.map_batches(BM25Searcher, concurrency=N)``."""
+    """Top-k searcher over one index: ``__init__`` opens the index (stats,
+    analyzer, term cache) and ``__call__`` answers one query batch. Hosted
+    by ``query_service``'s warm pool actors, and by ``search()``'s per-call
+    actor pool for a Dataset or parquet-path query input."""
 
     def __init__(self, index_dir: str, mode: str = "bmw", allow_ref=None,
                  cache_terms: int = 8192, operator: str = "or",

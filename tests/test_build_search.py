@@ -102,6 +102,32 @@ def test_hydrate(smoke_index, smoke_fixture):
     assert out["text"].notna().all()
 
 
+@pytest.mark.parametrize("shape", ["zero_hit_search", "empty_dataset"])
+def test_hydrate_zero_rows(smoke_index, shape):
+    """A zero-row result hydrates to its own columns plus the requested
+    fields, with 0 rows — Ray's ``to_pandas`` of a zero-row Dataset has no
+    columns, which used to raise ``KeyError: 'docid'``."""
+    import ray
+
+    idx = smoke_index["index_dir"]
+    if shape == "zero_hit_search":
+        res = search(idx, pd.DataFrame({"query_id": [0],
+                                        "text": ["zzqqxx nonexistentterm"],
+                                        "k": np.int32([10])}))
+        cols = ["query_id", "rank", "docid", "score"]
+    else:
+        res = ray.data.from_pandas(pd.DataFrame({
+            "query_id": pd.Series(dtype=np.int64),
+            "docid": pd.Series(dtype=np.int64)}))
+        cols = ["query_id", "docid"]
+    out = hydrate(idx, res, columns=["conv_id", "text"])
+    assert len(out) == 0
+    assert list(out.columns) == cols + ["conv_id", "text"]
+    every = hydrate(idx, res)
+    assert len(every) == 0
+    assert set(cols) | {"conv_id", "turn_idx", "text"} <= set(every.columns)
+
+
 def test_sort_docid_mode_same_index(smoke_fixture, smoke_oracle, tmp_path):
     idx = str(tmp_path / "sorted_mode")
     cfg = BuildConfig(

@@ -22,10 +22,14 @@ from remote_vector_index_builder_ray import (
     append_index,
     build_index,
     delete_docs,
+    hydrate,
     match_count,
+    percolate,
     search,
     terms_agg,
+    update_docs,
 )
+from remote_vector_index_builder_ray.pipelines.join import has_child, has_parent
 from remote_vector_index_builder_ray.oracle import oracle_from_transcripts
 from remote_vector_index_builder_ray.query_service import (
     default_service,
@@ -114,6 +118,42 @@ def test_repeated_library_calls_spawn_no_actors(smoke_fixture, pos_index):
     assert _n_actors() == n0
     svc = default_service()
     assert [k[0] for k in svc._pools].count(pos_index) == 1
+
+
+def _update_batch(fx, path: str) -> str:
+    df = pq.read_table(fx["transcripts"][0]).to_pandas().head(3)
+    df.assign(text=df["text"] + " zzupdated").to_parquet(path, index=False)
+    return path
+
+
+# every library call whose Ray Data maps run as stateless tasks; the
+# mutating ones get their own index copy
+MAP_CALLS = {
+    "hydrate": lambda idx, fx, q, d: hydrate(idx, search(idx, q)),
+    "delete_docs": lambda idx, fx, q, d: delete_docs(idx, docids=[1, 2, 3]),
+    "update_docs": lambda idx, fx, q, d: update_docs(
+        idx, [_update_batch(fx, str(d / "upd.parquet"))]),
+    "has_child": lambda idx, fx, q, d: has_child(idx, q, k=5),
+    "has_parent": lambda idx, fx, q, d: has_parent(idx, q, k=3),
+    "percolate": lambda idx, fx, q, d: percolate(
+        fx["transcripts"], q[["query_id", "text"]]).to_pandas(),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MAP_CALLS))
+def test_repeated_map_calls_spawn_no_actors(smoke_fixture, pos_index,
+                                            tmp_path, call):
+    idx = pos_index
+    if call in ("delete_docs", "update_docs"):
+        idx = str(tmp_path / "idx")
+        shutil.copytree(pos_index, idx)
+    q = _queries(smoke_fixture, 6)
+    fn = MAP_CALLS[call]
+    fn(idx, smoke_fixture, q, tmp_path)  # warms the index's searcher pool
+    n0 = _n_actors()
+    for _ in range(2):
+        fn(idx, smoke_fixture, q, tmp_path)
+    assert _n_actors() == n0
 
 
 def _served(base: str, path: str, payload: dict) -> dict:
