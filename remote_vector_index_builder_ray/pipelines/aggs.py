@@ -49,6 +49,7 @@ import ray
 import ray.data
 
 from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
+from remote_vector_index_builder_ray.pipelines.query import query_frame, search
 
 # docids per match-set shard: one shard's members for one query are at most
 # STRIDE * 8 bytes; with dense docids a 4M stride bounds a worst-case
@@ -59,9 +60,7 @@ _MATCH_SHARD_STRIDE = 1 << 22
 def _match_sets(index_dir: str, queries, where=None) -> dict[int, np.ndarray]:
     """All matching docids per query (sorted int64), via the constant-score
     scorer at k=INT32_MAX — docid streams only, no tf/score work."""
-    from remote_vector_index_builder_ray.pipelines.query import search
-
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     q["k"] = np.int32(2**31 - 1)
     res = search(index_dir, q, mode="constant", where=where).to_pandas()
     if "query_id" not in res.columns:  # zero matches: column-less empty frame
@@ -142,11 +141,9 @@ def _sharded_matches(index_dir: str, queries, where=None, scored: bool = False,
       need driver-side (e.g. significant_terms' fg_total), reduced from tiny
       per-block partials.
     """
-    from remote_vector_index_builder_ray.pipelines.query import search
-
     if stride is None:
         stride = _MATCH_SHARD_STRIDE
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     q["k"] = np.int32(2**31 - 1)
     res = search(index_dir, q, mode="exhaustive" if scored else "constant",
                  where=where)
@@ -1353,9 +1350,7 @@ def _match_sets_scored(index_dir: str, queries, where=None):
     """{qid: (sorted docids, aligned BM25 scores)} — the exhaustive scorer at
     k=INT32_MAX; the per-query arrays are docid-sorted so the probe can
     searchsorted scores for its batch's members."""
-    from remote_vector_index_builder_ray.pipelines.query import search
-
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     q["k"] = np.int32(2**31 - 1)
     res = search(index_dir, q, mode="exhaustive", where=where).to_pandas()
     out = {}
@@ -1573,9 +1568,7 @@ def significant_terms_agg(
         # k=sampler_size — a k-bounded distributed reduce whose result is
         # queries x sampler_size rows, driver-small by construction (the
         # round-2 version ran k=INT32_MAX and took the top-N on the driver)
-        from remote_vector_index_builder_ray.pipelines.query import search
-
-        qq = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+        qq = query_frame(queries)
         qq["k"] = np.int32(sampler_size)
         res = search(index_dir, qq, mode="exhaustive", where=where).to_pandas()
         matches = (
@@ -2725,7 +2718,7 @@ def match_count(index_dir: str, queries, where=None) -> pd.DataFrame:
     per-block counts reduce to one int per query; docids never land on the
     driver. Queries matching nothing report 0 (as _count does).
     Returns (query_id, total_hits), query_id-ascending."""
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     _, _, counts = _sharded_matches(index_dir, q, where=where)
     qids = sorted(int(v) for v in q["query_id"])
     return pd.DataFrame({
@@ -2795,7 +2788,7 @@ def diversified_sampler_agg(
     top-cap), driver reduce re-applies the cap then ranks. Scores are
     exhaustive BM25 rounded half-up to 6 decimals; order (score desc,
     docid asc). Returns (query_id, rank, docid, key, score)."""
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     partials = _probe_partials(index_dir, q, where, _ProbeDivTop,
                                (field, max_docs_per_value), ["docid", field],
                                scored=True)

@@ -48,6 +48,7 @@ from remote_vector_index_builder_ray.pipelines.aggs import (
     _sharded_matches,
     _ShardedScored,
 )
+from remote_vector_index_builder_ray.pipelines.query import hydrate, query_frame, search
 from remote_vector_index_builder_ray.stages.merge import (
     isin_sorted,
     semi_join,
@@ -223,10 +224,9 @@ def has_parent(index_dir: str, queries, k: int = 10) -> pd.DataFrame:
     (query_id, conv_id, turn_idx, docid, score), ordered by
     (query_id, score desc, conv_id, turn_idx)."""
     from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
-    from remote_vector_index_builder_ray.pipelines.query import hydrate, search
     from remote_vector_index_builder_ray.state import fs
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = dict(zip(q["query_id"], [k] * len(q)))
     # oversample 2k so the 6-rounded re-rank can't lose a boundary parent
     q2 = q.assign(k=np.int32(2 * k))

@@ -1,13 +1,13 @@
 """Query pipeline: top-k BM25 over a built index + result hydration.
 
 Analog of the reference's search path (``benchmarking/search/search_indices.py:13-55``):
-load the index once, answer many queries. A driver-small query frame (pandas
-or Arrow) runs on the index's warm searcher pool owned by
-``query_service.default_service()`` — one pool per live index state, shared
-by every call in the process. A Dataset or parquet-path query input fans out
-as a per-call ``map_batches`` actor pool over the queries Dataset. Neither
-shuffles: the index is term-sharded on disk and each searcher reads only the
-files its terms touch.
+load the index once, answer many queries. Every query input — a pandas
+frame, an Arrow Table, a parquet path or a Ray Dataset — is normalized to
+one driver-small frame (``query_frame``) and runs on the index's warm
+searcher pool owned by ``query_service.default_service()``: one pool per
+live index state, shared by every call in the process. Nothing shuffles:
+the index is term-sharded on disk and each searcher reads only the files
+its terms touch.
 """
 
 from __future__ import annotations
@@ -18,36 +18,18 @@ import pyarrow as pa
 import ray.data
 
 from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
-from remote_vector_index_builder_ray.stages.search import BM25Searcher, validate
+from remote_vector_index_builder_ray.stages.search import validate
 
 
-def _query_columns(queries) -> list[str] | None:
-    """The column names of a query input; a parquet path costs one footer
-    read. None for a Dataset: its batches are checked by the searcher."""
+def query_frame(queries) -> pd.DataFrame:
+    """A query input as a pandas frame the caller owns: a DataFrame is
+    copied, an Arrow Table or a Ray Dataset is materialized (query sets are
+    driver-small by contract), anything else is read as a parquet path."""
     if isinstance(queries, pd.DataFrame):
-        return list(queries.columns)
-    if isinstance(queries, pa.Table):
-        return queries.column_names
-    if isinstance(queries, str):
-        import pyarrow.dataset as pads
-
-        return pads.dataset(queries, format="parquet").schema.names
-    return None
-
-
-def _as_dataset(queries, batch_size: int) -> ray.data.Dataset:
-    """The Dataset-path query input: a parquet path is repartitioned to one
-    block per ``batch_size`` queries (one task per batch, so the pool fans
-    out); a Dataset passes through."""
-    if isinstance(queries, str):
-        # query sets are driver-small by contract; a tiny repartition buys
-        # one task per batch
-        return ray.data.read_parquet(queries).repartition(
-            target_num_rows_per_block=batch_size
-        )
-    if isinstance(queries, ray.data.Dataset):
-        return queries  # caller controls blocking
-    raise TypeError(f"unsupported queries type {type(queries)}")
+        return queries.copy()
+    if isinstance(queries, (pa.Table, ray.data.Dataset)):
+        return queries.to_pandas()
+    return pd.read_parquet(queries)
 
 
 def resolve_filter_docids(index_dir: str, where):
@@ -88,7 +70,6 @@ def search(
     index_dir: str,
     queries,
     mode: str = "bmw",
-    batch_size: int | None = None,
     where=None,
     operator: str = "or",
     min_should_match: int | None = None,
@@ -156,21 +137,12 @@ def search(
     query's term count matches nothing (Lucene BooleanQuery semantics; an
     absent term still counts as a clause).
 
-    Execution: a pandas/Arrow ``queries`` frame runs on the process-default
-    warm searcher pool of the index (``query_service.default_service``);
-    the call returns once every batch has finished, and the returned Dataset
-    wraps the result blocks in the object store (docids never visit the
-    driver). A Dataset or parquet-path input runs on a per-call
-    ``BM25Searcher`` actor pool sized from the cluster (one searcher per 2
-    CPUs, capped at 32) — the one actor pool among the package's Ray Data
-    maps, because each actor amortizes postings loads across its batches
-    via its term cache.
+    Execution: ``queries`` is normalized by ``query_frame`` and runs on
+    the process-default warm searcher pool of the index
+    (``query_service.default_service``), whatever its input type; the call
+    returns once every batch has finished, and the returned Dataset wraps
+    the result blocks in the object store (docids never visit the driver).
     """
-    from remote_vector_index_builder_ray.query_service import (
-        bucket_affine,
-        require_positions,
-    )
-
     options = {
         "operator": operator,
         "min_should_match": min_should_match,
@@ -187,25 +159,10 @@ def search(
         "stats_override": stats_override,
         "df_override": df_override,
     }
+    q = query_frame(queries)
     # validate on the driver: an actor-side raise is an opaque RayTaskError
-    row = validate(mode, _query_columns(queries),
-                   {**options, "where": where, "allow_docids": allow_docids})
-    if batch_size is None:
-        # positional batches are 4x larger: per-actor cost is dominated by
-        # positional-postings loads, which duplicate across the pool — fewer,
-        # bigger batches amortize the same term loads over more queries
-        # (profiled at sf0.1: load 4.2 s vs score 0.26 s per batch)
-        batch_size = 64 if row.positions else 16
-    if row.positions:
-        # fail fast on the DRIVER: phrase/span search needs a positional index
-        from remote_vector_index_builder_ray.state import fs
-
-        man = fs.read_json(fs.join(index_dir, "manifest.json"))
-        require_positions(index_dir, man)
-        if isinstance(queries, pd.DataFrame) and "text" in queries.columns:
-            # bucket-affine batching (the positional load dominates phrase
-            # batches)
-            queries = bucket_affine(queries, int(man["num_buckets"]))
+    validate(mode, q.columns,
+             {**options, "where": where, "allow_docids": allow_docids})
     # allow_docids: an EXPLICIT docid allow-list with the same filter-context
     # semantics as `where` (candidates restricted, scores unchanged) — used
     # by rescore_phrase to bound its phrase leg to the rescore windows
@@ -215,32 +172,17 @@ def search(
         allow_ref = _ray.put(np.sort(np.asarray(allow_docids, dtype=np.int64)))
     else:
         allow_ref = None if where is None else resolve_filter_docids(index_dir, where)
-    if isinstance(queries, (pd.DataFrame, pa.Table)):
-        return _on_warm_pool(index_dir, queries, mode, options, allow_ref,
-                             batch_size)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return _as_dataset(queries, batch_size).map_batches(
-        BM25Searcher,
-        fn_constructor_args=(index_dir, mode, allow_ref),
-        fn_constructor_kwargs=options,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(max(1, min(4, cpus // 8)), max(2, min(32, cpus // 2))),
-        num_cpus=1,
-    )
+    return _on_warm_pool(index_dir, q, mode, options, allow_ref)
 
 
-def _on_warm_pool(index_dir: str, queries, mode: str, options: dict,
-                  allow_ref=None, batch_size: int = 16) -> ray.data.Dataset:
-    """Run an in-memory query frame on the index's warm searcher pool; the
-    result blocks stay in the object store behind the returned Dataset."""
+def _on_warm_pool(index_dir: str, queries: pd.DataFrame, mode: str,
+                  options: dict, allow_ref=None) -> ray.data.Dataset:
+    """Run a query frame on the index's warm searcher pool; the result
+    blocks stay in the object store behind the returned Dataset."""
     from remote_vector_index_builder_ray.query_service import default_service
 
-    if isinstance(queries, pd.DataFrame):
-        queries = pa.Table.from_pandas(queries, preserve_index=False)
-    refs = default_service().run(index_dir, queries, mode, options,
-                                 allow_ref=allow_ref, batch_size=batch_size)
-    return ray.data.from_arrow_refs(refs)
+    return ray.data.from_arrow_refs(
+        default_service().run(index_dir, queries, mode, options, allow_ref))
 
 
 class _ProbeTopField:
@@ -325,7 +267,7 @@ def search_sorted(
 
     from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     k_max = max(k_by_query.values(), default=10)
     partials = _probe_partials(index_dir, q, where, _ProbeTopField,
@@ -422,7 +364,7 @@ def search_sorted_multi(
     from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials
 
     sort = [(f, bool(a)) for f, a in sort]
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     k_max = max(k_by_query.values(), default=10)
     fields = [f for f, _ in sort]
@@ -449,9 +391,8 @@ def search_sorted_multi(
 
 def explain(
     index_dir: str,
-    queries: pd.DataFrame,
+    queries,
     pairs: pd.DataFrame,
-    batch_size: int = 16,
 ) -> pd.DataFrame:
     """Per-term score breakdown (the Lucene explain API analog): for each
     (query_id, docid) row of ``pairs``, one row per matching query term with
@@ -465,12 +406,12 @@ def explain(
         .apply(lambda s: sorted({int(d) for d in s}))
         .to_dict()
     )
-    q = queries[["query_id", "text"]].copy()
-    q["explain_docids"] = [sel.get(int(i), []) for i in q["query_id"]]
+    q = query_frame(queries)[["query_id", "text"]]
+    q = q.assign(explain_docids=[sel.get(int(i), []) for i in q["query_id"]])
     q = q[[len(x) > 0 for x in q["explain_docids"]]]
     validate("explain", q.columns)
-    out = _on_warm_pool(index_dir, q.reset_index(drop=True), "explain", {},
-                        batch_size=batch_size).to_pandas()
+    out = _on_warm_pool(index_dir, q.reset_index(drop=True), "explain",
+                        {}).to_pandas()
     return out.sort_values(["query_id", "docid", "term"]).reset_index(drop=True)
 
 
@@ -622,7 +563,7 @@ def search_min_score(
     policy). Returns (query_id, rank, docid, score) re-ranked over the
     surviving hits. Fetches 2k per query so the rounded re-rank can't lose a
     page-boundary doc (the engine-wide oversample-then-round policy)."""
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = dict(zip(q["query_id"], q["k"]))
     q2 = q.assign(k=(q["k"] * 2).astype("int32"))
     res = search(index_dir, q2, mode=mode, **search_kw).to_pandas()
@@ -694,8 +635,7 @@ def search_with_pipeline(
                 raise EngineError("filter_query requires a 'where' clause")
             where.extend(tuple(c) for c in clauses)  # DNF tuple list = AND
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) \
-        else pd.read_parquet(queries)
+    q = query_frame(queries)
     if round6:
         k_by_query = dict(zip(q["query_id"], q["k"]))
         q = q.assign(k=(q["k"] * 2).astype("int32"))
@@ -787,7 +727,7 @@ def multi_index_search(
         labels = [f"idx{i}" for i in range(len(index_dirs))]
     if not (len(index_dirs) == len(boosts) == len(labels)):
         raise ValueError("index_dirs / boosts / labels length mismatch")
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     overrides: dict = {}
     if dfs:
         from remote_vector_index_builder_ray.functions.tokenizer import (
@@ -901,7 +841,7 @@ def search_named(
     comma-joined sorted name list ('' = main query only)."""
     import numpy as _np
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     res = search(index_dir, q, mode=mode, **search_kw).to_pandas()
     cols = {"query_id": np.int64, "rank": np.int32, "docid": np.int64,
             "score": np.float64, "matched_queries": object}
@@ -945,7 +885,7 @@ def scroll(
     later rounds. Returns (query_id, page, rank, docid, score) with rank
     global across pages and raw float64 scores (callers round for display).
     """
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     q = q.assign(k=np.int32(page_size))
     if "after_score" in q.columns or "after_docid" in q.columns:
         raise ValueError("scroll manages its own cursors; drop after_* columns")
@@ -1060,7 +1000,7 @@ def search_terminate_after(
 
     if int(terminate_after) < 1:
         raise ValueError("terminate_after must be >= 1")
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     first = search(
         index_dir, q.assign(k=np.int32(terminate_after)), mode="constant",
         where=where,
@@ -1222,7 +1162,7 @@ def rescore_phrase(
     query only ever evaluates window docs)."""
     import numpy as np
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     r6 = lambda x: np.floor(x * 1e6 + 0.5) / 1e6  # noqa: E731
 
     base = search(
@@ -1298,7 +1238,7 @@ def search_query_string(
     result is queries x matches rows, driver-small for content queries."""
     import numpy as np
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     parsed = {int(r.query_id): parse_simple_query_string(r.text)
               for r in q.itertuples(index=False)}
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
@@ -1425,7 +1365,7 @@ def search_hybrid(
     queries x matches driver-side."""
     import numpy as np
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)} \
         if "k" in q.columns else None
     legs = []
@@ -1522,7 +1462,7 @@ def search_hybrid_norm(
     fuses as a weighted arithmetic mean (:func:`minmax_fuse`). Fusion is
     queries x matches driver-side; the heavy scoring stays in the actor
     pools."""
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)} \
         if "k" in q.columns else None
     legs = []
@@ -1560,7 +1500,7 @@ def search_term_boosts(
         load_analyzer,
     )
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     an = load_analyzer(index_dir)
     caret = re.compile(r"^(.*?)\^(\d+(?:\.\d+)?)$")
     terms_col, weights_col = [], []
@@ -1607,7 +1547,7 @@ def search_multi_match(
     ranking so the order is cross-engine reproducible."""
     import numpy as np
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     qfull = q.copy()
     qfull["k"] = np.int32(2**31 - 1)
@@ -1681,7 +1621,7 @@ def search_cross_fields(
     from remote_vector_index_builder_ray.pipelines.expand import _get_dict
     from remote_vector_index_builder_ray.pipelines.incremental import global_stats
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     fields = sorted(index_dirs)
     an = load_analyzer(index_dirs[fields[0]])
@@ -1810,7 +1750,7 @@ def search_combined_fields(
     )
     from remote_vector_index_builder_ray.pipelines.incremental import global_stats
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     fields = sorted(index_dirs)
     w = {f: float((weights or {}).get(f, 1.0)) for f in fields}
@@ -2110,7 +2050,7 @@ def function_score(
         if not float(params["scale"]) > 0.0:
             raise ValueError(
                 f"{modifier}: scale must be > 0, got {params['scale']}")
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     k_max = max(k_by_query.values(), default=10)
     partials = _probe_partials(
@@ -2294,7 +2234,7 @@ def search_pinned(
     score the same way); organic rows keep their 6dp-rounded BM25 scores.
     Total rows per query capped at k. Pinned ids need not match the query
     text — a pin is unconditional, as in OpenSearch."""
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     organic = search(index_dir, q[["query_id", "text", "k"]].assign(
         k=(q["k"] * 2).astype(np.int32)), mode=mode).to_pandas()
     organic["score"] = organic["score"].round(6)
@@ -2345,7 +2285,7 @@ def search_bool(
         load_analyzer,
     )
 
-    q = queries.copy() if isinstance(queries, pd.DataFrame) else pd.read_parquet(queries)
+    q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     an = load_analyzer(index_dir)
 

@@ -1,15 +1,13 @@
 """QueryService — the single owner of warm searcher pools.
 
-Every driver-small query frame runs here: ``QueryService.search`` (the
-serving path behind ``POST /_search``), ``pipelines/query.search`` and
-``explain`` on a pandas/Arrow frame, and through them every library feature
-that searches an in-memory frame (the aggs' match sets, ``/_count`` via
-``match_count``, rescore, federation, ...). Only Dataset and parquet-path
-query inputs still run on a per-call Ray Data ``map_batches`` pool. This
-reproduces the way a search engine serves queries (an OpenSearch index stays
-OPEN: segment readers, dictionaries and caches persist across requests; the
-reference keeps its FAISS index loaded in the serving process for the same
-reason):
+Every search runs here: ``QueryService.search`` (the serving path behind
+``POST /_search``), ``pipelines/query.search`` and ``explain`` on any query
+input, and through them every library feature that searches (the aggs'
+match sets, ``/_count`` via ``match_count``, rescore, federation, ...).
+This reproduces the way a search engine serves queries (an OpenSearch index
+stays OPEN: segment readers, dictionaries and caches persist across
+requests; the reference keeps its FAISS index loaded in the serving process
+for the same reason):
 
 * One pool of ``_SearcherHost`` actors per (index_dir, manifest fingerprint)
   is created ONCE and reused across calls — a call costs one round of actor
@@ -38,9 +36,9 @@ reason):
 
 Scale note (multi-node): the actors carry no affinity constraints, so Ray
 spreads a pool across the cluster; ``pool_size`` defaults to half the
-cluster CPU count capped at 16 per index. Queries fan out in ``batch_size``
-slices round-robin over the pool — the same per-batch unit the Dataset path
-uses, without the per-call pool construction.
+cluster CPU count capped at 16 per index. Queries fan out round-robin over
+the pool in slices of 16 queries (64 for a positional mode), so a call costs
+no pool construction.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ import ray
 
 from remote_vector_index_builder_ray.config import EngineError
 from remote_vector_index_builder_ray.stages.search import (
+    MODES,
     BM25Searcher,
     searcher_defaults,
     validate,
@@ -165,15 +164,13 @@ class QueryService:
     validates the full option surface and runs it through ``run``."""
 
     def __init__(self, pool_size: int | None = None, max_pools: int = 8,
-                 batch_size: int = 16, actor_num_cpus: float = 0.5,
-                 max_cpu_fraction: float = 0.5,
+                 actor_num_cpus: float = 0.5, max_cpu_fraction: float = 0.5,
                  **searcher_kwargs):
         if pool_size is None:
             cpus = int(ray.cluster_resources().get("CPU", 8))
             pool_size = max(2, min(16, cpus // 2))
         self.pool_size = int(pool_size)
         self.max_pools = int(max_pools)
-        self.batch_size = int(batch_size)
         # persistent actors RESERVE their CPUs for their whole lifetime —
         # unlike a per-call pipeline pool that releases them at the end. The
         # 0.5 default lets idle serving pools coexist with batch pipelines on
@@ -287,21 +284,35 @@ class QueryService:
                 self._retire_locked(key)
 
     # -- execution --------------------------------------------------------------
-    def run(self, index_dir: str, table: pa.Table, mode: str,
-            options: dict | None = None, allow_ref=None,
-            batch_size: int | None = None) -> list:
-        """Score ``table`` (one query per row) on the index's warm pool with
-        ``BM25Searcher(index_dir, mode, allow_ref, **options)``. Returns one
-        ObjectRef per ``batch_size`` slice, in row order; every ref has
-        finished (results stay in the object store) before the pool is
-        released, so a retiring pool never loses a batch."""
+    def run(self, index_dir: str, queries: pd.DataFrame, mode: str,
+            options: dict | None = None, allow_ref=None) -> list:
+        """Score ``queries`` (one query per row, checked by ``validate``) on
+        the index's warm pool with ``BM25Searcher(index_dir, mode, allow_ref,
+        **options)``. Returns one ObjectRef per batch, in batch order; every
+        ref has finished (results stay in the object store) before the pool
+        is released, so a retiring pool never loses a batch."""
+        row = MODES[mode]
+        if row.positions:
+            man = fs.read_json(fs.join(index_dir, "manifest.json"))
+            require_positions(index_dir, man)
+            if "text" in queries.columns:
+                # bucket-affine batching (the positional load dominates
+                # phrase batches)
+                queries = bucket_affine(queries, int(man["num_buckets"]))
+        if queries.empty:
+            # nothing to score; an empty Dataset input arrives without columns
+            return [ray.put(row.schema.empty_table())]
+        # positional batches are 4x larger: per-actor cost is dominated by
+        # positional-postings loads, which duplicate across the pool — fewer,
+        # bigger batches amortize the same term loads over more queries
+        # (profiled at sf0.1: load 4.2 s vs score 0.26 s per batch)
+        bs = 64 if row.positions else 16
+        table = pa.Table.from_pandas(queries, preserve_index=False)
         # options equal to the searcher's defaults are dropped, so equivalent
         # calls share one cached searcher per actor
         opts = {k: v for k, v in (options or {}).items()
                 if k not in self._defaults or v != self._defaults[k]}
-        bs = int(batch_size or self.batch_size)
         slices = [table.slice(o, bs) for o in range(0, table.num_rows, bs)]
-        slices = slices or [table]
         pool = self._acquire_pool(index_dir)
         try:
             n_act = min(len(pool.actors), len(slices))
@@ -328,8 +339,7 @@ class QueryService:
         columns (slop:int, span_exclude:string for span_not,
         span_little:string for span_containing/span_within). Returns
         (query_id, rank, docid, score) sorted (query_id, rank); results are
-        identical to ``pipelines/query.search`` (same searcher class, same
-        per-batch unit)."""
+        identical to ``pipelines/query.search``: both score through ``run``."""
         if not isinstance(queries, pd.DataFrame):
             raise TypeError("QueryService.search expects a pandas DataFrame")
         options = dict(self.searcher_kwargs)
@@ -359,14 +369,7 @@ class QueryService:
                     f"{queries.loc[bad, 'query_id'].tolist()} — each query "
                     "needs an inner span (a null little matches nothing)"
                 )
-        q = queries
-        if row.positions:
-            man = fs.read_json(fs.join(index_dir, "manifest.json"))
-            require_positions(index_dir, man)
-            if len(q) > 1:
-                q = bucket_affine(q, int(man["num_buckets"]))
-        refs = self.run(index_dir, pa.Table.from_pandas(q, preserve_index=False),
-                        mode, options)
+        refs = self.run(index_dir, queries, mode, options)
         parts = [p for p in ray.get(refs) if p.num_rows]
         if not parts:
             return pd.DataFrame({
@@ -393,11 +396,11 @@ def default_service() -> QueryService:
     per CPU of its share of the cluster, and its actors reserve no CPU.
 
     The owner's pools stay warm while the same process runs Ray Data
-    pipelines (builds, docmeta probes, Dataset searches). Ray Data sizes
-    their tasks and actor pools against the cluster's total CPUs, so a CPU
-    held by an idle searcher actor is one the pipelines count on but cannot
-    get: on 4 CPUs, a Dataset search plus ``hydrate`` stalled for 25 s with
-    2 CPUs held elsewhere and did not finish in 120 s with 3. The actors
+    pipelines (builds, docmeta probes, hydration). Ray Data sizes their
+    tasks and actor pools against the cluster's total CPUs, so a CPU held
+    by an idle searcher actor is one the pipelines count on but cannot
+    get: on 4 CPUs, an actor-pool search plus ``hydrate`` stalled for 25 s
+    with 2 CPUs held elsewhere and did not finish in 120 s with 3. The actors
     compute only while a caller waits on them, so reserving nothing does
     not oversubscribe the library path."""
     ctx = ray.get_runtime_context()

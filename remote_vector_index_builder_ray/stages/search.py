@@ -1,4 +1,4 @@
-"""BM25 top-k query path: an actor-pool ``map_batches`` stage over queries.
+"""BM25 top-k query path: the searcher every ``query_service`` pool actor hosts.
 
 The analog of the reference's searcher-with-loaded-index
 (``benchmarking/search/search_indices.py:13-63``: ``faiss.read_index`` once,
@@ -489,8 +489,7 @@ class _StatsBucketReader:
 class BM25Searcher:
     """Top-k searcher over one index: ``__init__`` opens the index (stats,
     analyzer, term cache) and ``__call__`` answers one query batch. Hosted
-    by ``query_service``'s warm pool actors, and by ``search()``'s per-call
-    actor pool for a Dataset or parquet-path query input."""
+    by ``query_service``'s warm pool actors, which every search runs on."""
 
     def __init__(self, index_dir: str, mode: str = "bmw", allow_ref=None,
                  cache_terms: int = 8192, operator: str = "or",
@@ -506,7 +505,8 @@ class BM25Searcher:
                  pit_gens: int | None = None,
                  stats_override: tuple | None = None,
                  df_override: dict | None = None):
-        # the Dataset path's actor-side check (the driver checks first)
+        # the mode's row; its callers have validated the request on the
+        # driver, so this raises only for a direct construction
         self._row = validate(mode, options=dict(
             operator=operator, min_should_match=min_should_match,
             tie_breaker=tie_breaker, collapse_round6=collapse_round6,

@@ -123,8 +123,8 @@ def test_arrow_and_parquet_inputs_checked_on_driver(smoke_index, smoke_fixture,
 
 
 def test_searcher_checks_every_batch(smoke_index, smoke_fixture):
-    """The Dataset path's actor-side check: BM25Searcher validates each
-    batch's columns against its mode's row."""
+    """The searcher's own check: BM25Searcher validates each batch's
+    columns against its mode's row."""
     q = pd.read_parquet(smoke_fixture["queries"]).head(2)
     s = BM25Searcher(smoke_index["index_dir"], "dismax")
     assert s(pa.Table.from_pandas(q, preserve_index=False)).num_rows > 0

@@ -1,8 +1,8 @@
-"""In-memory query frames run on one warm searcher pool per index state
-(query_service.default_service): row-for-row parity with the Dataset path,
-no new actors on repeated library calls, a fresh pool after each committed
-mutation, and one shared pool for search(), the aggs, QueryService-backed
-HTTP /_search and /_count."""
+"""Every query input runs on one warm searcher pool per index state
+(query_service.default_service): row-for-row parity with a driver-local
+searcher for each input type, no new actors on repeated library calls, a
+fresh pool after each committed mutation, and one shared pool for search(),
+the aggs, QueryService-backed HTTP /_search and /_count."""
 
 import gc
 import json
@@ -30,11 +30,16 @@ from remote_vector_index_builder_ray import (
     update_docs,
 )
 from remote_vector_index_builder_ray.pipelines.join import has_child, has_parent
+from remote_vector_index_builder_ray.pipelines.query import (
+    resolve_filter_docids,
+    search_sorted,
+)
 from remote_vector_index_builder_ray.oracle import oracle_from_transcripts
 from remote_vector_index_builder_ray.query_service import (
     default_service,
     manifest_fingerprint,
 )
+from remote_vector_index_builder_ray.stages.search import BM25Searcher
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +59,14 @@ def _sorted(ds) -> pd.DataFrame:
     if "query_id" not in df.columns:  # zero rows
         return df
     return df.sort_values(["query_id", "rank"]).reset_index(drop=True)
+
+
+def _inputs(q: pd.DataFrame, tmp_path) -> dict:
+    """The same queries as each query input type ``search()`` accepts."""
+    path = str(tmp_path / "queries.parquet")
+    q.to_parquet(path, index=False)
+    return {"frame": q, "arrow": pa.Table.from_pandas(q, preserve_index=False),
+            "parquet": path, "dataset": ray.data.from_pandas(q)}
 
 
 def _n_actors() -> int:
@@ -76,23 +89,33 @@ PARITY = [
         exclude_text=q["text"].str.split().str[-1].fillna(""))),
     ("exhaustive", {"similarity": "classic"}, None),
     ("bmw", {}, lambda q: q.assign(text="zzqqxx nonexistentterm")),
+    ("bmw", {}, lambda q: q.head(0)),
 ]
 
 
 @pytest.mark.parametrize("mode,kw,shape", PARITY,
                          ids=["bmw", "exhaustive", "constant", "phrase",
                               "where", "and", "msm", "exclude", "classic",
-                              "zero_match"])
-def test_in_memory_matches_dataset_path(smoke_fixture, pos_index, mode, kw,
-                                        shape):
+                              "zero_match", "no_queries"])
+def test_in_memory_matches_dataset_path(smoke_fixture, pos_index, tmp_path,
+                                        mode, kw, shape):
+    """Each query input type on the warm pool equals one driver-local
+    searcher over the whole frame: the same scorer with no pool, no batch
+    slicing and no searcher LRU."""
     q = _queries(smoke_fixture)
     if shape is not None:
         q = shape(q)
-    got = _sorted(search(pos_index, q, mode=mode, **kw))
-    want = _sorted(search(pos_index, ray.data.from_pandas(q), mode=mode, **kw))
+    opts = {n: v for n, v in kw.items() if n != "where"}
+    allow_ref = (resolve_filter_docids(pos_index, kw["where"])
+                 if "where" in kw else None)
+    table = pa.Table.from_pandas(q, preserve_index=False)
+    want = _sorted(ray.data.from_arrow(
+        BM25Searcher(pos_index, mode, allow_ref, **opts)(table)))
     if shape is not None and mode == "bmw" and not kw:
-        assert len(got) == 0  # the zero-match frame
-    pd.testing.assert_frame_equal(got, want)
+        assert len(want) == 0  # the zero-match and empty frames
+    for name, queries in _inputs(q, tmp_path).items():
+        got = _sorted(search(pos_index, queries, mode=mode, **kw))
+        pd.testing.assert_frame_equal(got, want, obj=name)
 
 
 def test_arrow_table_input_runs_warm(smoke_fixture, pos_index):
@@ -102,11 +125,28 @@ def test_arrow_table_input_runs_warm(smoke_fixture, pos_index):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_repeated_library_calls_spawn_no_actors(smoke_fixture, pos_index):
+@pytest.mark.parametrize("kind", ["frame", "arrow", "parquet", "dataset"])
+def test_query_entries_accept_every_input_type(smoke_fixture, smoke_index,
+                                               tmp_path, kind):
+    """The query helpers behind ``query_frame`` take each input type
+    ``search()`` takes, with the DataFrame's results."""
+    idx = smoke_index["index_dir"]
+    q = _queries(smoke_fixture, 8)
+    queries = _inputs(q, tmp_path)[kind]
+    pd.testing.assert_frame_equal(match_count(idx, queries), match_count(idx, q))
+    pd.testing.assert_frame_equal(search_sorted(idx, queries),
+                                  search_sorted(idx, q))
+
+
+def test_repeated_library_calls_spawn_no_actors(smoke_fixture, pos_index,
+                                                tmp_path):
     q = _queries(smoke_fixture, 12)
+    path = _inputs(q, tmp_path)["parquet"]
 
     def job():
         return (_sorted(search(pos_index, q, mode="bmw")),
+                _sorted(search(pos_index, path, mode="bmw")),
+                _sorted(search(pos_index, ray.data.from_pandas(q), mode="bmw")),
                 match_count(pos_index, q), terms_agg(pos_index, q))
 
     first = job()
