@@ -8493,7 +8493,7 @@ FROM ranked WHERE rank <= k
 ORDER BY query_id, rank
 """
     # rank_feature (saturation): BM25 + 1.5 * dl / (dl + 40.0) — additive
-    # FeatureQuery contribution, the same float ops as _ProbeFuncScore._apply
+    # FeatureQuery contribution, the same float ops as query._func_score
     out["bm25_rank_feature"] = f"""
 WITH {docs}, {_TOKS},
 tf AS MATERIALIZED (SELECT docid, term, count(*)::BIGINT AS tf FROM toks GROUP BY docid, term),

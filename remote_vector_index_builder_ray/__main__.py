@@ -91,7 +91,10 @@ def main(argv: list[str] | None = None) -> int:
             res.write_parquet(args.out)
             print(json.dumps({"rows": res.count(), "out": args.out}))
         else:
-            print(res.to_pandas().to_json(orient="records"))
+            # json writes each float64 with its round-trip repr: the scores
+            # print exactly (to_json would round them to 10 digits)
+            print(json.dumps(res.to_pandas().to_dict(orient="records"),
+                             separators=(",", ":")))
         return 0
 
     if args.cmd == "serve":

@@ -14,13 +14,17 @@ aggs per shard and reduces — this engine does the same with Ray Data:
    in the object store as docid-range shards (below).
 3. The docmeta table — the BIG side — streams through ``map_batches`` exactly
    once (``_probe_partials``). Each block runs as a stateless task that
-   constructs the agg's probe, fetches the shards its docid range touches,
-   runs ONE vectorized semi-join for all queries at once
-   (``_ShardedMatches.pairs``: every matching (query, row) pair) and
-   pre-aggregates (combiner) those pairs with one grouped reduction keyed
-   by (query_id[, bucket key]) into tiny per-block partials. No actor pool
-   is spawned.
-4. The partials (queries x buckets rows) reduce driver-side.
+   fetches the shards its docid range touches, runs ONE vectorized
+   semi-join for all queries at once (``_pairs``: every matching (query,
+   row) pair, with its score when the match sets are scored) and hands the
+   pairs to the agg's update function, ``fn(batch, qids, rows, scores,
+   *params)``. Bucket and metric updates pre-aggregate (combiner) the pairs
+   with one grouped reduction keyed by (query_id[, bucket key]); top-k
+   updates keep each query's (or bucket's) first n pairs with ``_top_n``.
+   Either way only tiny per-block partials leave the task, and no actor
+   pool is spawned.
+4. The partials (queries x buckets rows) reduce driver-side; the top-k
+   partials reduce with the same ``_top_n``.
 
 Scale note (100 TB): this is the broadcast-semi-join pattern, made
 range-local — each query's sorted match set is SHARDED by docid range
@@ -42,6 +46,8 @@ costs the driver O(shards) refs, not a corpus-sized docid list (the round-2
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -59,7 +65,9 @@ _MATCH_SHARD_STRIDE = 1 << 22
 
 def _match_sets(index_dir: str, queries, where=None) -> dict[int, np.ndarray]:
     """All matching docids per query (sorted int64), via the constant-score
-    scorer at k=INT32_MAX — docid streams only, no tf/score work."""
+    scorer at k=INT32_MAX — docid streams only, no tf/score work —
+    materialized on the driver. No agg calls it: it is the reference the
+    sharded production (``_sharded_matches``) is tested against."""
     q = query_frame(queries)
     q["k"] = np.int32(2**31 - 1)
     res = search(index_dir, q, mode="constant", where=where).to_pandas()
@@ -135,7 +143,7 @@ def _sharded_matches(index_dir: str, queries, where=None, scored: bool = False,
 
     - shard_refs: {shard_id: [piece ObjectRef, ...]} — each piece holds
       {qid: sorted docids} (scored: {qid: (docids, scores)}) for that range.
-      ``_ShardedMatches`` merges a shard's pieces on first touch, per actor.
+      ``_pairs`` merges a shard's pieces when a probe block touches it.
     - qid_list: sorted qids with >= 1 match (zero-match semantics unchanged).
     - counts: {qid: total matches} — the only per-query aggregate some aggs
       need driver-side (e.g. significant_terms' fg_total), reduced from tiny
@@ -159,92 +167,68 @@ def _sharded_matches(index_dir: str, queries, where=None, scored: bool = False,
     return shard_refs, sorted(counts), counts
 
 
-class _ShardedMatches:
-    """Probe-side view over the sharded match sets: fetches (and caches) only
-    the shards overlapping the docids a batch actually contains. A shard may
-    arrive in several PIECES (one per scorer block that touched its range —
-    ``_sharded_matches``); pieces are merged once per view on first touch."""
+def _shard(refs) -> dict:
+    """One shard's {qid: sorted docids} (scored: {qid: (docids, scores)}),
+    its pieces merged: a shard arrives in one piece per scorer block that
+    touched its range (``_sharded_matches``), and the pieces of one
+    (shard, qid) hold disjoint docids that are re-sorted here, scores
+    kept aligned with the docid sort."""
+    pieces = ray.get(list(refs)) if refs else [{}]
+    if len(pieces) == 1:
+        return pieces[0]
+    parts: dict[int, list] = {}
+    for p in pieces:
+        for qid, v in p.items():
+            parts.setdefault(qid, []).append(v)
+    out = {}
+    for qid, vs in parts.items():
+        if len(vs) == 1:
+            out[qid] = vs[0]
+        elif isinstance(vs[0], tuple):
+            d = np.concatenate([v[0] for v in vs])
+            o = np.argsort(d, kind="stable")
+            out[qid] = d[o], np.concatenate([v[1] for v in vs])[o]
+        else:
+            out[qid] = np.sort(np.concatenate(vs))
+    return out
 
-    def __init__(self, shard_refs: dict, stride: int):
-        self._refs = shard_refs  # {shard_id: [piece ObjectRef, ...]}
-        self._stride = stride
-        self._cache: dict[int, dict] = {}
 
-    @staticmethod
-    def _merge(parts: list):
-        # pieces of one (shard, qid): disjoint row sets, re-sort to restore
-        # the per-query docid order the probes binary-search on
-        return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
+def _pairs(shard_refs: dict, stride: int, ids: np.ndarray):
+    """The batch's semi-join against every query's match set: (qids, rows,
+    scores), flat arrays holding each (query, batch row) pair whose docid
+    ``ids[row]`` is in that query's match set, in no particular order, and
+    the pair's score when the shards are scored (None when they are not;
+    an empty array when no pair exists).
 
-    @staticmethod
-    def _concat(parts: list):
-        # across ASCENDING shards of one qid: already globally sorted
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def _shard(self, sid: int) -> dict:
-        d = self._cache.get(sid)
-        if d is None:
-            refs = self._refs.get(sid)
-            if not refs:
-                d = {}
-            else:
-                pieces = ray.get(list(refs))
-                if len(pieces) == 1:
-                    d = pieces[0]
-                else:
-                    tmp: dict[int, list] = {}
-                    for p in pieces:
-                        for qid, v in p.items():
-                            tmp.setdefault(qid, []).append(v)
-                    d = {qid: self._merge(vs) for qid, vs in tmp.items()}
-            self._cache[sid] = d
-        return d
-
-    def pairs(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The batch's semi-join against every query's match set: (qids,
-        rows), two flat int64 arrays holding each (query, batch row) pair
-        whose docid ``ids[row]`` is in that query's match set, in no
-        particular order.
-
-        One pass for all queries: sort the batch's docids once, trim each
-        query's shard array to the batch's [min, max] docid range, then
-        place every surviving member with a left/right ``searchsorted``.
-        ``ids`` may be unsorted and may repeat a docid: a repeated docid
-        yields one pair per row carrying it, exactly like per-row
-        membership. Docmeta files are docid-ordered, so a batch spans a
-        narrow docid range and the trim leaves only its own members."""
-        order = np.argsort(ids, kind="stable")
-        srt = np.asarray(ids, dtype=np.int64)[order]
-        members, owners = [], []
-        if len(srt):
-            lo, hi = int(srt[0]), int(srt[-1])
-            for sid in range(lo // self._stride, hi // self._stride + 1):
-                for qid, arr in self._shard(sid).items():
-                    a, b = arr.searchsorted(lo), arr.searchsorted(hi, "right")
-                    if b > a:
-                        members.append(arr[a:b])
-                        owners.append(np.full(b - a, qid, dtype=np.int64))
-        if not members:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        m = np.concatenate(members)
-        left = srt.searchsorted(m, "left")
-        hit, pos = _expand(left, srt.searchsorted(m, "right") - left)
-        return np.concatenate(owners)[hit], order[pos]
-
-    def for_batch(self, ids: np.ndarray) -> dict:
-        """{qid: sorted docids} restricted to the batch's docid-range shards,
-        concatenated in ascending-shard order (still sorted per query). Only
-        the top-k-shaped probes use it; bucket and metric probes take
-        ``pairs``."""
-        if len(ids) == 0:
-            return {}
-        lo = int(ids.min()) // self._stride
-        hi = int(ids.max()) // self._stride
-        parts: dict[int, list] = {}
-        for sid in range(lo, hi + 1):
-            for qid, v in self._shard(sid).items():
-                parts.setdefault(qid, []).append(v)
-        return {qid: self._concat(ps) for qid, ps in parts.items()}
+    One pass for all queries: fetch (and merge) only the shards the
+    batch's docid range touches, sort the batch's docids once, trim each
+    query's shard array to the batch's [min, max] docid range, then place
+    every surviving member with a left/right ``searchsorted``. ``ids`` may
+    be unsorted and may repeat a docid: a repeated docid yields one pair
+    per row carrying it, exactly like per-row membership. Docmeta files
+    are docid-ordered, so a batch spans a narrow docid range and the trim
+    leaves only its own members."""
+    order = np.argsort(ids, kind="stable")
+    srt = np.asarray(ids, dtype=np.int64)[order]
+    members, owners, scores = [], [], []
+    if len(srt):
+        lo, hi = int(srt[0]), int(srt[-1])
+        for sid in range(lo // stride, hi // stride + 1):
+            for qid, v in _shard(shard_refs.get(sid)).items():
+                arr = v[0] if isinstance(v, tuple) else v
+                a, b = arr.searchsorted(lo), arr.searchsorted(hi, "right")
+                if b > a:
+                    members.append(arr[a:b])
+                    owners.append(np.full(b - a, qid, dtype=np.int64))
+                    if isinstance(v, tuple):
+                        scores.append(v[1][a:b])
+    if not members:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
+    m = np.concatenate(members)
+    left = srt.searchsorted(m, "left")
+    hit, pos = _expand(left, srt.searchsorted(m, "right") - left)
+    return (np.concatenate(owners)[hit], order[pos],
+            np.concatenate(scores)[hit] if scores else None)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray):
@@ -279,28 +263,48 @@ def _table(df: pd.DataFrame, schema: dict) -> pa.Table:
                                 preserve_index=False).replace_schema_metadata()
 
 
-def _probe_batch(batch: pa.Table, probe_cls, ctor_args) -> pa.Table:
-    return probe_cls(*ctor_args)(batch)
+def _top_n(df: pd.DataFrame, group: list, by: list, n, ascending=False,
+           tie: str = "docid") -> pd.DataFrame:
+    """The first ``n`` rows of each ``group`` under the order (group, by...,
+    tie), with their 1-based ``rank``: ``by`` descending unless
+    ``ascending`` says otherwise (one bool, or one per key), ``tie``
+    (docid) ascending. ``n`` is an int or a {query_id: n} map (per-query
+    k). A row with a null group key forms no group. It is both the
+    per-block combiner of every top-k probe and their driver-side reduce."""
+    asc = [ascending] * len(by) if isinstance(ascending, bool) else list(ascending)
+    df = df.sort_values([*group, *by, tie],
+                        ascending=[True] * len(group) + asc + [True])
+    rank = df.groupby(group, sort=False).cumcount() + 1
+    cap = df["query_id"].map(n) if isinstance(n, dict) else n
+    return df.assign(rank=rank)[rank <= cap]
 
 
-def _probe_ds(index_dir, columns, probe_cls, shard_refs, ctor_extra=()):
+def _probe_batch(batch: pa.Table, fn, shard_refs, stride, params) -> pa.Table:
+    """One docmeta block through a probe: the semi-join, then the update."""
+    qids, rows, scores = _pairs(shard_refs, stride, _np(batch, "docid"))
+    return fn(batch, qids, rows, scores, *params)
+
+
+def _probe_ds(index_dir, columns, fn, shard_refs, params=()):
     """The docmeta probe stream: column-pruned docmeta read, then a
-    stateless ``map_batches`` TASK per block that constructs the probe from
-    the shard directory and emits its partial rows. No actor pool: the
-    probe's only state is the shards its block touches."""
+    stateless ``map_batches`` TASK per block that semi-joins the block
+    against the match-set shards its docid range touches (``_pairs``) and
+    hands the pairs to the probe's update function ``fn(batch, qids, rows,
+    scores, *params)``, which emits the block's partial rows. No actor
+    pool: the probe's only state is the shards its block touches."""
     from remote_vector_index_builder_ray.state import fs
 
     return ray.data.read_parquet(
         **fs.for_ray_paths(docmeta_files(index_dir)), columns=columns
     ).map_batches(
         _probe_batch,
-        fn_args=(probe_cls, (shard_refs, _MATCH_SHARD_STRIDE, *ctor_extra)),
+        fn_args=(fn, shard_refs, _MATCH_SHARD_STRIDE, tuple(params)),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
 
 
-def _probe_partials(index_dir, queries, where, probe_cls, ctor_extra, columns,
+def _probe_partials(index_dir, queries, where, fn, params, columns,
                     scored: bool = False, shard_refs=None) -> pd.DataFrame:
     """Shared scaffold for every probe-style agg: sharded match-set
     production (skipped when the caller passes ``shard_refs``), the docmeta
@@ -308,99 +312,87 @@ def _probe_partials(index_dir, queries, where, probe_cls, ctor_extra, columns,
     if shard_refs is None:
         shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where,
                                             scored=scored)
-    return _probe_ds(index_dir, columns, probe_cls, shard_refs,
-                     ctor_extra).to_pandas()
+    return _probe_ds(index_dir, columns, fn, shard_refs, params).to_pandas()
 
 
-class _ProbeAgg:
-    """Per-batch combiner: semi-join every query's match set against the
-    batch (``_ShardedMatches.pairs``), then pre-aggregate (query, bucket
-    key) -> (count, metric sum) in one grouped reduction, so only
-    queries x buckets rows leave the task."""
+def _range_key(lo, hi) -> str:
+    # OpenSearch range-agg bucket key: "lo-hi" with * for an open end
+    return f"{'*' if lo is None else lo}-{'*' if hi is None else hi}"
 
-    def __init__(self, shard_refs, stride, field: str, interval: str | None,
-                 metric_field: str | None, ranges=None):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-        self.interval = interval
-        self.metric_field = metric_field
-        self.ranges = ranges
 
-    @staticmethod
-    def _range_key(lo, hi) -> str:
-        # OpenSearch range-agg bucket key: "lo-hi" with * for an open end
-        return f"{'*' if lo is None else lo}-{'*' if hi is None else hi}"
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = _np(batch, self.field)
-        if self.interval == "day":
-            keys = keys.astype("datetime64[D]").astype("datetime64[us]")
-        elif self.interval == "month":
-            # OpenSearch calendar_interval=month: truncate to month start
-            keys = keys.astype("datetime64[M]").astype("datetime64[us]")
-        elif self.interval == "7d":
-            # OpenSearch fixed_interval=7d: epoch-anchored 7-day windows
-            # (1970-01-01 is day 0, so day - day mod 7 == the bucket start;
-            # NaT stays NaT, so a null ts makes no bucket)
-            days = keys.astype("datetime64[D]")
-            keys = (days - (days.astype(np.int64) % 7).astype("timedelta64[D]")
-                    ).astype("datetime64[us]")
-        elif self.interval == "histogram":
-            # value-count histogram partials (percentiles_agg): the raw
-            # integer value IS the bucket key
-            keys = keys.astype(np.int64)
-        elif isinstance(self.interval, tuple):
-            # OpenSearch `histogram` agg with `offset`: key =
-            # floor((v - offset) / interval) * interval + offset. Python //
-            # floors (v - offset may be negative below the first bucket
-            # boundary); the SQL twin floors on DOUBLE for the same result
-            iv, off = self.interval
-            keys = ((keys.astype(np.int64) - off) // iv) * iv + off
-        elif isinstance(self.interval, int):
-            # OpenSearch `histogram` agg: fixed numeric interval, key =
-            # floor(v / interval) * interval (non-negative int fields here,
-            # so // IS the floor)
-            keys = (keys.astype(np.int64) // self.interval) * self.interval
-        elif self.interval is not None:
-            raise ValueError(f"unsupported interval {self.interval!r}")
-        if self.ranges is not None:
-            # numeric range buckets, [lo, hi) per OpenSearch range agg;
-            # values outside every range keep a null label (no bucket).
-            # Timestamp fields (date_range agg) compare on epoch-us; a
-            # range entry may carry an explicit label as its 3rd element.
-            # A null value (NaN / NaT) falls in no range.
-            if keys.dtype.kind == "M":
-                us = keys.astype("datetime64[us]")
-                vals = np.where(np.isnat(us), np.nan, us.astype(np.int64))
-            else:
-                vals = keys.astype(np.float64)
-            labels = np.full(len(vals), None, dtype=object)
-            for rng in self.ranges:
-                lo, hi = rng[0], rng[1]
-                label = rng[2] if len(rng) > 2 else self._range_key(lo, hi)
-                m = np.ones(len(vals), dtype=bool)
-                if lo is not None:
-                    m &= vals >= lo
-                if hi is not None:
-                    m &= vals < hi
-                labels[m] = label
-            keys = labels
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        metric = (
-            _np(batch, self.metric_field).astype(np.int64)[rows]
-            if self.metric_field
-            else np.zeros(len(rows), dtype=np.int64)
-        )
-        g = _grouped({"query_id": qids, "key": keys[rows]},
-                     {"n": ("s", "size"), "s": ("s", "sum")}, {"s": metric})
-        if self.interval == "histogram" or isinstance(self.interval, (int, tuple)):
-            key_type = pa.int64()
-        elif self.interval:
-            key_type = pa.timestamp("us")
+def _probe_agg(batch: pa.Table, qids, rows, scores, field: str, interval,
+               metric_field: str | None, ranges=None) -> pa.Table:
+    """Bucket-agg update: pre-aggregate the pairs' (query, bucket key) ->
+    (count, metric sum) in one grouped reduction, so only queries x buckets
+    rows leave the task."""
+    keys = _np(batch, field)
+    if interval == "day":
+        keys = keys.astype("datetime64[D]").astype("datetime64[us]")
+    elif interval == "month":
+        # OpenSearch calendar_interval=month: truncate to month start
+        keys = keys.astype("datetime64[M]").astype("datetime64[us]")
+    elif interval == "7d":
+        # OpenSearch fixed_interval=7d: epoch-anchored 7-day windows
+        # (1970-01-01 is day 0, so day - day mod 7 == the bucket start;
+        # NaT stays NaT, so a null ts makes no bucket)
+        days = keys.astype("datetime64[D]")
+        keys = (days - (days.astype(np.int64) % 7).astype("timedelta64[D]")
+                ).astype("datetime64[us]")
+    elif interval == "histogram":
+        # value-count histogram partials (percentiles_agg): the raw
+        # integer value IS the bucket key
+        keys = keys.astype(np.int64)
+    elif isinstance(interval, tuple):
+        # OpenSearch `histogram` agg with `offset`: key =
+        # floor((v - offset) / interval) * interval + offset. Python //
+        # floors (v - offset may be negative below the first bucket
+        # boundary); the SQL twin floors on DOUBLE for the same result
+        iv, off = interval
+        keys = ((keys.astype(np.int64) - off) // iv) * iv + off
+    elif isinstance(interval, int):
+        # OpenSearch `histogram` agg: fixed numeric interval, key =
+        # floor(v / interval) * interval (non-negative int fields here,
+        # so // IS the floor)
+        keys = (keys.astype(np.int64) // interval) * interval
+    elif interval is not None:
+        raise ValueError(f"unsupported interval {interval!r}")
+    if ranges is not None:
+        # numeric range buckets, [lo, hi) per OpenSearch range agg;
+        # values outside every range keep a null label (no bucket).
+        # Timestamp fields (date_range agg) compare on epoch-us; a
+        # range entry may carry an explicit label as its 3rd element.
+        # A null value (NaN / NaT) falls in no range.
+        if keys.dtype.kind == "M":
+            us = keys.astype("datetime64[us]")
+            vals = np.where(np.isnat(us), np.nan, us.astype(np.int64))
         else:
-            key_type = pa.string()
-        return _table(g, {"query_id": pa.int64(), "key": key_type,
-                          "n": pa.int64(), "s": pa.int64()})
+            vals = keys.astype(np.float64)
+        labels = np.full(len(vals), None, dtype=object)
+        for rng in ranges:
+            lo, hi = rng[0], rng[1]
+            label = rng[2] if len(rng) > 2 else _range_key(lo, hi)
+            m = np.ones(len(vals), dtype=bool)
+            if lo is not None:
+                m &= vals >= lo
+            if hi is not None:
+                m &= vals < hi
+            labels[m] = label
+        keys = labels
+    metric = (
+        _np(batch, metric_field).astype(np.int64)[rows]
+        if metric_field
+        else np.zeros(len(rows), dtype=np.int64)
+    )
+    g = _grouped({"query_id": qids, "key": keys[rows]},
+                 {"n": ("s", "size"), "s": ("s", "sum")}, {"s": metric})
+    if interval == "histogram" or isinstance(interval, (int, tuple)):
+        key_type = pa.int64()
+    elif interval:
+        key_type = pa.timestamp("us")
+    else:
+        key_type = pa.string()
+    return _table(g, {"query_id": pa.int64(), "key": key_type,
+                      "n": pa.int64(), "s": pa.int64()})
 
 
 def _run_agg_partials(
@@ -417,7 +409,7 @@ def _run_agg_partials(
     read-tasks rows). `_run_agg` reduces these to counts/avg; rate_agg and
     other bucket-metric shapes reduce them differently."""
     cols = ["docid", field] + ([metric_field] if metric_field else [])
-    return _probe_partials(index_dir, queries, where, _ProbeAgg,
+    return _probe_partials(index_dir, queries, where, _probe_agg,
                            (field, interval, metric_field, ranges), cols)
 
 
@@ -702,32 +694,25 @@ def date_range_agg(
                     ranges=resolved)
 
 
-class _ProbeStats:
-    """Per-batch stats partials: (query_id, n, sum, sum-of-squares, min, max)
-    of a numeric docmeta field over the match set — merged associatively
+def _probe_stats(batch: pa.Table, qids, rows, scores, field: str) -> pa.Table:
+    """Stats update: (query_id, n, sum, sum-of-squares, min, max) of a
+    numeric docmeta field over the pairs — merged associatively
     driver-side. The squares stay exact int64: a doc_len is < 2^21
     (`stages/search._POS_PACK` invariant), so even 10^12 matched docs keep
     the global ss2 below 2^62."""
-
-    def __init__(self, shard_refs, stride, field: str):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        v = _np(batch, self.field).astype(np.int64)[rows]
-        g = _grouped({"query_id": qids},
-                     {"n": ("v", "size"), "s": ("v", "sum"), "s2": ("v2", "sum"),
-                      "mn": ("v", "min"), "mx": ("v", "max")},
-                     {"v": v, "v2": v * v})
-        return _table(g, dict.fromkeys(["query_id", "n", "s", "s2", "mn", "mx"],
-                                       pa.int64()))
+    v = _np(batch, field).astype(np.int64)[rows]
+    g = _grouped({"query_id": qids},
+                 {"n": ("v", "size"), "s": ("v", "sum"), "s2": ("v2", "sum"),
+                  "mn": ("v", "min"), "mx": ("v", "max")},
+                 {"v": v, "v2": v * v})
+    return _table(g, dict.fromkeys(["query_id", "n", "s", "s2", "mn", "mx"],
+                                   pa.int64()))
 
 
 def _stats_reduced(index_dir: str, queries, field: str, where) -> pd.DataFrame:
     """Shared probe run for stats/extended_stats: per-query associative
     reduction of the per-batch (n, sum, sum2, min, max) partials."""
-    partials = _probe_partials(index_dir, queries, where, _ProbeStats,
+    partials = _probe_partials(index_dir, queries, where, _probe_stats,
                                (field,), ["docid", field])
     if partials.empty:
         return partials
@@ -814,70 +799,59 @@ def extended_stats_agg(
     )
 
 
+_PRED_OPS = {
+    "=": operator.eq, "!=": operator.ne, ">": operator.gt,
+    ">=": operator.ge, "<": operator.lt, "<=": operator.le,
+    "in": lambda col, value: np.isin(col, np.asarray(list(value))),
+}
+
+
+def _check_predicates(*preds) -> None:
+    """Driver-side check of predicate ops, before any search runs."""
+    for pred in preds:
+        for _field, op, _value in pred:
+            if op not in _PRED_OPS:
+                raise ValueError(f"unsupported predicate op {op!r}")
+
+
 def _eval_predicate(batch: pa.Table, pred) -> np.ndarray:
     """Vectorized docmeta predicate: list of (field, op, value) ANDed.
     Ops: = != > >= < <= in. Mirrors the filter-context predicate shape
     ``pipelines/query.resolve_filter_docids`` pushes into the scan."""
     mask = np.ones(batch.num_rows, dtype=bool)
     for field, op, value in pred:
-        col = batch[field].combine_chunks().to_numpy(zero_copy_only=False)
-        if op == "=":
-            m = col == value
-        elif op == "!=":
-            m = col != value
-        elif op == ">":
-            m = col > value
-        elif op == ">=":
-            m = col >= value
-        elif op == "<":
-            m = col < value
-        elif op == "<=":
-            m = col <= value
-        elif op == "in":
-            m = np.isin(col, np.asarray(list(value)))
-        else:
-            raise ValueError(f"unsupported predicate op {op!r}")
-        mask &= np.asarray(m, dtype=bool)
+        mask &= np.asarray(_PRED_OPS[op](_np(batch, field), value), dtype=bool)
     return mask
 
 
-class _ProbeFilters:
-    """Per-batch partials for the `filters` / `adjacency_matrix` aggs:
-    named (possibly overlapping) predicate buckets over each query's match
-    set. Emits (query_id, key, n) with key = filter name — plus, in
-    adjacency mode, 'a&b' intersection keys for every name pair (OpenSearch
-    adjacency_matrix bucket naming, pair names sorted)."""
-
-    def __init__(self, shard_refs, stride, filters: dict, adjacency: bool,
-                 other_bucket: bool = False):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.filters = filters
-        self.adjacency = adjacency
-        self.other_bucket = other_bucket
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        names = sorted(self.filters)
-        fmasks = {n: _eval_predicate(batch, self.filters[n]) for n in names}
-        keys = list(names)
-        masks = [fmasks[n] for n in names]
-        if self.adjacency:
-            for i, a in enumerate(names):
-                for b in names[i + 1:]:
-                    keys.append(f"{a}&{b}")
-                    masks.append(fmasks[a] & fmasks[b])
-        if self.other_bucket:
-            # OpenSearch other_bucket: matched docs satisfying NO named filter
-            none = np.ones(batch.num_rows, dtype=bool)
-            for n in names:
-                none &= ~fmasks[n]
-            keys.append("_other_")
-            masks.append(none)
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        hits = [qids[m[rows]] for m in masks]  # per bucket: its matching pairs
-        g = _grouped({"query_id": np.concatenate([np.empty(0, np.int64), *hits]),
-                      "key": np.repeat(np.asarray(keys, dtype=object),
-                                       [len(h) for h in hits])}, {})
-        return _table(g, {"query_id": pa.int64(), "key": pa.string(), "n": pa.int64()})
+def _probe_filters(batch: pa.Table, qids, rows, scores, filters: dict,
+                   adjacency: bool, other_bucket: bool = False) -> pa.Table:
+    """`filters` / `adjacency_matrix` update: named (possibly overlapping)
+    predicate buckets over the pairs. Emits (query_id, key, n) with key =
+    filter name — plus, in adjacency mode, 'a&b' intersection keys for
+    every name pair (OpenSearch adjacency_matrix bucket naming, pair names
+    sorted)."""
+    names = sorted(filters)
+    fmasks = {n: _eval_predicate(batch, filters[n]) for n in names}
+    keys = list(names)
+    masks = [fmasks[n] for n in names]
+    if adjacency:
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                keys.append(f"{a}&{b}")
+                masks.append(fmasks[a] & fmasks[b])
+    if other_bucket:
+        # OpenSearch other_bucket: matched docs satisfying NO named filter
+        none = np.ones(batch.num_rows, dtype=bool)
+        for n in names:
+            none &= ~fmasks[n]
+        keys.append("_other_")
+        masks.append(none)
+    hits = [qids[m[rows]] for m in masks]  # per bucket: its matching pairs
+    g = _grouped({"query_id": np.concatenate([np.empty(0, np.int64), *hits]),
+                  "key": np.repeat(np.asarray(keys, dtype=object),
+                                   [len(h) for h in hits])}, {})
+    return _table(g, {"query_id": pa.int64(), "key": pa.string(), "n": pa.int64()})
 
 
 def filters_agg(
@@ -895,8 +869,9 @@ def filters_agg(
     'a&b' pairwise-intersection buckets. ``other_bucket=True`` adds the
     OpenSearch `_other_` bucket (matched docs satisfying NO named filter).
     Empty buckets omitted."""
+    _check_predicates(*filters.values())
     fields = sorted({f for pred in filters.values() for f, _, _ in pred})
-    partials = _probe_partials(index_dir, queries, where, _ProbeFilters,
+    partials = _probe_partials(index_dir, queries, where, _probe_filters,
                                (filters, adjacency, other_bucket),
                                ["docid"] + fields)
     if partials.empty:
@@ -919,30 +894,22 @@ def adjacency_matrix_agg(index_dir: str, queries, filters: dict, where=None):
     return filters_agg(index_dir, queries, filters, adjacency=True, where=where)
 
 
-class _ProbeMissing:
-    """Per-batch partials for value_count/missing: (query_id, n_value,
-    n_missing) of a keyword docmeta field over the match set. A field is
-    "missing" when it is null or the sentinel empty string (transcript
-    docmeta stores '' for a turn with no tool call — the OpenSearch analog
-    of an absent field)."""
+def _probe_missing(batch: pa.Table, qids, rows, scores, field: str,
+                   missing: str) -> pa.Table:
+    """value_count/missing update: (query_id, n_value, n_missing) of a
+    keyword docmeta field over the pairs. A field is "missing" when it is
+    null or the sentinel empty string (transcript docmeta stores '' for a
+    turn with no tool call — the OpenSearch analog of an absent field)."""
+    import pyarrow.compute as pc
 
-    def __init__(self, shard_refs, stride, field: str, missing: str):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-        self.missing = missing
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        col = batch[self.field].combine_chunks()
-        absent = pc.or_kleene(
-            pc.is_null(col), pc.equal(col, self.missing)
-        ).to_numpy(zero_copy_only=False)
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        g = _grouped({"query_id": qids}, {"n": ("a", "size"), "nm": ("a", "sum")},
-                     {"a": np.asarray(absent, dtype=np.int64)[rows]})
-        g["nv"] = g["n"] - g["nm"]
-        return _table(g, dict.fromkeys(["query_id", "nv", "nm"], pa.int64()))
+    col = batch[field].combine_chunks()
+    absent = pc.or_kleene(
+        pc.is_null(col), pc.equal(col, missing)
+    ).to_numpy(zero_copy_only=False)
+    g = _grouped({"query_id": qids}, {"n": ("a", "size"), "nm": ("a", "sum")},
+                 {"a": np.asarray(absent, dtype=np.int64)[rows]})
+    g["nv"] = g["n"] - g["nm"]
+    return _table(g, dict.fromkeys(["query_id", "nv", "nm"], pa.int64()))
 
 
 def missing_agg(
@@ -957,7 +924,7 @@ def missing_agg(
     n_missing counts docs whose ``field`` is null/sentinel-empty and
     n_value counts the rest (single-valued fields: value_count == doc
     count with a value)."""
-    partials = _probe_partials(index_dir, queries, where, _ProbeMissing,
+    partials = _probe_partials(index_dir, queries, where, _probe_missing,
                                (field, missing), ["docid", field])
     if partials.empty:
         return pd.DataFrame({
@@ -979,22 +946,15 @@ def missing_agg(
 # ---------------------------------------------------------------------------
 
 
-class _ProbeDistinct:
-    """Per-batch partial for exact cardinality: the DISTINCT matched values
-    per query leave each task (the per-batch dedup is the combiner; the
-    final dedup is driver-side). Exact distinct-count is inherently a
-    shuffle of the distinct values — the approximate path below is the one
-    whose partials stay O(registers)."""
-
-    def __init__(self, shard_refs, stride, field: str):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        return pa.table(
-            {"query_id": qids, "value": batch[self.field].take(rows)}
-        ).group_by(["query_id", "value"]).aggregate([])
+def _probe_distinct(batch: pa.Table, qids, rows, scores, field: str) -> pa.Table:
+    """Exact-cardinality update: the DISTINCT matched values per query
+    leave each task (the per-batch dedup is the combiner; the final dedup
+    is driver-side). Exact distinct-count is inherently a shuffle of the
+    distinct values — the approximate path below is the one whose partials
+    stay O(registers)."""
+    return pa.table(
+        {"query_id": qids, "value": batch[field].take(rows)}
+    ).group_by(["query_id", "value"]).aggregate([])
 
 
 # HyperLogLog with 2^P registers; the standard bias-corrected estimator
@@ -1020,23 +980,16 @@ def _hll_rho(hashes: np.ndarray, p: int):
     return idx, rho
 
 
-class _ProbeHLL:
-    """Per-batch HLL partial: (query_id, register, max rank) rows — at most
-    queries x 2^P tiny rows per task regardless of match-set size. Register
-    maxima merge associatively driver-side."""
-
-    def __init__(self, shard_refs, stride, field: str):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # deterministic 64-bit value hash (shared across tasks/processes)
-        hashed = pd.util.hash_array(_np(batch, self.field)).astype(np.uint64)
-        idx, rho = _hll_rho(hashed, _HLL_P)
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        g = _grouped({"query_id": qids, "register": idx[rows]},
-                     {"rho": ("rho", "max")}, {"rho": rho[rows]})
-        return _table(g, dict.fromkeys(["query_id", "register", "rho"], pa.int64()))
+def _probe_hll(batch: pa.Table, qids, rows, scores, field: str) -> pa.Table:
+    """HLL update: (query_id, register, max rank) rows — at most queries x
+    2^P tiny rows per task regardless of match-set size. Register maxima
+    merge associatively driver-side."""
+    # deterministic 64-bit value hash (shared across tasks/processes)
+    hashed = pd.util.hash_array(_np(batch, field)).astype(np.uint64)
+    idx, rho = _hll_rho(hashed, _HLL_P)
+    g = _grouped({"query_id": qids, "register": idx[rows]},
+                 {"rho": ("rho", "max")}, {"rho": rho[rows]})
+    return _table(g, dict.fromkeys(["query_id", "register", "rho"], pa.int64()))
 
 
 def _hll_estimate(reg: np.ndarray) -> float:
@@ -1064,7 +1017,7 @@ def cardinality_agg(
     the 100 TB path, accuracy ~0.8%. Returns (query_id, n_distinct)."""
     shard_refs, qid_list, counts = _sharded_matches(index_dir, queries, where=where)
     partials = _probe_partials(index_dir, queries, where,
-                               _ProbeDistinct if exact else _ProbeHLL,
+                               _probe_distinct if exact else _probe_hll,
                                (field,), ["docid", field],
                                shard_refs=shard_refs)
     rows = []
@@ -1095,12 +1048,12 @@ def cardinality_agg(
 
 def _value_histograms(index_dir: str, queries, field: str, where) -> pd.DataFrame:
     """Exact per-query (value -> count) histogram of an integer docmeta
-    field over the match set: per-batch histogram partials (``_ProbeAgg``
-    op "histogram") merged driver-side. The driver holds queries × distinct
+    field over the match set: per-batch histogram partials (``_probe_agg``
+    interval "histogram") merged driver-side. The driver holds queries × distinct
     values rows — tiny for bounded integer fields like doc_len, independent
     of corpus size. Shared by percentiles / boxplot / MAD, which are all
     pure functions of this histogram."""
-    partials = _probe_partials(index_dir, queries, where, _ProbeAgg,
+    partials = _probe_partials(index_dir, queries, where, _probe_agg,
                                (field, "histogram", None, None),
                                ["docid", field])
     if partials.empty:
@@ -1217,27 +1170,20 @@ def mad_agg(
     )
 
 
-class _ProbeTTest:
-    """Per-batch t_test partials: (query_id, grp, n, s, s2) of the metric
-    field under each of the two population predicates, restricted to the
-    query's match set — the same exact-integer moment contract as
-    `_ProbeStats` (doc_len < 2^21 keeps s2 in int64)."""
-
-    def __init__(self, shard_refs, stride, field: str, pred_a, pred_b):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-        self.preds = (pred_a, pred_b)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        v = _np(batch, self.field).astype(np.int64)[rows]
-        sel = [_eval_predicate(batch, p)[rows] for p in self.preds]
-        grp = np.repeat(np.arange(len(sel), dtype=np.int64), [int(m.sum()) for m in sel])
-        v = np.concatenate([v[m] for m in sel])
-        g = _grouped({"query_id": np.concatenate([qids[m] for m in sel]), "grp": grp},
-                     {"n": ("v", "size"), "s": ("v", "sum"), "s2": ("v2", "sum")},
-                     {"v": v, "v2": v * v})
-        return _table(g, dict.fromkeys(["query_id", "grp", "n", "s", "s2"], pa.int64()))
+def _probe_t_test(batch: pa.Table, qids, rows, scores, field: str, pred_a,
+                  pred_b) -> pa.Table:
+    """t_test update: (query_id, grp, n, s, s2) of the metric field under
+    each of the two population predicates, over the pairs — the same
+    exact-integer moment contract as `_probe_stats` (doc_len < 2^21 keeps
+    s2 in int64)."""
+    v = _np(batch, field).astype(np.int64)[rows]
+    sel = [_eval_predicate(batch, p)[rows] for p in (pred_a, pred_b)]
+    grp = np.repeat(np.arange(len(sel), dtype=np.int64), [int(m.sum()) for m in sel])
+    v = np.concatenate([v[m] for m in sel])
+    g = _grouped({"query_id": np.concatenate([qids[m] for m in sel]), "grp": grp},
+                 {"n": ("v", "size"), "s": ("v", "sum"), "s2": ("v2", "sum")},
+                 {"v": v, "v2": v * v})
+    return _table(g, dict.fromkeys(["query_id", "grp", "n", "s", "s2"], pa.int64()))
 
 
 def t_test_agg(
@@ -1257,8 +1203,9 @@ def t_test_agg(
     var_b/n_b) — so a SQL oracle reproduces it bit-for-bit. Populations
     with n < 2 are skipped (variance undefined). Returns
     (query_id, n_a, n_b, t), t rounded half-up to 6 decimals."""
+    _check_predicates(pred_a, pred_b)
     pred_fields = sorted({f for f, _, _ in tuple(pred_a) + tuple(pred_b)})
-    partials = _probe_partials(index_dir, queries, where, _ProbeTTest,
+    partials = _probe_partials(index_dir, queries, where, _probe_t_test,
                                (field, tuple(pred_a), tuple(pred_b)),
                                ["docid", field] + pred_fields)
     cols = {"query_id": pd.Series(dtype=np.int64),
@@ -1348,8 +1295,9 @@ def rate_agg(
 
 def _match_sets_scored(index_dir: str, queries, where=None):
     """{qid: (sorted docids, aligned BM25 scores)} — the exhaustive scorer at
-    k=INT32_MAX; the per-query arrays are docid-sorted so the probe can
-    searchsorted scores for its batch's members."""
+    k=INT32_MAX, materialized on the driver. No agg calls it: it is the
+    scored twin of ``_match_sets``, the reference the sharded production
+    (``_sharded_matches(scored=True)``) is tested against."""
     q = query_frame(queries)
     q["k"] = np.int32(2**31 - 1)
     res = search(index_dir, q, mode="exhaustive", where=where).to_pandas()
@@ -1362,88 +1310,18 @@ def _match_sets_scored(index_dir: str, queries, where=None):
     return out
 
 
-def _shard_scored_sets(scored: dict, stride: int | None = None):
-    """Docid-range sharding of {qid: (docids, scores)} — the scored twin of
-    ``_shard_match_sets``."""
-    if stride is None:
-        stride = _MATCH_SHARD_STRIDE
-    shards: dict[int, dict[int, tuple]] = {}
-    for qid, (arr, sc) in scored.items():
-        if len(arr) == 0:
-            continue
-        sid = arr // stride
-        bounds = np.flatnonzero(sid[1:] != sid[:-1]) + 1
-        starts = np.concatenate([[0], bounds])
-        for d_chunk, s_chunk, s0 in zip(
-            np.split(arr, bounds), np.split(sc, bounds), sid[starts]
-        ):
-            shards.setdefault(int(s0), {})[qid] = (d_chunk, s_chunk)
-    return {sid: [ray.put(d)] for sid, d in shards.items()}, sorted(scored)
-
-
-class _ShardedScored(_ShardedMatches):
-    """Scored twin: values are (docids, scores) pairs; merge/concat keep the
-    score array aligned with the docid sort."""
-
-    @staticmethod
-    def _merge(parts: list):
-        if len(parts) == 1:
-            return parts[0]
-        d = np.concatenate([p[0] for p in parts])
-        s = np.concatenate([p[1] for p in parts])
-        o = np.argsort(d, kind="stable")
-        return d[o], s[o]
-
-    @staticmethod
-    def _concat(parts: list):
-        if len(parts) == 1:
-            return parts[0]
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
-
-
-class _ProbeTopHits:
-    """Per-batch combiner for top_hits: per (query, bucket key) keep the
-    batch-local top-``size`` hits by (rounded score desc, docid asc) — only
+def _probe_top_hits(batch: pa.Table, qids, rows, scores, field: str,
+                    size: int) -> pa.Table:
+    """top_hits update: per (query, bucket key) the block's top-``size``
+    pairs by (rounded score desc, docid asc), carrying the raw score — only
     queries x buckets x size rows leave each task."""
-
-    def __init__(self, shard_refs, stride, field: str, size: int):
-        self.matches = _ShardedScored(shard_refs, stride)
-        self.field = field
-        self.size = size
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        keys = batch[self.field].combine_chunks().to_numpy(zero_copy_only=False)
-        qids, out_keys, docs, scores = [], [], [], []
-        for qid, (arr, sc) in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            d = ids[mask]
-            s = sc[np.searchsorted(arr, d)]
-            kk = keys[mask]
-            sr = np.floor(s * 1e6 + 0.5) / 1e6  # same half-up as the reduce
-            df = pd.DataFrame({"key": kk, "docid": d, "score": s, "sr": sr})
-            df = df.sort_values(["key", "sr", "docid"],
-                                ascending=[True, False, True])
-            top = df.groupby("key", sort=False).head(self.size)
-            qids.extend([qid] * len(top))
-            out_keys.extend(top["key"].tolist())
-            docs.extend(top["docid"].tolist())
-            scores.extend(top["score"].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "key": pa.array(out_keys, type=pa.string()),
-                "docid": pa.array(docs, type=pa.int64()),
-                "score": pa.array(scores, type=pa.float64()),
-            }
-        )
+    top = _top_n(pd.DataFrame({
+        "query_id": qids, "key": _np(batch, field)[rows],
+        "docid": _np(batch, "docid")[rows], "score": scores,
+        "sr": np.floor(scores * 1e6 + 0.5) / 1e6,  # same half-up as the reduce
+    }), ["query_id", "key"], ["sr"], size)
+    return _table(top, {"query_id": pa.int64(), "key": pa.string(),
+                        "docid": pa.int64(), "score": pa.float64()})
 
 
 def top_hits_agg(
@@ -1460,7 +1338,7 @@ def top_hits_agg(
     streams once through a per-batch top-``size`` combiner; partials reduce
     driver-side. Returns (query_id, key, rank, docid, score) with score
     rounded half-up to 6 decimals."""
-    partials = _probe_partials(index_dir, queries, where, _ProbeTopHits,
+    partials = _probe_partials(index_dir, queries, where, _probe_top_hits,
                                (field, size), ["docid", field], scored=True)
     cols = {
         "query_id": pd.Series(dtype=np.int64),
@@ -1473,12 +1351,7 @@ def top_hits_agg(
         return pd.DataFrame(cols)
     # half-up 6-decimal rounding on BOTH engines (numpy round is half-even)
     partials["score"] = np.floor(partials["score"] * 1e6 + 0.5) / 1e6
-    partials = partials.sort_values(
-        ["query_id", "key", "score", "docid"],
-        ascending=[True, True, False, True],
-    )
-    partials["rank"] = partials.groupby(["query_id", "key"]).cumcount() + 1
-    out = partials[partials["rank"] <= size].reset_index(drop=True)
+    out = _top_n(partials, ["query_id", "key"], ["score"], size).reset_index(drop=True)
     return out[["query_id", "key", "rank", "docid", "score"]].astype(
         {"query_id": np.int64, "rank": np.int32, "docid": np.int64,
          "score": np.float64}
@@ -1494,48 +1367,41 @@ def top_hits_agg(
 _EXPAND_MAX = 1 << 22
 
 
-class _ProbeSigTerms:
-    """Per-batch partial for significant_terms: per query, the number of
-    MATCHED docs in this batch containing each term — (query_id, term,
-    fg) rows. The batch tokenizes ONCE; counting is one grouped reduction
-    over (query, dictionary code)."""
+def _probe_sig_terms(batch: pa.Table, qids, rows, scores, analyzer) -> pa.Table:
+    """significant_terms update: per query, the number of MATCHED docs in
+    this batch containing each term — (query_id, term, fg) rows. The batch
+    tokenizes ONCE; counting is one grouped reduction over (query,
+    dictionary code)."""
+    from remote_vector_index_builder_ray.functions.tokenizer import analyze_column
 
-    def __init__(self, shard_refs, stride, analyzer):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.analyzer = analyzer
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.functions.tokenizer import analyze_column
-
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        schema = {"query_id": pa.int64(), "term": pa.string(), "fg": pa.int64()}
-        if len(rows) == 0:
-            return _table(pd.DataFrame(columns=list(schema)), schema)
-        tokens, doc_index, _dl = analyze_column(batch["text"], self.analyzer)
-        dicted = tokens.dictionary_encode()
-        if isinstance(dicted, pa.ChunkedArray):
-            dicted = dicted.combine_chunks()
-        codes = dicted.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        # distinct (row, term) pairs, row-major: a term counts once per
-        # containing doc; each (query, row) pair then takes its row's terms.
-        # That expansion is Σ terms over the matched rows, so it runs in
-        # slices of at most _EXPAND_MAX entries (partial rows may repeat a
-        # (query, term); the reduce sums them)
-        pair = np.unique((np.asarray(doc_index, np.int64) << np.int64(32)) | codes)
-        p_row = pair >> np.int64(32)
-        first = np.searchsorted(p_row, np.arange(batch.num_rows))
-        n_terms = np.bincount(p_row, minlength=batch.num_rows)
-        step = max(1, _EXPAND_MAX // max(1, int(n_terms.max())))
-        parts = []
-        for s0 in range(0, len(rows), step):
-            sl = slice(s0, s0 + step)
-            hit, pos = _expand(first[rows[sl]], n_terms[rows[sl]])
-            parts.append(_grouped({"query_id": qids[sl][hit],
-                                   "code": pair[pos] & np.int64(0xFFFFFFFF)}, {}))
-        g = pd.concat(parts, ignore_index=True)
-        g["term"] = dicted.dictionary.take(pa.array(g["code"].to_numpy())).to_numpy(
-            zero_copy_only=False)
-        return _table(g.rename(columns={"n": "fg"}), schema)
+    schema = {"query_id": pa.int64(), "term": pa.string(), "fg": pa.int64()}
+    if len(rows) == 0:
+        return _table(pd.DataFrame(columns=list(schema)), schema)
+    tokens, doc_index, _dl = analyze_column(batch["text"], analyzer)
+    dicted = tokens.dictionary_encode()
+    if isinstance(dicted, pa.ChunkedArray):
+        dicted = dicted.combine_chunks()
+    codes = dicted.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    # distinct (row, term) pairs, row-major: a term counts once per
+    # containing doc; each (query, row) pair then takes its row's terms.
+    # That expansion is Σ terms over the matched rows, so it runs in
+    # slices of at most _EXPAND_MAX entries (partial rows may repeat a
+    # (query, term); the reduce sums them)
+    pair = np.unique((np.asarray(doc_index, np.int64) << np.int64(32)) | codes)
+    p_row = pair >> np.int64(32)
+    first = np.searchsorted(p_row, np.arange(batch.num_rows))
+    n_terms = np.bincount(p_row, minlength=batch.num_rows)
+    step = max(1, _EXPAND_MAX // max(1, int(n_terms.max())))
+    parts = []
+    for s0 in range(0, len(rows), step):
+        sl = slice(s0, s0 + step)
+        hit, pos = _expand(first[rows[sl]], n_terms[rows[sl]])
+        parts.append(_grouped({"query_id": qids[sl][hit],
+                               "code": pair[pos] & np.int64(0xFFFFFFFF)}, {}))
+    g = pd.concat(parts, ignore_index=True)
+    g["term"] = dicted.dictionary.take(pa.array(g["code"].to_numpy())).to_numpy(
+        zero_copy_only=False)
+    return _table(g.rename(columns={"n": "fg"}), schema)
 
 
 def significant_terms_agg(
@@ -1599,7 +1465,7 @@ def _sig_probe_reduce(
     from remote_vector_index_builder_ray.functions.tokenizer import load_analyzer
     from remote_vector_index_builder_ray.pipelines.expand import _get_dict
 
-    partials = _probe_partials(index_dir, None, None, _ProbeSigTerms,
+    partials = _probe_partials(index_dir, None, None, _probe_sig_terms,
                                (load_analyzer(index_dir),), ["docid", "text"],
                                shard_refs=shard_refs)
     cols = {
@@ -1696,27 +1562,21 @@ def _sig_probe_reduce(
     return out
 
 
-class _DedupTextProbe:
-    """filter_duplicate_text pass: per batch, for each query's matched docs,
-    the batch-local min docid per exact-text hash — (qt-key, docid) partials.
+def _probe_dedup_text(batch: pa.Table, qids, rows, scores) -> pa.Table:
+    """filter_duplicate_text update: for each query's matched docs, the
+    batch-local min docid per exact-text hash — (qt-key, docid) partials.
     Only matched rows leave the task, keyed by (query, text-hash) string so
     a single-column groupby can reduce them."""
-
-    def __init__(self, shard_refs, stride):
-        self.matches = _ShardedMatches(shard_refs, stride)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = _np(batch, "docid")
-        qids, rows = self.matches.pairs(ids)
-        # hash ONLY rows matched by >= 1 query (vectorized 64-bit content
-        # hash; equal texts hash equal — the dedup key for this run)
-        union = np.unique(rows)
-        th = np.zeros(len(ids), dtype=np.uint64)
-        th[union] = pd.util.hash_array(_np(batch, "text")[union].astype(object))
-        g = _grouped({"q": qids, "h": th[rows]}, {"docid": ("docid", "min")},
-                     {"docid": ids[rows]})
-        g["qt"] = g["q"].astype(str) + "|" + g["h"].astype(str)
-        return _table(g, {"qt": pa.string(), "docid": pa.int64()})
+    ids = _np(batch, "docid")
+    # hash ONLY rows matched by >= 1 query (vectorized 64-bit content
+    # hash; equal texts hash equal — the dedup key for this run)
+    union = np.unique(rows)
+    th = np.zeros(len(ids), dtype=np.uint64)
+    th[union] = pd.util.hash_array(_np(batch, "text")[union].astype(object))
+    g = _grouped({"q": qids, "h": th[rows]}, {"docid": ("docid", "min")},
+                 {"docid": ids[rows]})
+    g["qt"] = g["q"].astype(str) + "|" + g["h"].astype(str)
+    return _table(g, {"qt": pa.string(), "docid": pa.int64()})
 
 
 def significant_text_agg(
@@ -1740,7 +1600,7 @@ def significant_text_agg(
 
     shard_refs0, _, _ = _sharded_matches(index_dir, queries, where=where)
     deduped = (
-        _probe_ds(index_dir, ["docid", "text"], _DedupTextProbe, shard_refs0)
+        _probe_ds(index_dir, ["docid", "text"], _probe_dedup_text, shard_refs0)
         .groupby("qt")
         .aggregate(Min("docid"))
     )
@@ -2003,7 +1863,7 @@ def bucket_selector_date_histogram(
     by `&&` (see _parse_selector_script). Returns (query_id, key, n_docs,
     total), (query_id, key)-ascending — the surviving bucket stream.
 
-    The per-bucket counts AND the metric sums come out of one `_ProbeAgg`
+    The per-bucket counts AND the metric sums come out of one `_probe_agg`
     probe pass (per-batch combiner partials; only queries x buckets x
     read-tasks rows land on the driver), so the selector itself is a
     driver-side filter over a driver-small frame — the pipeline-agg
@@ -2031,34 +1891,27 @@ def bucket_selector_date_histogram(
                        "total": np.int64})
 
 
-class _ProbeStringStats:
-    """Per-batch partials for string_stats: per query (n, len-sum, len-min,
-    len-max) plus a 256-slot byte histogram of the matched values'
-    characters (ASCII fields here) — entropy derives from the merged
-    histogram driver-side, so the partial stays O(256) per query."""
-
-    def __init__(self, shard_refs, stride, field: str):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        # each row's UTF-8 bytes, read straight off the Arrow buffers
-        col = batch[self.field].combine_chunks().cast(pa.large_string())
-        off = np.frombuffer(col.buffers()[1], np.int64)[col.offset:col.offset + len(col) + 1]
-        data = np.frombuffer(col.buffers()[2] or b"", np.uint8)
-        lens = np.diff(off)[rows]
-        uq, q = np.unique(qids, return_inverse=True)
-        g = _grouped({"q": q}, {"n": ("l", "size"), "ls": ("l", "sum"),
-                                "mn": ("l", "min"), "mx": ("l", "max")}, {"l": lens})
-        # one byte histogram per query: a bincount over (query, byte) cells
-        hit, pos = _expand(off[:-1][rows], lens)
-        hist = np.bincount(q[hit] * 256 + data[pos], minlength=len(uq) * 256)
-        g["query_id"] = uq[g["q"]]
-        hist = hist.reshape(-1, 256)[g["q"]].astype(np.int64).ravel()
-        return _table(g, dict.fromkeys(["query_id", "n", "ls", "mn", "mx"], pa.int64())
-                      ).append_column("hist", pa.FixedSizeListArray.from_arrays(
-                          hist, 256).cast(pa.list_(pa.int64())))
+def _probe_string_stats(batch: pa.Table, qids, rows, scores, field: str) -> pa.Table:
+    """string_stats update: per query (n, len-sum, len-min, len-max) plus a
+    256-slot byte histogram of the matched values' characters (ASCII fields
+    here) — entropy derives from the merged histogram driver-side, so the
+    partial stays O(256) per query."""
+    # each row's UTF-8 bytes, read straight off the Arrow buffers
+    col = batch[field].combine_chunks().cast(pa.large_string())
+    off = np.frombuffer(col.buffers()[1], np.int64)[col.offset:col.offset + len(col) + 1]
+    data = np.frombuffer(col.buffers()[2] or b"", np.uint8)
+    lens = np.diff(off)[rows]
+    uq, q = np.unique(qids, return_inverse=True)
+    g = _grouped({"q": q}, {"n": ("l", "size"), "ls": ("l", "sum"),
+                            "mn": ("l", "min"), "mx": ("l", "max")}, {"l": lens})
+    # one byte histogram per query: a bincount over (query, byte) cells
+    hit, pos = _expand(off[:-1][rows], lens)
+    hist = np.bincount(q[hit] * 256 + data[pos], minlength=len(uq) * 256)
+    g["query_id"] = uq[g["q"]]
+    hist = hist.reshape(-1, 256)[g["q"]].astype(np.int64).ravel()
+    return _table(g, dict.fromkeys(["query_id", "n", "ls", "mn", "mx"], pa.int64())
+                  ).append_column("hist", pa.FixedSizeListArray.from_arrays(
+                      hist, 256).cast(pa.list_(pa.int64())))
 
 
 def string_stats_agg(
@@ -2073,7 +1926,7 @@ def string_stats_agg(
     = -Σ p ln p over the CHARACTER distribution of all matched values
     (OpenSearch's Shannon entropy). Partials carry a 256-slot byte
     histogram, so the reduce is associative and O(256) per query."""
-    partials = _probe_partials(index_dir, queries, where, _ProbeStringStats,
+    partials = _probe_partials(index_dir, queries, where, _probe_string_stats,
                                (field,), ["docid", field])
     cols = {
         "query_id": pd.Series(dtype=np.int64),
@@ -2128,7 +1981,7 @@ def rare_terms_agg(
     from remote_vector_index_builder_ray.functions.tokenizer import load_analyzer
     from remote_vector_index_builder_ray.pipelines.expand import _get_dict
 
-    partials = _probe_partials(index_dir, queries, where, _ProbeSigTerms,
+    partials = _probe_partials(index_dir, queries, where, _probe_sig_terms,
                                (load_analyzer(index_dir),), ["docid", "text"])
     cols = {
         "query_id": pd.Series(dtype=np.int64),
@@ -2157,23 +2010,15 @@ def rare_terms_agg(
 # ---------------------------------------------------------------------------
 
 
-class _ProbeComposite:
-    """Per-batch combiner for the composite agg: bucket key = (terms source,
-    date_histogram source) pair; only queries x composite-buckets rows leave
-    each task."""
-
-    def __init__(self, shard_refs, stride, term_field: str, date_field: str):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.term_field = term_field
-        self.date_field = date_field
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        days = _np(batch, self.date_field).astype("datetime64[D]").astype("datetime64[us]")
-        g = _grouped({"query_id": qids, "key_term": _np(batch, self.term_field)[rows],
-                      "key_day": days[rows]}, {})
-        return _table(g, {"query_id": pa.int64(), "key_term": pa.string(),
-                          "key_day": pa.timestamp("us"), "n": pa.int64()})
+def _probe_composite(batch: pa.Table, qids, rows, scores, term_field: str,
+                     date_field: str) -> pa.Table:
+    """composite update: bucket key = (terms source, date_histogram source)
+    pair; only queries x composite-buckets rows leave each task."""
+    days = _np(batch, date_field).astype("datetime64[D]").astype("datetime64[us]")
+    g = _grouped({"query_id": qids, "key_term": _np(batch, term_field)[rows],
+                  "key_day": days[rows]}, {})
+    return _table(g, {"query_id": pa.int64(), "key_term": pa.string(),
+                      "key_day": pa.timestamp("us"), "n": pa.int64()})
 
 
 def composite_agg(
@@ -2190,7 +2035,7 @@ def composite_agg(
     (query_id, key_term, key_day, n_docs) for every non-empty composite
     bucket, ordered by the composite key (OpenSearch's after-key paging
     order). Same sharded-broadcast probe as the single-source aggs."""
-    partials = _probe_partials(index_dir, queries, where, _ProbeComposite,
+    partials = _probe_partials(index_dir, queries, where, _probe_composite,
                                (term_field, date_field),
                                ["docid", term_field, date_field])
     cols = {
@@ -2224,23 +2069,16 @@ def composite_agg(
 # ---------------------------------------------------------------------------
 
 
-class _ProbeWeighted:
-    """Per-batch partials for `weighted_avg`: exact int64 (sum(v*w), sum(w))
-    per query — the single float64 division happens at the driver so the
-    result is bit-reproducible by a SQL oracle."""
-
-    def __init__(self, shard_refs, stride, value_field: str, weight_field: str):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.value_field = value_field
-        self.weight_field = weight_field
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        v = _np(batch, self.value_field).astype(np.int64)[rows]
-        w = _np(batch, self.weight_field).astype(np.int64)[rows]
-        g = _grouped({"query_id": qids}, {"svw": ("vw", "sum"), "sw": ("w", "sum")},
-                     {"vw": v * w, "w": w})
-        return _table(g, dict.fromkeys(["query_id", "svw", "sw"], pa.int64()))
+def _probe_weighted(batch: pa.Table, qids, rows, scores, value_field: str,
+                    weight_field: str) -> pa.Table:
+    """`weighted_avg` update: exact int64 (sum(v*w), sum(w)) per query —
+    the single float64 division happens at the driver so the result is
+    bit-reproducible by a SQL oracle."""
+    v = _np(batch, value_field).astype(np.int64)[rows]
+    w = _np(batch, weight_field).astype(np.int64)[rows]
+    g = _grouped({"query_id": qids}, {"svw": ("vw", "sum"), "sw": ("w", "sum")},
+                 {"vw": v * w, "w": w})
+    return _table(g, dict.fromkeys(["query_id", "svw", "sw"], pa.int64()))
 
 
 def weighted_avg_agg(
@@ -2255,7 +2093,7 @@ def weighted_avg_agg(
     (query_id, weighted_avg) rounded half-up to 6dp. Queries whose matched
     weight sum is zero are omitted (OpenSearch would return null)."""
     partials = _probe_partials(
-        index_dir, queries, where, _ProbeWeighted,
+        index_dir, queries, where, _probe_weighted,
         (value_field, weight_field), ["docid", value_field, weight_field],
     )
     if partials.empty:
@@ -2274,27 +2112,21 @@ def weighted_avg_agg(
     }).reset_index(drop=True)
 
 
-class _ProbeRanks:
-    """`percentile_ranks` partials: per (query, probe value) the count of
+def _probe_ranks(batch: pa.Table, qids, rows, scores, field: str,
+                 values) -> pa.Table:
+    """`percentile_ranks` update: per (query, probe value) the count of
     matched docs with field <= value, plus the query's match count in the
     batch — driver reduce sums and divides once."""
-
-    def __init__(self, shard_refs, stride, field: str, values):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-        self.values = [float(v) for v in values]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        f = _np(batch, self.field).astype(np.float64)[rows]
-        le = {str(i): (f <= v).astype(np.int64) for i, v in enumerate(self.values)}
-        g = _grouped({"query_id": qids},
-                     {"n_tot": ("f", "size"), **{k: (k, "sum") for k in le}},
-                     {"f": f, **le})
-        g = g.melt(id_vars=["query_id", "n_tot"], var_name="value", value_name="n_le")
-        g["value"] = np.asarray(self.values, dtype=np.float64)[g["value"].astype(np.int64)]
-        return _table(g, {"query_id": pa.int64(), "value": pa.float64(),
-                          "n_le": pa.int64(), "n_tot": pa.int64()})
+    values = [float(v) for v in values]
+    f = _np(batch, field).astype(np.float64)[rows]
+    le = {str(i): (f <= v).astype(np.int64) for i, v in enumerate(values)}
+    g = _grouped({"query_id": qids},
+                 {"n_tot": ("f", "size"), **{k: (k, "sum") for k in le}},
+                 {"f": f, **le})
+    g = g.melt(id_vars=["query_id", "n_tot"], var_name="value", value_name="n_le")
+    g["value"] = np.asarray(values, dtype=np.float64)[g["value"].astype(np.int64)]
+    return _table(g, {"query_id": pa.int64(), "value": pa.float64(),
+                      "n_le": pa.int64(), "n_tot": pa.int64()})
 
 
 def percentile_ranks_agg(
@@ -2309,7 +2141,7 @@ def percentile_ranks_agg(
     matched docs with field <= v — (query_id, value, percent) rounded
     half-up to 6dp, ordered by (query_id, value)."""
     partials = _probe_partials(
-        index_dir, queries, where, _ProbeRanks, (field, values),
+        index_dir, queries, where, _probe_ranks, (field, values),
         ["docid", field],
     )
     if partials.empty:
@@ -2329,50 +2161,19 @@ def percentile_ranks_agg(
     }).reset_index(drop=True)
 
 
-class _ProbeTopMetrics:
-    """`top_metrics` partials: each batch's per-query top-``size`` docs by
+def _probe_top_metrics(batch: pa.Table, qids, rows, scores, sort_field: str,
+                       metric_field: str, size: int) -> pa.Table:
+    """`top_metrics` update: each block's per-query top-``size`` pairs by
     (sort_field DESC, docid ASC) with the metric value — size-bounded rows
     per (query, task); the driver reduce re-sorts and trims to size."""
-
-    def __init__(self, shard_refs, stride, sort_field: str, metric_field: str,
-                 size: int):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.sort_field = sort_field
-        self.metric_field = metric_field
-        self.size = size
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        s = batch[self.sort_field].combine_chunks().to_numpy(zero_copy_only=False)
-        if s.dtype.kind == "M":
-            s = s.astype("datetime64[us]").astype(np.int64)
-        else:
-            s = s.astype(np.int64)
-        m = batch[self.metric_field].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        qids, docs, sorts, mets = [], [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            di, si, mi = ids[mask], s[mask], m[mask]
-            # np.lexsort: LAST key is primary -> (-sort) asc == sort desc,
-            # docid asc breaks ties
-            order = np.lexsort((di, -si))[: self.size]
-            qids.extend([qid] * len(order))
-            docs.extend(di[order].tolist())
-            sorts.extend(si[order].tolist())
-            mets.extend(mi[order].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "docid": pa.array(docs, type=pa.int64()),
-                "sort_us": pa.array(sorts, type=pa.int64()),
-                "metric": pa.array(mets, type=pa.int64()),
-            }
-        )
+    s = _np(batch, sort_field)
+    s = (s.astype("datetime64[us]") if s.dtype.kind == "M" else s).astype(np.int64)
+    top = _top_n(pd.DataFrame({
+        "query_id": qids, "docid": _np(batch, "docid")[rows], "sort_us": s[rows],
+        "metric": _np(batch, metric_field).astype(np.int64)[rows],
+    }), ["query_id"], ["sort_us"], size)
+    return _table(top, dict.fromkeys(["query_id", "docid", "sort_us", "metric"],
+                                     pa.int64()))
 
 
 def top_metrics_agg(
@@ -2389,7 +2190,7 @@ def top_metrics_agg(
     <metric_field>). Unlike top_hits the sort key is a FIELD, not the
     relevance score; partials are size-bounded per task."""
     partials = _probe_partials(
-        index_dir, queries, where, _ProbeTopMetrics,
+        index_dir, queries, where, _probe_top_metrics,
         (sort_field, metric_field, size), ["docid", sort_field, metric_field],
     )
     is_ts = sort_field == "ts"
@@ -2402,11 +2203,7 @@ def top_metrics_agg(
     }
     if partials.empty:
         return pd.DataFrame(cols)
-    partials = partials.sort_values(
-        ["query_id", "sort_us", "docid"], ascending=[True, False, True]
-    )
-    top = partials.groupby("query_id", sort=True).head(size).copy()
-    top["rank"] = top.groupby("query_id").cumcount().astype(np.int32) + 1
+    top = _top_n(partials, ["query_id"], ["sort_us"], size)
     sv = top["sort_us"].to_numpy(np.int64)
     out = pd.DataFrame({
         "query_id": top["query_id"].astype(np.int64).to_numpy(),
@@ -2418,29 +2215,22 @@ def top_metrics_agg(
     return out.reset_index(drop=True)
 
 
-class _ProbeMultiTerms:
-    """`multi_terms` per-batch combiner: composite bucket over N term
-    fields; rows where ANY key field is null or the empty-string sentinel
-    are skipped (OpenSearch skips docs missing a source value)."""
-
-    def __init__(self, shard_refs, stride, fields, missing: str = ""):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.fields = list(fields)
-        self.missing = missing
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        cols, valid = {}, np.ones(batch.num_rows, dtype=bool)
-        for f in self.fields:
-            arr = batch[f].combine_chunks()
-            valid &= ~np.asarray(arr.is_null())
-            cols[f] = arr.to_numpy(zero_copy_only=False)
-            valid &= cols[f] != self.missing
-        keep = valid[rows]
-        g = _grouped({"query_id": qids[keep],
-                      **{f: c[rows[keep]] for f, c in cols.items()}}, {})
-        return _table(g, {"query_id": pa.int64(),
-                          **dict.fromkeys(self.fields, pa.string()), "n": pa.int64()})
+def _probe_multi_terms(batch: pa.Table, qids, rows, scores, fields,
+                       missing: str = "") -> pa.Table:
+    """`multi_terms` update: composite bucket over N term fields; rows
+    where ANY key field is null or the empty-string sentinel are skipped
+    (OpenSearch skips docs missing a source value)."""
+    cols, valid = {}, np.ones(batch.num_rows, dtype=bool)
+    for f in fields:
+        arr = batch[f].combine_chunks()
+        valid &= ~np.asarray(arr.is_null())
+        cols[f] = arr.to_numpy(zero_copy_only=False)
+        valid &= cols[f] != missing
+    keep = valid[rows]
+    g = _grouped({"query_id": qids[keep],
+                  **{f: c[rows[keep]] for f, c in cols.items()}}, {})
+    return _table(g, {"query_id": pa.int64(),
+                      **dict.fromkeys(fields, pa.string()), "n": pa.int64()})
 
 
 def multi_terms_agg(
@@ -2457,7 +2247,7 @@ def multi_terms_agg(
     difference from composite_agg, which buckets terms x date."""
     fields = list(fields)
     partials = _probe_partials(
-        index_dir, queries, where, _ProbeMultiTerms, (fields, missing),
+        index_dir, queries, where, _probe_multi_terms, (fields, missing),
         ["docid"] + fields,
     )
     cols = {"query_id": pd.Series(dtype=np.int64)}
@@ -2587,27 +2377,21 @@ def normalize_date_histogram(
     return h
 
 
-class _ProbeMatrix:
-    """`matrix_stats` partials: exact int64 moment sums per query —
-    (n, sum_x, sum_y, sum_x2, sum_y2, sum_xy) — so every float operation
-    happens ONCE at the driver in an order a SQL oracle reproduces bit-equal.
-    int64 bound: sums of x*y over the match set must stay under 2^63 (fields
-    here are small ints; at larger corpora widen to per-shard float128 or
-    split sums, as OpenSearch's double-based running moments would)."""
-
-    def __init__(self, shard_refs, stride, field_x: str, field_y: str):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field_x = field_x
-        self.field_y = field_y
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        x = _np(batch, self.field_x).astype(np.int64)[rows]
-        y = _np(batch, self.field_y).astype(np.int64)[rows]
-        sums = {"sx": x, "sy": y, "sxx": x * x, "syy": y * y, "sxy": x * y}
-        g = _grouped({"query_id": qids},
-                     {"n": ("sx", "size"), **{k: (k, "sum") for k in sums}}, sums)
-        return _table(g, dict.fromkeys(["query_id", "n", *sums], pa.int64()))
+def _probe_matrix(batch: pa.Table, qids, rows, scores, field_x: str,
+                  field_y: str) -> pa.Table:
+    """`matrix_stats` update: exact int64 moment sums per query — (n,
+    sum_x, sum_y, sum_x2, sum_y2, sum_xy) — so every float operation
+    happens ONCE at the driver in an order a SQL oracle reproduces
+    bit-equal. int64 bound: sums of x*y over the match set must stay under
+    2^63 (fields here are small ints; at larger corpora widen to per-shard
+    float128 or split sums, as OpenSearch's double-based running moments
+    would)."""
+    x = _np(batch, field_x).astype(np.int64)[rows]
+    y = _np(batch, field_y).astype(np.int64)[rows]
+    sums = {"sx": x, "sy": y, "sxx": x * x, "syy": y * y, "sxy": x * y}
+    g = _grouped({"query_id": qids},
+                 {"n": ("sx", "size"), **{k: (k, "sum") for k in sums}}, sums)
+    return _table(g, dict.fromkeys(["query_id", "n", *sums], pa.int64()))
 
 
 def matrix_stats_agg(
@@ -2626,7 +2410,7 @@ def matrix_stats_agg(
     corr = cov/sqrt(vx*vy), 0.0 when either variance is 0). All floats
     rounded half-up to 6 decimals. Queries with no matches are omitted."""
     partials = _probe_partials(
-        index_dir, queries, where, _ProbeMatrix,
+        index_dir, queries, where, _probe_matrix,
         (field_x, field_y), ["docid", field_x, field_y],
     )
     cols = ["n_docs", "mean_x", "mean_y", "var_x", "var_y",
@@ -2728,44 +2512,19 @@ def match_count(index_dir: str, queries, where=None) -> pd.DataFrame:
     })
 
 
-class _ProbeDivTop:
-    """`diversified_sampler` partials: per (query, de-dup key) the batch's
-    top ``max_per_value`` matched docs by (round6 score desc, docid asc) —
-    a superset of each key's global top; queries x keys x max_per_value
-    rows leave each task."""
-
-    def __init__(self, shard_refs, stride, field: str, max_per_value: int):
-        self.matches = _ShardedScored(shard_refs, stride)
-        self.field = field
-        self.max_per_value = max_per_value
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        keys = batch[self.field].combine_chunks().to_numpy(zero_copy_only=False)
-        qids, out_keys, docs, scores = [], [], [], []
-        for qid, (arr, sc) in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            d = ids[mask]
-            s = sc[np.searchsorted(arr, d)]
-            r = np.floor(s * 1e6 + 0.5) / 1e6
-            df = pd.DataFrame({"key": keys[mask], "docid": d, "score": r})
-            df = df.sort_values(["key", "score", "docid"],
-                                ascending=[True, False, True])
-            df = df.groupby("key", sort=False).head(self.max_per_value)
-            qids.extend([qid] * len(df))
-            out_keys.extend(df["key"].tolist())
-            docs.extend(df["docid"].tolist())
-            scores.extend(df["score"].tolist())
-        return pa.table({
-            "query_id": pa.array(qids, type=pa.int64()),
-            "key": pa.array(out_keys, type=pa.string()),
-            "docid": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        })
+def _probe_div_top(batch: pa.Table, qids, rows, scores, field: str,
+                   max_per_value: int) -> pa.Table:
+    """`diversified_sampler` update: per (query, de-dup key) the block's
+    top ``max_per_value`` pairs by (round6 score desc, docid asc) — a
+    superset of each key's global top; queries x keys x max_per_value rows
+    leave each task."""
+    top = _top_n(pd.DataFrame({
+        "query_id": qids, "key": _np(batch, field)[rows],
+        "docid": _np(batch, "docid")[rows],
+        "score": np.floor(scores * 1e6 + 0.5) / 1e6,
+    }), ["query_id", "key"], ["score"], max_per_value)
+    return _table(top, {"query_id": pa.int64(), "key": pa.string(),
+                        "docid": pa.int64(), "score": pa.float64()})
 
 
 def diversified_sampler_agg(
@@ -2789,7 +2548,7 @@ def diversified_sampler_agg(
     exhaustive BM25 rounded half-up to 6 decimals; order (score desc,
     docid asc). Returns (query_id, rank, docid, key, score)."""
     q = query_frame(queries)
-    partials = _probe_partials(index_dir, q, where, _ProbeDivTop,
+    partials = _probe_partials(index_dir, q, where, _probe_div_top,
                                (field, max_docs_per_value), ["docid", field],
                                scored=True)
     cols = {
@@ -2801,57 +2560,27 @@ def diversified_sampler_agg(
     }
     if partials.empty:
         return pd.DataFrame(cols)
-    partials = partials.sort_values(["query_id", "key", "score", "docid"],
-                                    ascending=[True, True, False, True])
-    capped = partials.groupby(["query_id", "key"], sort=False).head(
-        max_docs_per_value)
-    capped = capped.sort_values(["query_id", "score", "docid"],
-                                ascending=[True, False, True])
-    capped["rank"] = capped.groupby("query_id").cumcount() + 1
-    out = capped[capped["rank"] <= shard_size]
+    capped = _top_n(partials, ["query_id", "key"], ["score"], max_docs_per_value)
+    out = _top_n(capped, ["query_id"], ["score"], shard_size)
     return out[["query_id", "rank", "docid", "key", "score"]].astype(
         {"query_id": np.int64, "rank": np.int32, "docid": np.int64,
          "score": np.float64}
     ).reset_index(drop=True)
 
 
-class _ProbeSampleTop:
-    """`sampler` partials: per query the batch's top ``shard_size`` matched
-    docs by (round6 score desc, docid asc) with their sub-agg field values —
-    a superset of the global per-query top; queries x shard_size rows leave
+def _probe_sample_top(batch: pa.Table, qids, rows, scores, field: str,
+                      shard_size: int) -> pa.Table:
+    """`sampler` update: per query the block's top ``shard_size`` pairs by
+    (round6 score desc, docid asc) with their sub-agg field values — a
+    superset of the global per-query top; queries x shard_size rows leave
     each task."""
-
-    def __init__(self, shard_refs, stride, field: str, shard_size: int):
-        self.matches = _ShardedScored(shard_refs, stride)
-        self.field = field
-        self.size = shard_size
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        keys = batch[self.field].combine_chunks().to_numpy(zero_copy_only=False)
-        qids, out_keys, docs, scores = [], [], [], []
-        for qid, (arr, sc) in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            d = ids[mask]
-            s = sc[np.searchsorted(arr, d)]
-            r = np.floor(s * 1e6 + 0.5) / 1e6
-            df = pd.DataFrame({"key": keys[mask], "docid": d, "score": r})
-            df = df.sort_values(["score", "docid"],
-                                ascending=[False, True]).head(self.size)
-            qids.extend([qid] * len(df))
-            out_keys.extend(df["key"].tolist())
-            docs.extend(df["docid"].tolist())
-            scores.extend(df["score"].tolist())
-        return pa.table({
-            "query_id": pa.array(qids, type=pa.int64()),
-            "key": pa.array(out_keys, type=pa.string()),
-            "docid": pa.array(docs, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        })
+    top = _top_n(pd.DataFrame({
+        "query_id": qids, "key": _np(batch, field)[rows],
+        "docid": _np(batch, "docid")[rows],
+        "score": np.floor(scores * 1e6 + 0.5) / 1e6,
+    }), ["query_id"], ["score"], shard_size)
+    return _table(top, {"query_id": pa.int64(), "key": pa.string(),
+                        "docid": pa.int64(), "score": pa.float64()})
 
 
 def sampler_terms_agg(
@@ -2872,7 +2601,7 @@ def sampler_terms_agg(
     decided on 6-decimal-rounded scores (the engine's cross-oracle float
     policy). Returns (query_id, key, doc_count) ordered
     (doc_count desc, key asc) per query."""
-    partials = _probe_partials(index_dir, queries, where, _ProbeSampleTop,
+    partials = _probe_partials(index_dir, queries, where, _probe_sample_top,
                                (field, shard_size), ["docid", field],
                                scored=True)
     cols = {
@@ -2882,10 +2611,7 @@ def sampler_terms_agg(
     }
     if partials.empty:
         return pd.DataFrame(cols)
-    partials = partials.sort_values(["query_id", "score", "docid"],
-                                    ascending=[True, False, True])
-    partials["rank"] = partials.groupby("query_id").cumcount() + 1
-    sample = partials[partials["rank"] <= shard_size]
+    sample = _top_n(partials, ["query_id"], ["score"], shard_size)
     out = (
         sample.groupby(["query_id", "key"], sort=False)
         .size()
@@ -3052,24 +2778,17 @@ def moving_percentiles_date_histogram(
     return base
 
 
-class _ProbeDayKey:
-    """`cumulative_cardinality` partials: the batch's DISTINCT
-    (query, day, key_field) triplets — the same driver-size contract as
-    `_ProbeDistinct` (cardinality_agg): rows bound by the match set's
+def _probe_day_key(batch: pa.Table, qids, rows, scores, field: str,
+                   key_field: str) -> pa.Table:
+    """`cumulative_cardinality` update: the batch's DISTINCT (query, day,
+    key_field) triplets — the same driver-size contract as
+    `_probe_distinct` (cardinality_agg): rows bound by the match set's
     distinct (day, key) pairs, not by doc count."""
-
-    def __init__(self, shard_refs, stride, field: str, key_field: str):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-        self.key_field = key_field
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        days = _np(batch, self.field).astype("datetime64[D]").astype("datetime64[us]")
-        df = pd.DataFrame({"query_id": qids, "key": days[rows],
-                           "value": _np(batch, self.key_field)[rows]}).drop_duplicates()
-        return _table(df, {"query_id": pa.int64(), "key": pa.timestamp("us"),
-                           "value": pa.string()})
+    days = _np(batch, field).astype("datetime64[D]").astype("datetime64[us]")
+    df = pd.DataFrame({"query_id": qids, "key": days[rows],
+                       "value": _np(batch, key_field)[rows]}).drop_duplicates()
+    return _table(df, {"query_id": pa.int64(), "key": pa.timestamp("us"),
+                       "value": pa.string()})
 
 
 def cumulative_cardinality_agg(
@@ -3087,7 +2806,7 @@ def cumulative_cardinality_agg(
     (min_doc_count=1 parent semantics). Returns
     (query_id, key, cum_cardinality)."""
     partials = _probe_partials(
-        index_dir, queries, where, _ProbeDayKey,
+        index_dir, queries, where, _probe_day_key,
         (field, key_field), ["docid", field, key_field],
     )
     if partials.empty:
@@ -3140,22 +2859,16 @@ def _compile_script(expr: str, fields: tuple):
     return lambda cols: ev(tree, cols)
 
 
-class _ProbeScripted:
-    """`scripted_metric` partials: map_script evaluated vectorized over the
-    batch's matched docs, combine_script = int64 sum — one row per query
-    leaves each task; reduce_script (the driver) sums the partials."""
-
-    def __init__(self, shard_refs, stride, script: str, fields: tuple):
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.fields = fields
-        self.fn = _compile_script(script, fields)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, rows = self.matches.pairs(_np(batch, "docid"))
-        v = self.fn({f: _np(batch, f).astype(np.int64)[rows] for f in self.fields})
-        g = _grouped({"query_id": qids}, {"v": ("v", "sum"), "n": ("v", "size")},
-                     {"v": np.broadcast_to(np.asarray(v, dtype=np.int64), len(rows))})
-        return _table(g, dict.fromkeys(["query_id", "v", "n"], pa.int64()))
+def _probe_scripted(batch: pa.Table, qids, rows, scores, script: str,
+                    fields: tuple) -> pa.Table:
+    """`scripted_metric` update: map_script evaluated vectorized over the
+    pairs, combine_script = int64 sum — one row per query leaves each
+    task; reduce_script (the driver) sums the partials."""
+    fn = _compile_script(script, fields)
+    v = fn({f: _np(batch, f).astype(np.int64)[rows] for f in fields})
+    g = _grouped({"query_id": qids}, {"v": ("v", "sum"), "n": ("v", "size")},
+                 {"v": np.broadcast_to(np.asarray(v, dtype=np.int64), len(rows))})
+    return _table(g, dict.fromkeys(["query_id", "v", "n"], pa.int64()))
 
 
 def scripted_metric_agg(
@@ -3172,8 +2885,9 @@ def scripted_metric_agg(
     oracle runs the IDENTICAL expression. Returns
     (query_id, n_docs, value), query_id-ascending; no-match queries are
     omitted (their reduce state is empty)."""
+    _compile_script(script, tuple(fields))  # a bad script fails here, not in a task
     partials = _probe_partials(
-        index_dir, queries, where, _ProbeScripted,
+        index_dir, queries, where, _probe_scripted,
         (script, tuple(fields)), ["docid", *fields],
     )
     if partials.empty:

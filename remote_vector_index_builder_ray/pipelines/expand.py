@@ -35,6 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from remote_vector_index_builder_ray.pipelines.query import query_frame, search
 from remote_vector_index_builder_ray.state import fs
 
 
@@ -481,55 +482,49 @@ def _terms_queries(q: pd.DataFrame, terms_by_qid: dict[int, list[str]]) -> pd.Da
     return out
 
 
-def search_terms(index_dir: str, queries: pd.DataFrame, **kw):
+def search_terms(index_dir: str, queries, **kw):
     """OpenSearch ``terms`` query: docs containing ANY of the exact terms in
     ``queries.terms`` (list<string>, already analyzed), constant score 1.0,
     docid-ascending tie-break. Returns (query_id, rank, docid, score)."""
-    from remote_vector_index_builder_ray.pipelines.query import search
-
     return search(index_dir, queries, mode="constant", **kw)
 
 
-def search_prefix(index_dir: str, queries: pd.DataFrame, **kw):
+def _expanded_search(index_dir: str, queries, column: str, expand,
+                     mode: str = "constant", **kw):
+    """Search each query's ``column`` pattern rewritten to its dictionary
+    terms: each distinct pattern expands ONCE on the driver (``expand``),
+    the per-query term lists run as the pre-analyzed ``terms`` column."""
+    q = query_frame(queries)
+    exp = {p: expand(p) for p in set(q[column])}
+    return search(index_dir, _terms_queries(q, {
+        int(qid): exp[p] for qid, p in zip(q["query_id"], q[column])
+    }), mode=mode, **kw)
+
+
+def search_prefix(index_dir: str, queries, **kw):
     """OpenSearch ``prefix`` query (constant-score rewrite): ``queries`` has
     (query_id, prefix:string, k). Each distinct prefix expands ONCE on the
     driver against the term dictionary; matching docs score 1.0."""
-    exp = {p: expand_prefix(index_dir, p) for p in set(queries["prefix"])}
-    q = _terms_queries(queries, {
-        int(r.query_id): exp[r.prefix] for r in queries.itertuples(index=False)
-    })
-    from remote_vector_index_builder_ray.pipelines.query import search
-
-    return search(index_dir, q, mode="constant", **kw)
+    return _expanded_search(index_dir, queries, "prefix",
+                            lambda p: expand_prefix(index_dir, p), **kw)
 
 
-def search_wildcard(index_dir: str, queries: pd.DataFrame, **kw):
+def search_wildcard(index_dir: str, queries, **kw):
     """OpenSearch ``wildcard`` query (constant-score rewrite): ``queries``
     has (query_id, pattern:string, k)."""
-    exp = {p: expand_wildcard(index_dir, p) for p in set(queries["pattern"])}
-    q = _terms_queries(queries, {
-        int(r.query_id): exp[r.pattern] for r in queries.itertuples(index=False)
-    })
-    from remote_vector_index_builder_ray.pipelines.query import search
-
-    return search(index_dir, q, mode="constant", **kw)
+    return _expanded_search(index_dir, queries, "pattern",
+                            lambda p: expand_wildcard(index_dir, p), **kw)
 
 
-def search_regexp(index_dir: str, queries: pd.DataFrame, **kw):
+def search_regexp(index_dir: str, queries, **kw):
     """OpenSearch ``regexp`` query (constant-score rewrite): ``queries``
     has (query_id, pattern:string, k); patterns are RE2, implicitly
     anchored (Lucene regexp semantics)."""
-    exp = {p: expand_regexp(index_dir, p) for p in set(queries["pattern"])}
-    q = _terms_queries(queries, {
-        int(r.query_id): exp[r.pattern] for r in queries.itertuples(index=False)
-    })
-    from remote_vector_index_builder_ray.pipelines.query import search
-
-    return search(index_dir, q, mode="constant", **kw)
+    return _expanded_search(index_dir, queries, "pattern",
+                            lambda p: expand_regexp(index_dir, p), **kw)
 
 
-def search_span_multi(index_dir: str, queries: pd.DataFrame,
-                      max_expansions: int = 50, **kw):
+def search_span_multi(index_dir: str, queries, max_expansions: int = 50, **kw):
     """Lucene ``SpanMultiTermQueryWrapper`` around a prefix query: the
     multi-term query rewrites to a span_or over the dictionary terms
     matching the prefix (Lucene's SpanOrQuery rewrite), scored with the
@@ -542,27 +537,21 @@ def search_span_multi(index_dir: str, queries: pd.DataFrame,
     expansions are logged). Returns (query_id, rank, docid, score)."""
     import logging
 
-    exp: dict[str, list[str]] = {}
-    for p in set(queries["prefix"]):
+    def expand(p: str) -> list[str]:
         terms = expand_prefix(index_dir, p)
         if len(terms) > max_expansions:
             logging.getLogger(__name__).warning(
                 "span_multi prefix %r expands to %d terms; capping at %d",
                 p, len(terms), max_expansions,
             )
-            terms = terms[:max_expansions]
-        exp[p] = terms
-    q = _terms_queries(queries, {
-        int(r.query_id): exp[r.prefix] for r in queries.itertuples(index=False)
-    })
-    from remote_vector_index_builder_ray.pipelines.query import search
+        return terms[:max_expansions]
 
-    return search(index_dir, q, mode="span_or", **kw)
+    return _expanded_search(index_dir, queries, "prefix", expand, mode="span_or", **kw)
 
 
 def search_synonyms(
     index_dir: str,
-    queries: pd.DataFrame,
+    queries,
     synonyms: dict[str, list[str]],
     **kw,
 ):
@@ -578,8 +567,8 @@ def search_synonyms(
         analyze_text,
         load_analyzer,
     )
-    from remote_vector_index_builder_ray.pipelines.query import search
 
+    queries = query_frame(queries)
     an = load_analyzer(index_dir)
     rows = []
     for r in queries.itertuples(index=False):
@@ -603,7 +592,7 @@ def auto_fuzziness(term: str) -> int:
 
 def search_fuzzy(
     index_dir: str,
-    queries: pd.DataFrame,
+    queries,
     max_edits: int | str = 1,
     prefix_length: int = 0,
     transpositions: bool = False,
@@ -621,8 +610,8 @@ def search_fuzzy(
         analyze_text,
         load_analyzer,
     )
-    from remote_vector_index_builder_ray.pipelines.query import search
 
+    queries = query_frame(queries)
     if isinstance(max_edits, str) and max_edits != "AUTO":
         raise ValueError(f"max_edits must be an int or 'AUTO', got {max_edits!r}")
     an = load_analyzer(index_dir)
@@ -645,7 +634,7 @@ def search_fuzzy(
 
 def search_phrase_prefix(
     index_dir: str,
-    queries: pd.DataFrame,
+    queries,
     max_expansions: int = 50,
     **kw,
 ):
@@ -667,8 +656,8 @@ def search_phrase_prefix(
         analyze_text,
         load_analyzer,
     )
-    from remote_vector_index_builder_ray.pipelines.query import search
 
+    queries = query_frame(queries)
     an = load_analyzer(index_dir)
     td = _get_dict(index_dir)
     sub_rows = []   # (sub_id, orig_qid, terms)
@@ -713,7 +702,7 @@ def search_phrase_prefix(
 
 def search_match_bool_prefix(
     index_dir: str,
-    queries: pd.DataFrame,
+    queries,
     max_expansions: int = 50,
     **kw,
 ):
@@ -751,8 +740,8 @@ def search_match_bool_prefix(
         analyze_text,
         load_analyzer,
     )
-    from remote_vector_index_builder_ray.pipelines.query import search
 
+    queries = query_frame(queries)
     out_cols = {
         "query_id": pd.Series(dtype=np.int64),
         "rank": pd.Series(dtype=np.int32),

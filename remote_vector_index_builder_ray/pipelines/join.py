@@ -44,16 +44,13 @@ import ray
 import ray.data
 
 from remote_vector_index_builder_ray.pipelines.aggs import (
+    _np,
     _probe_ds,
     _sharded_matches,
-    _ShardedScored,
+    _top_n,
 )
 from remote_vector_index_builder_ray.pipelines.query import hydrate, query_frame, search
-from remote_vector_index_builder_ray.stages.merge import (
-    isin_sorted,
-    semi_join,
-    to_frame,
-)
+from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
 
 _CHILD_COLS = {
     "query_id": np.int64,
@@ -69,51 +66,32 @@ def _round6(a):
     return np.floor(np.asarray(a, dtype=np.float64) * 1e6 + 0.5) / 1e6
 
 
-class _ProbeChildAgg:
-    """Per-batch combiner for has_child: per (query, conv_id) the batch's
-    matching-turn count, max / min / sum of 6-rounded child scores. Only
-    queries x convs-in-batch rows leave each task."""
-
-    def __init__(self, shard_refs, stride):
-        self.matches = _ShardedScored(shard_refs, stride)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        convs = batch["conv_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        qids, out_convs, ns, smaxs, smins, ssums = [], [], [], [], [], []
-        for qid, (arr, sc) in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            d = ids[mask]
-            s = _round6(sc[np.searchsorted(arr, d)])
-            cv = convs[mask]
-            # convs are docid-contiguous: groupby on the sorted key is a
-            # run-length pass, not a hash build
-            codes, uniq = pd.factorize(cv, sort=False)
-            n = np.bincount(codes)
-            smax = np.full(len(uniq), -np.inf)
-            np.maximum.at(smax, codes, s)
-            smin = np.full(len(uniq), np.inf)
-            np.minimum.at(smin, codes, s)
-            ssum = np.zeros(len(uniq))
-            np.add.at(ssum, codes, s)
-            qids.extend([qid] * len(uniq))
-            out_convs.extend(list(uniq))
-            ns.extend(n.tolist())
-            smaxs.extend(smax.tolist())
-            smins.extend(smin.tolist())
-            ssums.extend(ssum.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "conv_id": pa.array(out_convs, type=pa.string()),
-                "n": pa.array(ns, type=pa.int64()),
-                "smax": pa.array(smaxs, type=pa.float64()),
-                "smin": pa.array(smins, type=pa.float64()),
-                "ssum": pa.array(ssums, type=pa.float64()),
-            }
-        )
+def _probe_child_agg(batch: pa.Table, qids, rows, scores) -> pa.Table:
+    """has_child update: per (query, conv_id) the block's matching-turn
+    count and max / min / sum of 6-rounded child scores. Only queries x
+    convs-in-block rows leave each task."""
+    # (qid, row) order: each conv's sum adds its turns in docid order, one
+    # sequential float sum per group (a pandas groupby sum is compensated
+    # and may differ in the last ulp)
+    order = np.lexsort((rows, qids))
+    qids, rows, s = qids[order], rows[order], _round6(scores[order])
+    convs = _np(batch, "conv_id")[rows]
+    g = pd.DataFrame({"query_id": qids, "conv_id": convs}).groupby(
+        ["query_id", "conv_id"], sort=False).ngroup().to_numpy()
+    first = np.unique(g, return_index=True)[1]
+    n = np.bincount(g, minlength=len(first))
+    smax = np.full(len(first), -np.inf)
+    np.maximum.at(smax, g, s)
+    smin = np.full(len(first), np.inf)
+    np.minimum.at(smin, g, s)
+    return pa.table({
+        "query_id": pa.array(qids[first], type=pa.int64()),
+        "conv_id": pa.array(convs[first], type=pa.string()),
+        "n": pa.array(n, type=pa.int64()),
+        "smax": pa.array(smax, type=pa.float64()),
+        "smin": pa.array(smin, type=pa.float64()),
+        "ssum": pa.array(np.bincount(g, s, minlength=len(first)), type=pa.float64()),
+    })
 
 
 def _combine_child(df: pd.DataFrame, score_mode: str) -> pd.DataFrame:
@@ -147,10 +125,8 @@ def _block_top_k(batch: pa.Table, k: int, score_mode: str,
     merging per-block top-k partials and cutting again gives the global
     top-k."""
     df = _combine_child(batch.to_pandas(), score_mode)
-    df = df[df["n_matching"] >= min_children]
-    df = df.sort_values(["query_id", "score", "conv_id"],
-                        ascending=[True, False, True])
-    top = df.groupby("query_id", sort=False).head(k)
+    top = _top_n(df[df["n_matching"] >= min_children], ["query_id"], ["score"],
+                 k, tie="conv_id").drop(columns=["rank"])
     return pa.Table.from_pandas(top, preserve_index=False)
 
 
@@ -171,7 +147,7 @@ def has_child(
     shard_refs, _, counts = _sharded_matches(
         index_dir, queries, where=where, scored=True
     )
-    partials = _probe_ds(index_dir, ["docid", "conv_id"], _ProbeChildAgg,
+    partials = _probe_ds(index_dir, ["docid", "conv_id"], _probe_child_agg,
                          shard_refs)
     total = sum(counts.values())
     if total > distributed_threshold:
@@ -209,10 +185,7 @@ def has_child(
             return pd.DataFrame({c: pd.Series(dtype=t) for c, t in _CHILD_COLS.items()})
         g = _combine_child(df, score_mode)
         g = g[g["n_matching"] >= min_children]
-    g = g.sort_values(["query_id", "score", "conv_id"],
-                      ascending=[True, False, True])
-    g["rank"] = g.groupby("query_id").cumcount() + 1
-    g = g[g["rank"] <= k].reset_index(drop=True)
+    g = _top_n(g, ["query_id"], ["score"], k, tie="conv_id").reset_index(drop=True)
     return g[["query_id", "rank", "conv_id", "score", "n_matching"]].astype(_CHILD_COLS)
 
 

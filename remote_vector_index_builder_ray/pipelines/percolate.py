@@ -32,6 +32,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from remote_vector_index_builder_ray.pipelines.query import query_frame
+
 
 def _percolate_batch(batch: pa.Table, q_terms: list[str], q_ids: np.ndarray,
                      need_qid: np.ndarray, need_val: np.ndarray,
@@ -101,7 +103,7 @@ def _percolate_batch(batch: pa.Table, q_terms: list[str], q_ids: np.ndarray,
 
 def percolate(
     input_paths: list[str],
-    queries: pd.DataFrame,
+    queries,
     operator: str = "and",
     analyzer=None,
     batch_size: int = 16384,
@@ -120,7 +122,7 @@ def percolate(
     q_terms: list[str] = []
     q_ids: list[int] = []
     need: dict[int, int] = {}
-    for r in queries.itertuples(index=False):
+    for r in query_frame(queries).itertuples(index=False):
         terms = sorted(set(analyze_text(r.text or "", analyzer)))
         if not terms:
             continue

@@ -185,67 +185,40 @@ def _on_warm_pool(index_dir: str, queries: pd.DataFrame, mode: str,
         default_service().run(index_dir, queries, mode, options, allow_ref))
 
 
-class _ProbeTopField:
-    """Per-batch combiner for field-sorted search: probe each query's match
-    set, keep the batch-local top-k by (field, docid) — only queries x k
-    rows leave each task; partials reduce associatively driver-side."""
+def _probe_top_field(batch: pa.Table, qids, rows, scores, field: str,
+                     ascending: bool, k: dict, after: dict) -> pa.Table:
+    """Field-sorted search update: each block's top-k pairs per query in
+    page order — (field, docid asc), nulls last, the reduce's own order —
+    so only queries x k rows leave each task and the partials reduce
+    associatively driver-side. ``after`` holds the strictly-after cursors,
+    {query_id: (field value, docid)}: a query with one keeps only the pairs
+    past its cursor in page order."""
+    from remote_vector_index_builder_ray.pipelines.aggs import _np, _top_n
 
-    def __init__(self, shard_refs, stride, field: str, ascending: bool, k: int,
-                 after=None):
-        from remote_vector_index_builder_ray.pipelines.aggs import _ShardedMatches
-
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.field = field
-        self.ascending = ascending
-        self.k = k
-        # strictly-after cursor: one (field value, docid) tuple for every
-        # query, or {query_id: (value, docid)} per-query cursors
-        self.after = after
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        vals = batch[self.field].combine_chunks().to_numpy(zero_copy_only=False)
-        qids, docs, out_vals = [], [], []
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            v, d = vals[mask], ids[mask]
-            if self.ascending:
-                key = v
-            else:  # negate for descending; datetimes via their int64 view
-                key = -(v.astype("int64") if v.dtype.kind in "Mm" else v)
-            cur = (self.after.get(qid) if isinstance(self.after, dict)
-                   else self.after)
-            if cur is not None:
-                # sorted search_after: (sort key, docid) strictly after the
-                # cursor in page order — deep pages never re-ship earlier hits
-                av, ad = cur
-                if v.dtype.kind in "Mm":
-                    av = np.datetime64(av, "us")
-                ak = av if self.ascending else -(
-                    av.astype("int64") if v.dtype.kind in "Mm" else av
-                )
-                keep = (key > ak) | ((key == ak) & (d > ad))
-                v, d, key = v[keep], d[keep], key[keep]
-                if not len(d):
-                    continue
-            order = np.lexsort((d, key))[: self.k]
-            qids.extend([qid] * len(order))
-            docs.extend(d[order].tolist())
-            out_vals.extend(v[order].tolist())
-        ftype = batch[self.field].type
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "docid": pa.array(docs, type=pa.int64()),
-                self.field: pa.array(out_vals, type=ftype),
-            }
-        )
+    v = _np(batch, field)[rows]
+    d = _np(batch, "docid")[rows]
+    if after:
+        # sorted search_after — deep pages never re-ship earlier hits
+        cq = np.array(sorted(after), dtype=np.int64)
+        at = np.minimum(np.searchsorted(cq, qids), len(cq) - 1)
+        av = np.array([after[q][0] for q in cq], dtype=v.dtype if v.dtype.kind in "MmO"
+                      else None)[at]
+        ad = np.array([after[q][1] for q in cq], dtype=np.int64)[at]
+        # nulls sort last: compare values only where both sides have one
+        vnull, anull = pd.isna(v), pd.isna(av)
+        both = ~vnull & ~anull
+        past, tie = np.zeros(len(v), bool), vnull & anull
+        past[both] = (v[both] > av[both]) if ascending else (v[both] < av[both])
+        tie[both] = v[both] == av[both]
+        keep = (cq[at] != qids) | past | (vnull & ~anull) | (tie & (d > ad))
+        qids, rows, d, v = qids[keep], rows[keep], d[keep], v[keep]
+    top = _top_n(pd.DataFrame({"query_id": qids, "docid": d, "row": rows, "v": v}),
+                 ["query_id"], ["v"], k, ascending)
+    return pa.table({
+        "query_id": pa.array(top["query_id"].to_numpy(np.int64)),
+        "docid": pa.array(top["docid"].to_numpy(np.int64)),
+        field: batch[field].take(pa.array(top["row"].to_numpy(np.int64))),
+    })
 
 
 def search_sorted(
@@ -261,17 +234,19 @@ def search_sorted(
     (tie-break docid ascending), not by relevance. Matching uses the
     constant-score scorer (docid streams only); the field lookup streams
     docmeta once through a per-batch top-k combiner (the broadcast-semi-join
-    pattern — only queries x k rows leave each read task). Returns
+    pattern — only queries x k rows leave each read task). ``after`` is a
+    strictly-after cursor: one (field value, docid) tuple for every query,
+    or {query_id: (value, docid)} per-query cursors. Returns
     (query_id, rank, docid, <sort_field>)."""
-    import numpy as np
-
-    from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials
+    from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials, _top_n
 
     q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
-    k_max = max(k_by_query.values(), default=10)
-    partials = _probe_partials(index_dir, q, where, _ProbeTopField,
-                               (sort_field, ascending, k_max, after),
+    if after is not None and not isinstance(after, dict):
+        after = dict.fromkeys(k_by_query, after)
+    cursors = {int(qid): c for qid, c in (after or {}).items() if c is not None}
+    partials = _probe_partials(index_dir, q, where, _probe_top_field,
+                               (sort_field, ascending, k_by_query, cursors),
                                ["docid", sort_field])
     if partials.empty:
         return pd.DataFrame(
@@ -280,72 +255,29 @@ def search_sorted(
              "docid": pd.Series(dtype=np.int64),
              sort_field: pd.Series(dtype=object)}
         )
-    out = partials.sort_values(
-        ["query_id", sort_field, "docid"],
-        ascending=[True, ascending, True],
-    )
-    out["rank"] = out.groupby("query_id").cumcount() + 1
-    out["k"] = out["query_id"].map(k_by_query)
-    out = out[out["rank"] <= out["k"]].drop(columns=["k"])
+    out = _top_n(partials, ["query_id"], [sort_field], k_by_query, ascending)
     return out[["query_id", "rank", "docid", sort_field]].astype(
         {"query_id": np.int64, "rank": np.int32, "docid": np.int64}
     ).reset_index(drop=True)
 
 
-class _ProbeTopMulti:
-    """Per-batch combiner for MULTI-key field-sorted search: batch-local
-    top-k by the lexicographic (key1, key2, ..., docid) order. Descending
-    string keys are rejected (negation needs a numeric view); numeric /
-    datetime keys negate via their int64 view."""
+def _probe_top_multi(batch: pa.Table, qids, rows, scores, sort: list,
+                     k: dict) -> pa.Table:
+    """Multi-key field-sorted search update: each block's top-k pairs per
+    query in page order — the lexicographic (key1, key2, ..., docid asc)
+    order, nulls last, the reduce's own order."""
+    from remote_vector_index_builder_ray.pipelines.aggs import _np, _top_n
 
-    def __init__(self, shard_refs, stride, sort: list, k: int):
-        from remote_vector_index_builder_ray.pipelines.aggs import _ShardedMatches
-
-        self.matches = _ShardedMatches(shard_refs, stride)
-        self.sort = sort
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        cols = {f: batch[f].combine_chunks().to_numpy(zero_copy_only=False)
-                for f, _ in self.sort}
-        qids, docs = [], []
-        out_vals: dict[str, list] = {f: [] for f, _ in self.sort}
-        for qid, arr in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            d = ids[mask]
-            # np.lexsort sorts by the LAST key primarily: pass
-            # (docid, key_n, ..., key_1) so key_1 is primary, docid ties last
-            keys = [d]
-            for f, asc in reversed(self.sort):
-                v = cols[f][mask]
-                if not asc:
-                    if v.dtype.kind in "Mm":
-                        v = -v.astype("int64")
-                    elif v.dtype.kind in "iuf":
-                        v = -v
-                    else:
-                        raise ValueError(
-                            f"descending sort on non-numeric field {f!r}")
-                keys.append(v)
-            order = np.lexsort(tuple(keys))[: self.k]
-            qids.extend([qid] * len(order))
-            docs.extend(d[order].tolist())
-            for f, _ in self.sort:
-                out_vals[f].extend(cols[f][mask][order].tolist())
-        data = {
-            "query_id": pa.array(qids, type=pa.int64()),
-            "docid": pa.array(docs, type=pa.int64()),
-        }
-        for f, _ in self.sort:
-            data[f] = pa.array(out_vals[f], type=batch[f].type)
-        return pa.table(data)
+    keys = {f"key{i}": _np(batch, f)[rows] for i, (f, _) in enumerate(sort)}
+    top = _top_n(pd.DataFrame({"query_id": qids, "docid": _np(batch, "docid")[rows],
+                               "row": rows, **keys}),
+                 ["query_id"], list(keys), k, [a for _, a in sort])
+    take = pa.array(top["row"].to_numpy(np.int64))
+    return pa.table({
+        "query_id": pa.array(top["query_id"].to_numpy(np.int64)),
+        "docid": pa.array(top["docid"].to_numpy(np.int64)),
+        **{f: batch[f].take(take) for f, _ in sort},
+    })
 
 
 def search_sorted_multi(
@@ -358,18 +290,34 @@ def search_sorted_multi(
     {f2: o2}]``): top-k of each query's full match set under the
     lexicographic (f1, f2, ..., docid asc) order — same broadcast-semi-join
     streaming shape as the single-key ``search_sorted``, with a multi-key
-    per-batch combiner. Returns (query_id, rank, docid, f1, f2, ...)."""
-    import numpy as np
+    per-batch combiner. A descending key must be numeric or a datetime
+    (checked on the driver, from the docmeta schema).
+    Returns (query_id, rank, docid, f1, f2, ...)."""
+    import pyarrow.parquet as pq
 
-    from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials
+    from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials, _top_n
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
+    from remote_vector_index_builder_ray.state import fs
 
     sort = [(f, bool(a)) for f, a in sort]
+    desc = [f for f, a in sort if not a]
+    files = docmeta_files(index_dir) if desc else []
+    if files:
+        # check the descending keys' docmeta types on the driver (one
+        # footer read), before the match sets are built
+        filesystem, path = fs.resolve(files[0])
+        schema = pq.read_schema(path, filesystem=filesystem)
+        for f in desc:
+            t = schema.field(f).type
+            if not (pa.types.is_integer(t) or pa.types.is_floating(t)
+                    or pa.types.is_timestamp(t) or pa.types.is_date(t)
+                    or pa.types.is_duration(t)):
+                raise ValueError(f"descending sort on non-numeric field {f!r}")
     q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
-    k_max = max(k_by_query.values(), default=10)
     fields = [f for f, _ in sort]
-    partials = _probe_partials(index_dir, q, where, _ProbeTopMulti,
-                               (sort, k_max), ["docid"] + fields)
+    partials = _probe_partials(index_dir, q, where, _probe_top_multi,
+                               (sort, k_by_query), ["docid"] + fields)
     if partials.empty:
         cols = {"query_id": pd.Series(dtype=np.int64),
                 "rank": pd.Series(dtype=np.int32),
@@ -377,13 +325,7 @@ def search_sorted_multi(
         for f in fields:
             cols[f] = pd.Series(dtype=object)
         return pd.DataFrame(cols)
-    out = partials.sort_values(
-        ["query_id"] + fields + ["docid"],
-        ascending=[True] + [a for _, a in sort] + [True],
-    )
-    out["rank"] = out.groupby("query_id").cumcount() + 1
-    out["k"] = out["query_id"].map(k_by_query)
-    out = out[out["rank"] <= out["k"]].drop(columns=["k"])
+    out = _top_n(partials, ["query_id"], fields, k_by_query, [a for _, a in sort])
     return out[["query_id", "rank", "docid"] + fields].astype(
         {"query_id": np.int64, "rank": np.int32, "docid": np.int64}
     ).reset_index(drop=True)
@@ -418,7 +360,7 @@ def explain(
 def highlight(
     index_dir: str,
     results,
-    queries: pd.DataFrame,
+    queries,
     window: int = 8,
     number_of_fragments: int = 1,
 ) -> pd.DataFrame:
@@ -455,7 +397,7 @@ def highlight(
     meta = hydrate(index_dir, ray.data.from_pandas(res[["query_id", "docid"]]))
     terms_by_query = {
         int(q.query_id): frozenset(analyze_text(q.text or "", an))
-        for q in queries.itertuples(index=False)
+        for q in query_frame(queries).itertuples(index=False)
     }
 
     def _snippet(qid: int, text: str) -> str:
@@ -1870,149 +1812,120 @@ def _compile_score_script(expr: str):
     return lambda score, v: ev(tree, {"_score": score, "v": v})
 
 
-class _ProbeFuncScore:
-    """Per-batch combiner for function_score: probe the scored match sets,
-    apply the score function with the batch's field values, keep the
-    batch-local top-k — only queries x k rows leave each task."""
+def _func_score(score, vals, modifier: str, params: dict):
+    """The function_score family's score function: the pairs' BM25
+    ``score`` combined with their docmeta values ``vals`` by ``modifier``.
+    Elementwise, so a call on empty arrays checks the modifier, the script
+    and the rank_feature function without touching any data."""
+    if modifier == "random_score":
+        # OpenSearch function_score random_score(seed, field): a
+        # deterministic per-doc hash mapped to [0, 1), multiplied into
+        # the score (boost_mode=multiply). The hash is an explicit LCG
+        # over the docid so a SQL oracle reproduces it exactly:
+        # ((docid % 2^31) * 1103515245 + seed) % 2^31 / 2^31.
+        seed = int(params.get("seed", 0))
+        h = ((vals.astype(np.int64) % 2147483648) * 1103515245 + seed) % 2147483648
+        return score * (h.astype(np.float64) / 2147483648.0)
+    if modifier == "script":
+        # OpenSearch script_score: a sandboxed arithmetic expression
+        # over _score and the doc value (compiled per block by
+        # _compile_score_script — no eval of user strings)
+        return _compile_score_script(params["expr"])(score, vals.astype(np.float64))
+    if modifier == "log1p":
+        # field_value_factor(modifier=log1p, boost_mode=multiply).
+        # Computed as log(1 + v) — textually the same expression the SQL
+        # oracle runs (ln(1 + dl)); np.log1p may differ in the last ulp
+        # for v >= 1 and the cross-engine check hashes rounded values.
+        return score * np.log(1.0 + vals.astype(np.float64))
+    if modifier == "linear_decay":
+        # linear decay on an int64 field (e.g. ts as epoch-us):
+        # multiplier = max(0, 1 - |v - origin| / scale)
+        origin = float(params["origin"])
+        scale = float(params["scale"])
+        mult = 1.0 - np.abs(vals.astype(np.float64) - origin) / scale
+        return score * np.maximum(mult, 0.0)
+    if modifier == "gauss_decay":
+        # OpenSearch gauss decay on an int64 field: multiplier =
+        # exp(-(max(0, |v - origin| - offset))^2 / (2*sigma^2)) with
+        # sigma^2 = -scale^2 / (2*ln(decay)) — the multiplier is
+        # exactly `decay` at distance offset+scale (the OpenSearch
+        # contract). Spelled so every float op is SQL-transcribable.
+        import math as _math
 
-    def __init__(self, shard_refs, stride, field: str, modifier: str,
-                 params: dict, k: int):
-        from remote_vector_index_builder_ray.pipelines.aggs import _ShardedScored
+        origin = float(params["origin"])
+        scale = float(params["scale"])
+        offset = float(params.get("offset", 0.0))
+        decay = float(params.get("decay", 0.5))
+        sigma2 = -(scale * scale) / (2.0 * _math.log(decay))
+        d = np.maximum(
+            np.abs(vals.astype(np.float64) - origin) - offset, 0.0)
+        return score * np.exp(-(d * d) / (2.0 * sigma2))
+    if modifier == "exp_decay":
+        # OpenSearch exp decay: multiplier =
+        # exp(ln(decay) / scale * max(0, |v - origin| - offset))
+        import math as _math
 
-        self.matches = _ShardedScored(shard_refs, stride)
-        self.field = field
-        self.modifier = modifier
-        self.params = params
-        self.k = k
-        if modifier == "script":
-            self._script = _compile_score_script(params["expr"])
+        origin = float(params["origin"])
+        scale = float(params["scale"])
+        offset = float(params.get("offset", 0.0))
+        decay = float(params.get("decay", 0.5))
+        lam = _math.log(decay) / scale
+        d = np.maximum(
+            np.abs(vals.astype(np.float64) - origin) - offset, 0.0)
+        return score * np.exp(lam * d)
+    if modifier == "rank_feature":
+        # OpenSearch rank_feature query in a bool SHOULD: the feature
+        # contribution ADDS to the match score. Three Lucene
+        # FeatureQuery shapes over a non-negative numeric field v:
+        #   saturation: boost * v / (v + pivot)
+        #   log:        boost * log(1 + v / scaling)   (written as
+        #               log(1 + x) — the SQL twin runs ln(1 + x))
+        #   sigmoid:    boost * v^2 / (v^2 + pivot^2)  (exponent fixed
+        #               at 2, spelled v*v so every float op is explicit)
+        fn = params.get("function", "saturation")
+        boost = float(params.get("boost", 1.0))
+        v = vals.astype(np.float64)
+        if fn == "saturation":
+            pivot = float(params["pivot"])
+            return score + boost * (v / (v + pivot))
+        if fn == "log":
+            scaling = float(params["scaling"])
+            return score + boost * np.log(1.0 + v / scaling)
+        if fn == "sigmoid":
+            pivot = float(params["pivot"])
+            return score + boost * ((v * v) / (v * v + pivot * pivot))
+        raise ValueError(f"unknown rank_feature function {fn!r}")
+    if modifier == "distance_feature":
+        # Lucene LongDistanceFeatureQuery in a bool SHOULD: the feature
+        # contribution ADDS to the match score —
+        # boost * pivot / (pivot + |v - origin|); v is the int64 field
+        # (timestamps as epoch-us), origin/pivot in the same unit
+        origin = float(params["origin"])
+        pivot = float(params["pivot"])
+        boost = float(params.get("boost", 1.0))
+        dist = np.abs(vals.astype(np.float64) - origin)
+        return score + boost * (pivot / (pivot + dist))
+    raise ValueError(f"unknown modifier {modifier!r}")
 
-    def _apply(self, score, vals):
-        import numpy as np
 
-        if self.modifier == "random_score":
-            # OpenSearch function_score random_score(seed, field): a
-            # deterministic per-doc hash mapped to [0, 1), multiplied into
-            # the score (boost_mode=multiply). The hash is an explicit LCG
-            # over the docid so a SQL oracle reproduces it exactly:
-            # ((docid % 2^31) * 1103515245 + seed) % 2^31 / 2^31.
-            seed = int(self.params.get("seed", 0))
-            h = ((vals.astype(np.int64) % 2147483648) * 1103515245 + seed) % 2147483648
-            return score * (h.astype(np.float64) / 2147483648.0)
-        if self.modifier == "script":
-            # OpenSearch script_score: a sandboxed arithmetic expression
-            # over _score and the doc value (compiled once per actor in
-            # __init__ via _compile_score_script — no eval of user strings
-            # at batch time)
-            return self._script(score, vals.astype(np.float64))
-        if self.modifier == "log1p":
-            # field_value_factor(modifier=log1p, boost_mode=multiply).
-            # Computed as log(1 + v) — textually the same expression the SQL
-            # oracle runs (ln(1 + dl)); np.log1p may differ in the last ulp
-            # for v >= 1 and the cross-engine check hashes rounded values.
-            return score * np.log(1.0 + vals.astype(np.float64))
-        if self.modifier == "linear_decay":
-            # linear decay on an int64 field (e.g. ts as epoch-us):
-            # multiplier = max(0, 1 - |v - origin| / scale)
-            origin = float(self.params["origin"])
-            scale = float(self.params["scale"])
-            mult = 1.0 - np.abs(vals.astype(np.float64) - origin) / scale
-            return score * np.maximum(mult, 0.0)
-        if self.modifier == "gauss_decay":
-            # OpenSearch gauss decay on an int64 field: multiplier =
-            # exp(-(max(0, |v - origin| - offset))^2 / (2*sigma^2)) with
-            # sigma^2 = -scale^2 / (2*ln(decay)) — the multiplier is
-            # exactly `decay` at distance offset+scale (the OpenSearch
-            # contract). Spelled so every float op is SQL-transcribable.
-            import math as _math
+def _probe_func_score(batch: pa.Table, qids, rows, scores, field: str,
+                      modifier: str, params: dict, k: dict) -> pa.Table:
+    """function_score update: apply the score function to the scored
+    pairs with their field values and keep each query's block-local top-k
+    by (rounded score desc, docid asc), carrying the raw score — only
+    queries x k rows leave each task."""
+    from remote_vector_index_builder_ray.pipelines.aggs import _np, _table, _top_n
 
-            origin = float(self.params["origin"])
-            scale = float(self.params["scale"])
-            offset = float(self.params.get("offset", 0.0))
-            decay = float(self.params.get("decay", 0.5))
-            sigma2 = -(scale * scale) / (2.0 * _math.log(decay))
-            d = np.maximum(
-                np.abs(vals.astype(np.float64) - origin) - offset, 0.0)
-            return score * np.exp(-(d * d) / (2.0 * sigma2))
-        if self.modifier == "exp_decay":
-            # OpenSearch exp decay: multiplier =
-            # exp(ln(decay) / scale * max(0, |v - origin| - offset))
-            import math as _math
-
-            origin = float(self.params["origin"])
-            scale = float(self.params["scale"])
-            offset = float(self.params.get("offset", 0.0))
-            decay = float(self.params.get("decay", 0.5))
-            lam = _math.log(decay) / scale
-            d = np.maximum(
-                np.abs(vals.astype(np.float64) - origin) - offset, 0.0)
-            return score * np.exp(lam * d)
-        if self.modifier == "rank_feature":
-            # OpenSearch rank_feature query in a bool SHOULD: the feature
-            # contribution ADDS to the match score. Three Lucene
-            # FeatureQuery shapes over a non-negative numeric field v:
-            #   saturation: boost * v / (v + pivot)
-            #   log:        boost * log(1 + v / scaling)   (written as
-            #               log(1 + x) — the SQL twin runs ln(1 + x))
-            #   sigmoid:    boost * v^2 / (v^2 + pivot^2)  (exponent fixed
-            #               at 2, spelled v*v so every float op is explicit)
-            fn = self.params.get("function", "saturation")
-            boost = float(self.params.get("boost", 1.0))
-            v = vals.astype(np.float64)
-            if fn == "saturation":
-                pivot = float(self.params["pivot"])
-                return score + boost * (v / (v + pivot))
-            if fn == "log":
-                scaling = float(self.params["scaling"])
-                return score + boost * np.log(1.0 + v / scaling)
-            if fn == "sigmoid":
-                pivot = float(self.params["pivot"])
-                return score + boost * ((v * v) / (v * v + pivot * pivot))
-            raise ValueError(f"unknown rank_feature function {fn!r}")
-        if self.modifier == "distance_feature":
-            # Lucene LongDistanceFeatureQuery in a bool SHOULD: the feature
-            # contribution ADDS to the match score —
-            # boost * pivot / (pivot + |v - origin|); v is the int64 field
-            # (timestamps as epoch-us), origin/pivot in the same unit
-            origin = float(self.params["origin"])
-            pivot = float(self.params["pivot"])
-            boost = float(self.params.get("boost", 1.0))
-            dist = np.abs(vals.astype(np.float64) - origin)
-            return score + boost * (pivot / (pivot + dist))
-        raise ValueError(f"unknown modifier {self.modifier!r}")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        from remote_vector_index_builder_ray.stages.merge import isin_sorted
-
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        if self.field == "docid":  # random_score hashes the docid itself
-            vals = ids
-        else:
-            vals = batch[self.field].combine_chunks().to_numpy(zero_copy_only=False)
-        if vals.dtype.kind == "M":  # timestamps: epoch microseconds
-            vals = vals.astype("datetime64[us]").astype(np.int64)
-        qids, docs, scores = [], [], []
-        for qid, (arr, sc) in self.matches.for_batch(ids).items():
-            mask = isin_sorted(ids, arr)
-            if not mask.any():
-                continue
-            d = ids[mask]
-            s = sc[np.searchsorted(arr, d)]
-            out = self._apply(s, vals[mask])
-            rounded = np.floor(out * 1e6 + 0.5) / 1e6
-            order = np.lexsort((d, -rounded))[: self.k]
-            qids.extend([qid] * len(order))
-            docs.extend(d[order].tolist())
-            scores.extend(out[order].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "docid": pa.array(docs, type=pa.int64()),
-                "score": pa.array(scores, type=pa.float64()),
-            }
-        )
+    ids = _np(batch, "docid")
+    vals = ids if field == "docid" else _np(batch, field)  # random_score hashes the docid
+    if vals.dtype.kind == "M":  # timestamps: epoch microseconds
+        vals = vals.astype("datetime64[us]").astype(np.int64)
+    out = _func_score(scores, vals[rows], modifier, params)
+    top = _top_n(pd.DataFrame({"query_id": qids, "docid": ids[rows], "score": out,
+                               "sr": np.floor(out * 1e6 + 0.5) / 1e6}),
+                 ["query_id"], ["sr"], k)
+    return _table(top, {"query_id": pa.int64(), "docid": pa.int64(),
+                        "score": pa.float64()})
 
 
 def function_score(
@@ -2035,9 +1948,7 @@ def function_score(
     lives in docmeta — exactly Lucene's doc-values read at score time).
     Returns (query_id, rank, docid, score), score rounded half-up to 6
     decimals, ranked (score desc, docid asc), top-k per the queries' k."""
-    import numpy as np
-
-    from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials
+    from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials, _top_n
 
     params = params or {}
     if modifier in ("gauss_decay", "exp_decay"):
@@ -2050,11 +1961,13 @@ def function_score(
         if not float(params["scale"]) > 0.0:
             raise ValueError(
                 f"{modifier}: scale must be > 0, got {params['scale']}")
+    # an unknown modifier or rank_feature function, or a bad script, fails
+    # here on the driver rather than in a probe task
+    _func_score(np.zeros(0), np.zeros(0), modifier, params)
     q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
-    k_max = max(k_by_query.values(), default=10)
     partials = _probe_partials(
-        index_dir, q, where, _ProbeFuncScore, (field, modifier, params, k_max),
+        index_dir, q, where, _probe_func_score, (field, modifier, params, k_by_query),
         ["docid"] if field == "docid" else ["docid", field], scored=True)
     cols = {
         "query_id": pd.Series(dtype=np.int64),
@@ -2065,11 +1978,7 @@ def function_score(
     if partials.empty:
         return pd.DataFrame(cols)
     partials["score"] = np.floor(partials["score"] * 1e6 + 0.5) / 1e6
-    partials = partials.sort_values(["query_id", "score", "docid"],
-                                    ascending=[True, False, True])
-    partials["rank"] = partials.groupby("query_id").cumcount() + 1
-    partials["k"] = partials["query_id"].map(k_by_query)
-    out = partials[partials["rank"] <= partials["k"]]
+    out = _top_n(partials, ["query_id"], ["score"], k_by_query)
     return out[["query_id", "rank", "docid", "score"]].astype(
         {"query_id": np.int64, "rank": np.int32, "docid": np.int64,
          "score": np.float64}
@@ -2141,7 +2050,7 @@ def random_score(index_dir: str, queries, seed: int = 0, where=None) -> pd.DataF
     (boost_mode=multiply): every matching doc's BM25 score is multiplied by
     a deterministic per-doc pseudo-random multiplier in [0, 1) — the
     reproducible-shuffle idiom for sampling search results. The multiplier
-    is an explicit LCG over the docid (see ``_ProbeFuncScore._apply``) so
+    is an explicit LCG over the docid (see ``_func_score``) so
     any engine reproduces it; OpenSearch's seeded mode is equally
     deterministic but uses a different internal hash (documented
     divergence). Returns (query_id, rank, docid, score)."""
@@ -2160,8 +2069,8 @@ def script_score(
     """OpenSearch ``script_score`` query: every matching doc is re-scored by
     a script over ``_score`` (the BM25 score) and ``v`` (the doc's
     ``field`` value — Lucene's doc-values read at score time). The script
-    is a restricted painless analog compiled once per actor
-    (:func:`_compile_score_script`): float + - * /, sqrt/log/min/max, no
+    is a restricted painless analog, checked on the driver and compiled
+    once per probe block (:func:`_compile_score_script`): float + - * /, sqrt/log/min/max, no
     other names — so the same expression runs verbatim in a SQL oracle.
     Exact over the full match set (scored match-set shards + docmeta
     probe, as :func:`function_score`). Returns

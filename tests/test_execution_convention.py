@@ -18,3 +18,19 @@ def test_no_map_keeps_an_actor_pool():
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if any(t in line for t in TOKENS)]
     assert found == []
+
+
+def test_docmeta_probes_are_functions():
+    """Every docmeta probe is an update function over the one semi-join
+    (``aggs._pairs``): no class in ``pipelines/`` is a batch callable, and
+    the per-query match-set views are gone from the package."""
+    callables, views = [], []
+    for path in sorted(ROOT.rglob("*.py")):
+        text = path.read_text()
+        rel = path.relative_to(ROOT)
+        if rel.parts[0] == "pipelines":
+            callables += [f"{rel}:{i}" for i, line in enumerate(text.splitlines(), 1)
+                          if "def __call__(self, batch" in line]
+        views += [f"{rel}: {t}" for t in ("for_batch", "_ShardedScored") if t in text]
+    assert callables == []
+    assert views == []

@@ -1,14 +1,15 @@
-"""The docmeta probe's semi-join kernel (``_ShardedMatches.pairs``) and the
-bucket/metric probes built on it.
+"""The docmeta probe's semi-join kernel (``aggs._pairs``) and the probe
+update functions built on it.
 
-- ``pairs`` is compared with the per-query ``isin_sorted`` membership it
+- ``_pairs`` is compared with the per-query ``isin_sorted`` membership it
   replaced, on seeded random match sets sharded at a tiny stride and split
   into several pieces per shard.
-- Every migrated probe's per-batch partials, reduced, are compared with a
-  per-query reference loop written here, on batches whose ``tool`` and
-  ``ts`` columns hold Arrow nulls.
-- No migrated probe may call ``isin_sorted``: a per-query loop coming back
-  would show up as calls.
+- Every probe's per-block partials, reduced, are compared with a per-query
+  reference loop written here, on blocks whose ``tool`` and ``ts`` columns
+  hold Arrow nulls; the top-k probes run over scored shards split into
+  pieces, with per-query k and both cursor shapes.
+- No probe may call ``isin_sorted``: a per-query loop coming back would
+  show up as calls.
 """
 
 import numpy as np
@@ -18,6 +19,9 @@ import pytest
 import ray
 
 import remote_vector_index_builder_ray.pipelines.aggs as A
+import remote_vector_index_builder_ray.pipelines.incremental as I
+import remote_vector_index_builder_ray.pipelines.join as J
+import remote_vector_index_builder_ray.pipelines.query as Q
 from remote_vector_index_builder_ray.stages import merge
 
 STRIDE = 16
@@ -57,16 +61,17 @@ def _reference_pairs(matches: dict, ids: np.ndarray) -> list:
     )
 
 
-def _kernel_pairs(sm: A._ShardedMatches, ids: np.ndarray) -> list:
-    qids, rows = sm.pairs(ids)
+def _kernel_pairs(refs: dict, ids: np.ndarray) -> list:
+    qids, rows, scores = A._pairs(refs, STRIDE, ids)
     assert qids.dtype == np.int64 and rows.dtype == np.int64
+    assert scores is None or len(scores) == 0  # unscored shards
     return sorted(zip(qids.tolist(), rows.tolist()))
 
 
 @pytest.mark.parametrize("seed", [3, 17, 41])
 def test_pairs_matches_per_query_membership(seed):
     matches = _random_matches(seed)
-    sm = A._ShardedMatches(_pieces(matches, STRIDE, seed), STRIDE)
+    sm = _pieces(matches, STRIDE, seed)
     rng = np.random.default_rng(seed + 1)
     batches = {
         "sorted": np.arange(40, 140, dtype=np.int64),
@@ -84,7 +89,7 @@ def test_pairs_matches_per_query_membership(seed):
 
 def test_pairs_counts_a_repeated_docid_once_per_row():
     refs, _ = A._shard_match_sets({5: np.array([2, 4], np.int64)}, stride=STRIDE)
-    qids, rows = A._ShardedMatches(refs, STRIDE).pairs(np.array([4, 1, 4, 4], np.int64))
+    qids, rows, _ = A._pairs(refs, STRIDE, np.array([4, 1, 4, 4], np.int64))
     assert qids.tolist() == [5, 5, 5]
     assert sorted(rows.tolist()) == [0, 2, 3]
 
@@ -93,7 +98,7 @@ def test_pairs_with_zero_queries_and_an_empty_batch():
     refs, qids = A._shard_match_sets({}, stride=STRIDE)
     assert refs == {} and qids == []
     for ids in (np.arange(50, dtype=np.int64), np.empty(0, dtype=np.int64)):
-        q, r = A._ShardedMatches(refs, STRIDE).pairs(ids)
+        q, r, _ = A._pairs(refs, STRIDE, ids)
         assert len(q) == len(r) == 0
 
 
@@ -105,7 +110,8 @@ DAY_US = 86_400_000_000
 
 def _docmeta(seed: int) -> pa.Table:
     """A synthetic docid-ordered docmeta table; ``tool`` and ``ts`` hold
-    Arrow nulls (and ``tool`` the '' sentinel) on some rows."""
+    Arrow nulls (and ``tool`` the '' sentinel) on some rows. As in a built
+    index, a conversation's turns hold contiguous docids."""
     rng = np.random.default_rng(seed)
     tool = rng.choice(["search", "shell", "", "edit"], size=N_DOCS).astype(object)
     tool[rng.random(N_DOCS) < 0.15] = None
@@ -114,12 +120,13 @@ def _docmeta(seed: int) -> pa.Table:
     ts[rng.random(N_DOCS) < 0.15] = None
     return pa.table({
         "docid": pa.array(np.arange(N_DOCS), pa.int64()),
-        "conv_id": pa.array([f"c{i}" for i in rng.integers(0, 30, size=N_DOCS)]),
+        "conv_id": pa.array([f"c{i:02d}" for i in np.sort(rng.integers(0, 30, size=N_DOCS))]),
         "role": pa.array(rng.choice(["user", "assistant", "system"], size=N_DOCS)),
         "tool": pa.array(tool.tolist(), pa.string()),
         "ts": pa.array(ts.tolist(), pa.timestamp("us")),
         "doc_len": pa.array(rng.integers(0, 90, size=N_DOCS), pa.int64()),
         "turn_idx": pa.array(rng.integers(0, 12, size=N_DOCS), pa.int64()),
+        "text": [" ".join(rng.choice(["alpha", "beta", "gamma"], size=3)) for _ in range(N_DOCS)],
     })
 
 
@@ -135,9 +142,9 @@ def probe_setup():
     return tbl, matches, refs, blocks
 
 
-def _run(probe_cls, args, refs, blocks) -> pd.DataFrame:
+def _run(fn, args, refs, blocks) -> pd.DataFrame:
     return pa.concat_tables(
-        [probe_cls(refs, STRIDE, *args)(b) for b in blocks]).to_pandas()
+        [A._probe_batch(b, fn, refs, STRIDE, tuple(args)) for b in blocks]).to_pandas()
 
 
 def _per_query(tbl: pa.Table, matches: dict):
@@ -182,7 +189,7 @@ def _ref_key(sub: pd.DataFrame, field: str, interval, ranges) -> pd.Series:
                 m &= x >= lo
             if hi is not None:
                 m &= x < hi
-            out[m.to_numpy()] = rng[2] if len(rng) > 2 else A._ProbeAgg._range_key(lo, hi)
+            out[m.to_numpy()] = rng[2] if len(rng) > 2 else A._range_key(lo, hi)
         return out
     return v
 
@@ -207,7 +214,7 @@ AGG_SHAPES = {
 def test_probe_agg_parity(probe_setup, shape):
     tbl, matches, refs, blocks = probe_setup
     field, interval, metric, ranges = AGG_SHAPES[shape]
-    got = _run(A._ProbeAgg, (field, interval, metric, ranges), refs, blocks)
+    got = _run(A._probe_agg, (field, interval, metric, ranges), refs, blocks)
     assert got["key"].notna().all()  # a null key (or no range) is no bucket
     got = got.groupby(["query_id", "key"], sort=False).agg(
         n=("n", "sum"), s=("s", "sum")).reset_index()
@@ -235,7 +242,7 @@ def _reduce_by_query(df: pd.DataFrame, how: dict) -> pd.DataFrame:
 
 def test_probe_stats_parity(probe_setup):
     tbl, matches, refs, blocks = probe_setup
-    got = _reduce_by_query(_run(A._ProbeStats, ("doc_len",), refs, blocks), {
+    got = _reduce_by_query(_run(A._probe_stats, ("doc_len",), refs, blocks), {
         "n": ("n", "sum"), "s": ("s", "sum"), "s2": ("s2", "sum"),
         "mn": ("mn", "min"), "mx": ("mx", "max")})
     want = pd.DataFrame([
@@ -248,7 +255,7 @@ def test_probe_stats_parity(probe_setup):
 
 def test_probe_missing_parity(probe_setup):
     tbl, matches, refs, blocks = probe_setup
-    got = _reduce_by_query(_run(A._ProbeMissing, ("tool", ""), refs, blocks),
+    got = _reduce_by_query(_run(A._probe_missing, ("tool", ""), refs, blocks),
                            {"nv": ("nv", "sum"), "nm": ("nm", "sum")})
     want = pd.DataFrame([
         (qid, int((~miss).sum()), int(miss.sum()))
@@ -261,7 +268,7 @@ def test_probe_missing_parity(probe_setup):
 
 def test_probe_weighted_parity(probe_setup):
     tbl, matches, refs, blocks = probe_setup
-    got = _reduce_by_query(_run(A._ProbeWeighted, ("doc_len", "turn_idx"), refs, blocks),
+    got = _reduce_by_query(_run(A._probe_weighted, ("doc_len", "turn_idx"), refs, blocks),
                            {"svw": ("svw", "sum"), "sw": ("sw", "sum")})
     want = pd.DataFrame([
         (qid, int((sub["doc_len"] * sub["turn_idx"]).sum()), int(sub["turn_idx"].sum()))
@@ -273,7 +280,7 @@ def test_probe_weighted_parity(probe_setup):
 @pytest.mark.parametrize("field", ["conv_id", "tool"])
 def test_probe_distinct_parity(probe_setup, field):
     tbl, matches, refs, blocks = probe_setup
-    got = _run(A._ProbeDistinct, (field,), refs, blocks)
+    got = _run(A._probe_distinct, (field,), refs, blocks)
     got = got.groupby("query_id")["value"].nunique().rename("n").reset_index()
     want = pd.DataFrame([(qid, sub[field].nunique()) for qid, sub in _per_query(tbl, matches)],
                         columns=["query_id", "n"])
@@ -282,7 +289,7 @@ def test_probe_distinct_parity(probe_setup, field):
 
 def test_probe_multi_terms_parity(probe_setup):
     tbl, matches, refs, blocks = probe_setup
-    got = _run(A._ProbeMultiTerms, (("role", "tool"), ""), refs, blocks)
+    got = _run(A._probe_multi_terms, (("role", "tool"), ""), refs, blocks)
     got = got.groupby(["query_id", "role", "tool"])["n"].sum().reset_index()
     want = []
     for qid, sub in _per_query(tbl, matches):
@@ -295,7 +302,7 @@ def test_probe_multi_terms_parity(probe_setup):
 
 def test_probe_day_key_parity(probe_setup):
     tbl, matches, refs, blocks = probe_setup
-    got = _run(A._ProbeDayKey, ("ts", "conv_id"), refs, blocks)
+    got = _run(A._probe_day_key, ("ts", "conv_id"), refs, blocks)
     got = got.dropna().drop_duplicates()
     got["key"] = _us(got["key"])
     want = []
@@ -307,31 +314,342 @@ def test_probe_day_key_parity(probe_setup):
     pd.testing.assert_frame_equal(_sorted(got), _sorted(want), check_dtype=False)
 
 
+# -- the top-k probes -------------------------------------------------------
+
+
+def _round6(x):
+    return np.floor(np.asarray(x, dtype=np.float64) * 1e6 + 0.5) / 1e6
+
+
+def _scored_pieces(matches: dict, seed: int):
+    """Scored shard directory packed by ``_pack_block`` from two scorer
+    blocks, so a shard arrives in two pieces; plus each query's scores as
+    {qid: Series(score, index=docid)}. Scores tie often after the 6-decimal
+    rounding and never before it."""
+    rng = np.random.default_rng(seed)
+    halves, scores = [[], []], {}
+    for qid, arr in matches.items():
+        s = (rng.integers(0, 6, size=len(arr)) / 4.0 + rng.integers(0, 3, size=len(arr)) * 1e-3
+             + rng.random(len(arr)) * 3e-7)
+        scores[qid] = pd.Series(s, index=arr)
+        pick = rng.random(len(arr)) < 0.5
+        for h, sel in zip(halves, (pick, ~pick)):
+            h.append(pd.DataFrame({"query_id": np.full(int(sel.sum()), qid, np.int64),
+                                   "docid": arr[sel], "score": s[sel]}))
+    refs: dict[int, list] = {}
+    for h in halves:
+        block = pa.Table.from_pandas(pd.concat(h), preserve_index=False)
+        for sid, ref in ray.get(A._pack_block.remote(block, STRIDE, True))[0].items():
+            refs.setdefault(sid, []).append(ref)
+    return refs, scores
+
+
+@pytest.fixture(scope="module")
+def topk_setup(probe_setup):
+    tbl, matches, refs, blocks = probe_setup
+    scored_refs, scores = _scored_pieces(matches, 4)
+    qids = sorted(matches)
+    queries = pd.DataFrame({"query_id": np.array(qids, np.int64), "text": "x",
+                            "k": np.array([3, 1, 5, 2, 8, 4][:len(qids)], np.int32)})
+    return tbl, matches, refs, scored_refs, scores, blocks, queries
+
+
+@pytest.fixture
+def local_probes(topk_setup, monkeypatch):
+    """Route every agg entry's probe run through the blocks above: the
+    match-set search is replaced by the fixture's shards, the probe and the
+    driver-side reduce are the engine's own."""
+    tbl, matches, refs, scored_refs, scores, blocks, queries = topk_setup
+
+    def partials(index_dir, queries, where, fn, params, columns, scored=False,
+                 shard_refs=None):
+        return _run(fn, params, scored_refs if scored else refs, blocks)
+
+    class _Stream:
+        def __init__(self, fn, params):
+            self.fn, self.params = fn, params
+
+        def to_pandas(self):
+            return _run(self.fn, self.params, scored_refs, blocks)
+
+    monkeypatch.setattr(A, "_probe_partials", partials)
+    monkeypatch.setattr(I, "docmeta_files", lambda index_dir: [])
+    monkeypatch.setattr(J, "_sharded_matches", lambda *a, **k: (
+        scored_refs, sorted(matches), {q: len(a) for q, a in matches.items() if len(a)}))
+    monkeypatch.setattr(J, "_probe_ds", lambda index_dir, columns, fn, shard_refs,
+                        params=(): _Stream(fn, params))
+    return topk_setup
+
+
+def _scored_per_query(tbl, matches, scores):
+    for qid, sub in _per_query(tbl, matches):
+        s = scores[qid][sub["docid"]].to_numpy()
+        yield qid, sub.assign(score=s, sr=_round6(s))
+
+
+def _by_score(sub: pd.DataFrame) -> pd.DataFrame:
+    return sub.sort_values(["sr", "docid"], ascending=[False, True])
+
+
+def _same(got: pd.DataFrame, want: pd.DataFrame, keys: list):
+    assert len(want) > 0
+    got = got[list(want.columns)].sort_values(keys).reset_index(drop=True)
+    want = want.sort_values(keys).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
+
+
+@pytest.mark.parametrize("field,size", [("role", 2), ("tool", 3)])
+def test_top_hits_parity(local_probes, field, size):
+    tbl, matches, _, _, scores, _, queries = local_probes
+    want = []
+    for qid, sub in _scored_per_query(tbl, matches, scores):
+        for key, g in sub[sub[field].notna()].groupby(field):
+            for rank, r in enumerate(_by_score(g).head(size).itertuples(), 1):
+                want.append((qid, key, rank, r.docid, r.sr))
+    want = pd.DataFrame(want, columns=["query_id", "key", "rank", "docid", "score"])
+    _same(A.top_hits_agg("idx", queries, field=field, size=size), want,
+          ["query_id", "key", "rank"])
+
+
+@pytest.mark.parametrize("sort_field", ["ts", "doc_len"])
+def test_top_metrics_parity(local_probes, sort_field):
+    tbl, matches, _, _, _, _, queries = local_probes
+    want = []
+    for qid, sub in _per_query(tbl, matches):
+        v = sub[sort_field]
+        v = _us(v) if sort_field == "ts" else v.to_numpy(np.int64)
+        # a null ts is the int64 minimum: last under the descending sort
+        top = sorted(zip(-v, sub["docid"], v, sub["doc_len"]),
+                     key=lambda t: (t[2] == np.iinfo(np.int64).min, t[0], t[1]))[:3]
+        want += [(qid, rank, d, sv, m) for rank, (_, d, sv, m) in enumerate(top, 1)]
+    want = pd.DataFrame(want, columns=["query_id", "rank", "docid", sort_field, "doc_len"])
+    got = A.top_metrics_agg("idx", queries, sort_field=sort_field,
+                            metric_field="doc_len", size=3)
+    if sort_field == "ts":
+        got["ts"] = _us(got["ts"])
+    _same(got, want, ["query_id", "rank"])
+
+
+@pytest.mark.parametrize("field", ["role", "tool"])
+def test_diversified_sampler_parity(local_probes, field):
+    tbl, matches, _, _, scores, _, queries = local_probes
+    want = []
+    for qid, sub in _scored_per_query(tbl, matches, scores):
+        sub = sub[sub[field].notna()]
+        capped = pd.concat([_by_score(g).head(2) for _, g in sub.groupby(field)])
+        for rank, r in enumerate(_by_score(capped).head(7).itertuples(), 1):
+            want.append((qid, rank, r.docid, getattr(r, field), r.sr))
+    want = pd.DataFrame(want, columns=["query_id", "rank", "docid", "key", "score"])
+    _same(A.diversified_sampler_agg("idx", queries, field=field, shard_size=7,
+                                    max_docs_per_value=2),
+          want, ["query_id", "rank"])
+
+
+@pytest.mark.parametrize("field", ["role", "tool"])
+def test_sampler_parity(local_probes, field):
+    tbl, matches, _, _, scores, _, queries = local_probes
+    want = []
+    for qid, sub in _scored_per_query(tbl, matches, scores):
+        sample = _by_score(sub).head(6)
+        for key, n in sample[field].value_counts().items():
+            want.append((qid, key, n))
+    want = pd.DataFrame(want, columns=["query_id", "key", "doc_count"])
+    _same(A.sampler_terms_agg("idx", queries, field=field, shard_size=6), want,
+          ["query_id", "key"])
+
+
+def _page_key(values, asc: bool):
+    """The reference page order of one sort key: nulls last, else the value
+    ascending or descending (datetimes as epoch-us)."""
+    v = _us(values) if values.dtype.kind == "M" else values.to_numpy()
+    null = pd.isna(values).to_numpy()
+    return [(1, 0) if n else (0, x if asc else -x) for x, n in zip(v, null)]
+
+
+def _page(sub: pd.DataFrame, sort: list) -> list:
+    keys = [_page_key(sub[f], a) for f, a in sort]
+    return sorted(zip(*keys, sub["docid"], range(len(sub))))
+
+
+SORTED_CASES = {
+    "ts_desc": ("ts", False, None),
+    "ts_asc": ("ts", True, None),
+    "doc_len_desc": ("doc_len", False, None),
+    "role_asc": ("role", True, None),
+    "tuple_cursor": ("doc_len", True, (40, 100)),
+    "tuple_cursor_ts": ("ts", False, (np.datetime64(30 * DAY_US, "us"), 120)),
+    # cursors past every value: the next page holds the null rows only
+    "tuple_cursor_ts_nulls_asc": ("ts", True, (np.datetime64(80 * DAY_US, "us"), 0)),
+    "tuple_cursor_ts_nulls_desc": ("ts", False, (np.datetime64(-1, "us"), 0)),
+    "dict_cursor_ts": ("ts", False, "page1"),
+    "dict_cursor_ts_asc": ("ts", True, "page1"),
+    "dict_cursor_doc_len": ("doc_len", False, "page1"),
+    "dict_cursor_tool": ("tool", True, "page1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SORTED_CASES))
+def test_search_sorted_parity(local_probes, case):
+    tbl, matches, _, _, _, _, queries = local_probes
+    field, asc, after = SORTED_CASES[case]
+    k = dict(zip(queries["query_id"], queries["k"]))
+    if after == "page1":
+        # per-query cursors from page 1, one query without a cursor, and
+        # one cursor on a null value
+        p1 = Q.search_sorted("idx", queries, sort_field=field, ascending=asc)
+        last = p1.groupby("query_id").tail(1)
+        after = {int(r.query_id): (getattr(r, field), int(r.docid))
+                 for r in last.itertuples(index=False)}
+        after.pop(min(after))
+        if field != "doc_len":
+            after[max(after)] = (None, 100)
+    want = []
+    for qid, sub in _per_query(tbl, matches):
+        sub = sub.reset_index(drop=True)
+        rows = _page(sub, [(field, asc)])
+        cur = after.get(qid) if isinstance(after, dict) else after
+        if cur is not None:
+            ck = _page(pd.DataFrame({field: pd.Series([cur[0]]).astype(sub[field].dtype),
+                                     "docid": [cur[1]]}), [(field, asc)])[0][:-1]
+            rows = [r for r in rows if r[:-1] > ck]
+        for rank, r in enumerate(rows[:k[qid]], 1):
+            want.append((qid, rank, sub["docid"][r[-1]], sub[field][r[-1]]))
+    want = pd.DataFrame(want, columns=["query_id", "rank", "docid", field])
+    got = Q.search_sorted("idx", queries, sort_field=field, ascending=asc, after=after)
+    if field == "ts":
+        got["ts"], want["ts"] = _us(got["ts"]), _us(want["ts"])
+    _same(got, want, ["query_id", "rank"])
+
+
+@pytest.mark.parametrize("sort", [(("role", True), ("ts", False)),
+                                  (("tool", True), ("doc_len", False)),
+                                  (("ts", False), ("turn_idx", False), ("role", True))])
+def test_search_sorted_multi_parity(local_probes, sort):
+    tbl, matches, _, _, _, _, queries = local_probes
+    k = dict(zip(queries["query_id"], queries["k"]))
+    fields = [f for f, _ in sort]
+    want = []
+    for qid, sub in _per_query(tbl, matches):
+        sub = sub.reset_index(drop=True)
+        for rank, r in enumerate(_page(sub, list(sort))[:k[qid]], 1):
+            want.append((qid, rank, sub["docid"][r[-1]], *(sub[f][r[-1]] for f in fields)))
+    want = pd.DataFrame(want, columns=["query_id", "rank", "docid", *fields])
+    got = Q.search_sorted_multi("idx", queries, sort=sort)
+    if "ts" in fields:
+        got["ts"], want["ts"] = _us(got["ts"]), _us(want["ts"])
+    _same(got, want, ["query_id", "rank"])
+
+
+FUNC_CASES = {
+    "log1p": ("doc_len", "log1p", {}),
+    "random_score": ("docid", "random_score", {"seed": 7}),
+    "distance_feature": ("ts", "distance_feature",
+                         {"origin": 20.0 * DAY_US, "pivot": float(DAY_US), "boost": 1.5}),
+    "script": ("doc_len", "script", {"expr": "_score * (1.0 + v / 256.0)"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUNC_CASES))
+def test_function_score_parity(local_probes, case):
+    tbl, matches, _, _, scores, _, queries = local_probes
+    field, modifier, params = FUNC_CASES[case]
+    k = dict(zip(queries["query_id"], queries["k"]))
+    want = []
+    for qid, sub in _scored_per_query(tbl, matches, scores):
+        v = _us(sub["ts"]) if field == "ts" else sub[field].to_numpy(np.int64)
+        sub = sub.assign(sr=_round6(Q._func_score(sub["score"].to_numpy(), v,
+                                                  modifier, params)))
+        for rank, r in enumerate(_by_score(sub).head(k[qid]).itertuples(), 1):
+            want.append((qid, rank, r.docid, r.sr))
+    want = pd.DataFrame(want, columns=["query_id", "rank", "docid", "score"])
+    _same(Q.function_score("idx", queries, field=field, modifier=modifier,
+                           params=params), want, ["query_id", "rank"])
+
+
+def _child_reference(tbl, matches, scores):
+    """Per (query, conv): matching turns and their 6-rounded scores summed
+    one by one in docid order."""
+    out = {}
+    for qid, sub in _scored_per_query(tbl, matches, scores):
+        for conv, g in sub.sort_values("docid").groupby("conv_id"):
+            total = 0.0
+            for x in g["sr"]:
+                total += x
+            out[(qid, conv)] = (len(g), g["sr"].max(), g["sr"].min(), total)
+    return out
+
+
+def test_has_child_partials_sum_in_docid_order(topk_setup):
+    tbl, matches, _, scored_refs, scores, _, _ = topk_setup
+    # blocks cut on conversation boundaries: each (query, conv) partial is
+    # the whole conversation
+    conv = tbl["conv_id"].to_numpy(zero_copy_only=False)
+    cuts = [0, *np.flatnonzero(conv[1:] != conv[:-1])[[8, 19]] + 1, tbl.num_rows]
+    blocks = [tbl.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+    got = _run(J._probe_child_agg, (), scored_refs, blocks)
+    assert not got.duplicated(["query_id", "conv_id"]).any()
+    want = _child_reference(tbl, matches, scores)
+    assert {(q, c) for q, c in zip(got["query_id"], got["conv_id"])} == set(want)
+    for r in got.itertuples(index=False):
+        assert (r.n, r.smax, r.smin, r.ssum) == want[(r.query_id, r.conv_id)]
+
+
+@pytest.mark.parametrize("score_mode", ["max", "sum", "avg", "min", "none"])
+@pytest.mark.parametrize("min_children", [1, 3])
+def test_has_child_parity(local_probes, score_mode, min_children):
+    tbl, matches, _, _, scores, _, queries = local_probes
+    ref = _child_reference(tbl, matches, scores)
+    score = {"max": lambda n, mx, mn, s: mx, "sum": lambda n, mx, mn, s: _round6(s),
+             "avg": lambda n, mx, mn, s: _round6(s / n), "min": lambda n, mx, mn, s: mn,
+             "none": lambda n, mx, mn, s: 1.0}[score_mode]
+    rows = sorted(((q, -float(score(*v)), c, v[0]) for (q, c), v in ref.items()
+                   if v[0] >= min_children))
+    want, rank, last = [], 0, None
+    for q, neg, c, n in rows:
+        rank = rank + 1 if q == last else 1
+        last = q
+        if rank <= 4:
+            want.append((q, rank, c, -neg, n))
+    want = pd.DataFrame(want, columns=["query_id", "rank", "conv_id", "score", "n_matching"])
+    _same(J.has_child("idx", queries, k=4, score_mode=score_mode,
+                      min_children=min_children), want, ["query_id", "rank"])
+
+
 # -- regression guard: no per-query membership loop -------------------------
 
 MIGRATED = [
-    (A._ProbeAgg, ("role", None, "doc_len", None)),
-    (A._ProbeAgg, ("ts", "day", None, None)),
-    (A._ProbeAgg, ("doc_len", None, None, [(None, 16), (16, None)])),
-    (A._ProbeStats, ("doc_len",)),
-    (A._ProbeMissing, ("tool", "")),
-    (A._ProbeWeighted, ("doc_len", "turn_idx")),
-    (A._ProbeDistinct, ("conv_id",)),
-    (A._ProbeHLL, ("conv_id",)),
-    (A._ProbeMultiTerms, (("role", "tool"), "")),
-    (A._ProbeDayKey, ("ts", "conv_id")),
-    (A._ProbeFilters, ({"u": [("role", "=", "user")]}, True, True)),
-    (A._ProbeTTest, ("doc_len", (("role", "=", "user"),), (("role", "=", "assistant"),))),
-    (A._ProbeStringStats, ("role",)),
-    (A._ProbeComposite, ("role", "ts")),
-    (A._ProbeRanks, ("doc_len", [10, 50])),
-    (A._ProbeMatrix, ("doc_len", "turn_idx")),
-    (A._ProbeScripted, ("doc_len * 2 + turn_idx", ("doc_len", "turn_idx"))),
+    (A._probe_agg, ("role", None, "doc_len", None)),
+    (A._probe_agg, ("ts", "day", None, None)),
+    (A._probe_agg, ("doc_len", None, None, [(None, 16), (16, None)])),
+    (A._probe_stats, ("doc_len",)),
+    (A._probe_missing, ("tool", "")),
+    (A._probe_weighted, ("doc_len", "turn_idx")),
+    (A._probe_distinct, ("conv_id",)),
+    (A._probe_hll, ("conv_id",)),
+    (A._probe_multi_terms, (("role", "tool"), "")),
+    (A._probe_day_key, ("ts", "conv_id")),
+    (A._probe_filters, ({"u": [("role", "=", "user")]}, True, True)),
+    (A._probe_t_test, ("doc_len", (("role", "=", "user"),), (("role", "=", "assistant"),))),
+    (A._probe_string_stats, ("role",)),
+    (A._probe_composite, ("role", "ts")),
+    (A._probe_ranks, ("doc_len", [10, 50])),
+    (A._probe_matrix, ("doc_len", "turn_idx")),
+    (A._probe_scripted, ("doc_len * 2 + turn_idx", ("doc_len", "turn_idx"))),
+    (A._probe_sig_terms, (None,)),
+    (A._probe_dedup_text, ()),
+    (A._probe_top_metrics, ("ts", "doc_len", 2)),
+    (A._probe_top_hits, ("role", 2)),
+    (A._probe_div_top, ("role", 2)),
+    (A._probe_sample_top, ("role", 3)),
+    (Q._probe_top_field, ("ts", False, {3: 2, 13: 4}, {13: (np.datetime64(9 * DAY_US, "us"), 5)})),
+    (Q._probe_top_multi, ([("role", True), ("ts", False)], {3: 2, 13: 4})),
+    (Q._probe_func_score, ("doc_len", "log1p", {}, {3: 2, 13: 4})),
+    (J._probe_child_agg, ()),
 ]
 
 
-def test_migrated_probes_never_call_isin_sorted(probe_setup, monkeypatch):
-    tbl, matches, refs, _ = probe_setup
+def test_migrated_probes_never_call_isin_sorted(topk_setup, monkeypatch):
+    tbl, matches, _, scored_refs, _, _, _ = topk_setup
     calls = []
     real = merge.isin_sorted
 
@@ -340,12 +658,14 @@ def test_migrated_probes_never_call_isin_sorted(probe_setup, monkeypatch):
         return real(values, sorted_set)
 
     monkeypatch.setattr(merge, "isin_sorted", counting)
-    # the guard is live: a top-k probe still probes query by query
-    A._ProbeTopMetrics(refs, STRIDE, "ts", "doc_len", 2)(tbl)
-    assert len(calls) >= 2
+    # the guard is live: the per-query reference loop is counted
+    _reference_pairs(matches, np.arange(N_DOCS, dtype=np.int64))
+    assert len(calls) == len(matches)
     calls.clear()
-    for probe_cls, args in MIGRATED:
-        assert probe_cls(refs, STRIDE, *args)(tbl).num_rows > 0, probe_cls.__name__
+    assert len({fn for fn, _ in MIGRATED}) == 25
+    for fn, args in MIGRATED:
+        out = A._probe_batch(tbl, fn, scored_refs, STRIDE, args)
+        assert out.num_rows > 0, fn.__name__
     assert calls == []
 
 
@@ -366,7 +686,7 @@ def test_sig_terms_slices_sum_to_the_unsliced_counts(probe_setup, monkeypatch):
     batch = pa.table({"docid": pa.array(np.arange(N_DOCS), pa.int64()), "text": text})
 
     def counts():
-        out = A._ProbeSigTerms(refs, STRIDE, None)(batch).to_pandas()
+        out = A._probe_batch(batch, A._probe_sig_terms, refs, STRIDE, (None,)).to_pandas()
         return _sorted(out.groupby(["query_id", "term"])["fg"].sum().reset_index())
 
     whole = counts()

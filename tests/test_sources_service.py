@@ -136,7 +136,10 @@ def test_build_service(smoke_fixture, tmp_path):
     svc.shutdown()
 
 
-def test_cli_build_search(smoke_fixture, tmp_path):
+def test_cli_build_search(smoke_fixture, tmp_path, capsys):
+    import json
+
+    from remote_vector_index_builder_ray import search
     from remote_vector_index_builder_ray.__main__ import main
 
     idx = str(tmp_path / "cli_idx")
@@ -149,6 +152,19 @@ def test_cli_build_search(smoke_fixture, tmp_path):
     import pyarrow.parquet as pq
 
     assert pq.read_table(out).num_rows > 0
+    # without --out the rows print to stdout, scores bit-equal to search()
+    capsys.readouterr()
+    rc = main(["search", "--index-dir", idx, "--queries", smoke_fixture["queries"]])
+    assert rc == 0
+    got = pd.DataFrame(json.loads(capsys.readouterr().out))
+    want = search(idx, pd.read_parquet(smoke_fixture["queries"])).to_pandas()
+    key = ["query_id", "rank"]
+    got = got.sort_values(key).reset_index(drop=True)
+    want = want.sort_values(key).reset_index(drop=True)
+    assert len(got) == len(want) > 0
+    pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
+    assert (got["score"].to_numpy(np.float64).view(np.int64)
+            == want["score"].to_numpy(np.float64).view(np.int64)).all()
 
 
 def test_bigann_reader(tmp_path):

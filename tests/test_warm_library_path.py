@@ -29,6 +29,7 @@ from remote_vector_index_builder_ray import (
     terms_agg,
     update_docs,
 )
+from remote_vector_index_builder_ray.pipelines.expand import search_prefix, search_wildcard
 from remote_vector_index_builder_ray.pipelines.join import has_child, has_parent
 from remote_vector_index_builder_ray.pipelines.query import (
     resolve_filter_docids,
@@ -136,6 +137,14 @@ def test_query_entries_accept_every_input_type(smoke_fixture, smoke_index,
     pd.testing.assert_frame_equal(match_count(idx, queries), match_count(idx, q))
     pd.testing.assert_frame_equal(search_sorted(idx, queries),
                                   search_sorted(idx, q))
+    # the term-expanding entries read their pattern column off any input
+    pq_ = q.assign(prefix=q["text"].str.split().str[0].str[:3].fillna("a"))
+    pw = q.assign(pattern=pq_["prefix"] + "*")
+    for fn, frame in ((search_prefix, pq_), (search_wildcard, pw)):
+        want = _sorted(fn(idx, frame))
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(
+            _sorted(fn(idx, _inputs(frame, tmp_path)[kind])), want)
 
 
 def test_repeated_library_calls_spawn_no_actors(smoke_fixture, pos_index,
