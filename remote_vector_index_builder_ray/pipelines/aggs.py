@@ -12,8 +12,11 @@ aggs per shard and reduces — this engine does the same with Ray Data:
    (``query_service.default_service``), so an agg spawns no searcher actors.
 2. The match sets — the SMALL side (a query's matches, not the corpus) — stay
    in the object store as docid-range shards (below).
-3. The docmeta table — the BIG side — streams through ``map_batches`` exactly
-   once (``_probe_partials``). Each block runs as a stateless task that
+3. The docmeta table — the BIG side — stays resident: the index's
+   ``QueryService`` owner pins the docmeta columns a probe reads as one
+   object ref per (file, column), read once per index state
+   (``QueryService.docmeta``). A probe runs one stateless task per docmeta
+   file over those refs (``_probe_refs``), with no read planning. The task
    fetches the shards its docid range touches, runs ONE vectorized
    semi-join for all queries at once (``_pairs``: every matching (query,
    row) pair, with its score when the match sets are scored) and hands the
@@ -21,19 +24,21 @@ aggs per shard and reduces — this engine does the same with Ray Data:
    *params)``. Bucket and metric updates pre-aggregate (combiner) the pairs
    with one grouped reduction keyed by (query_id[, bucket key]); top-k
    updates keep each query's (or bucket's) first n pairs with ``_top_n``.
-   Either way only tiny per-block partials leave the task, and no actor
+   Either way only tiny per-file partials leave the task, and no actor
    pool is spawned.
-4. The partials (queries x buckets rows) reduce driver-side; the top-k
-   partials reduce with the same ``_top_n``.
+4. The partials (queries x buckets rows) reduce driver-side, concatenated
+   in docmeta file order (``_probe_partials``); the top-k partials reduce
+   with the same ``_top_n``.
 
 Scale note (100 TB): this is the broadcast-semi-join pattern, made
 range-local — each query's sorted match set is SHARDED by docid range
 (``_MATCH_SHARD_STRIDE`` docids per shard) and a probe task fetches only the
-shards overlapping its block's docid range. The docmeta files are
+shards overlapping its file's docid range. The docmeta files are
 docid-ordered, so a task touches O(its slice) of the match set rather than
 Σ|matches| — a stopword matching half the corpus costs each probe task only
 its own range's members. The tiny shard directory ({shard_id: [ObjectRef]})
-is the only thing every task receives.
+is the only thing every task receives. Pinned docmeta columns spill to disk
+under object-store pressure like any other object.
 
 Shard PRODUCTION is distributed too (``_sharded_matches``): the constant
 scorer's output blocks stay in the OBJECT STORE only; one pack task per
@@ -285,34 +290,50 @@ def _probe_batch(batch: pa.Table, fn, shard_refs, stride, params) -> pa.Table:
     return fn(batch, qids, rows, scores, *params)
 
 
+@ray.remote
+def _probe_file(fn, shard_refs, stride, params, names, *cols) -> pa.Table:
+    """One pinned docmeta file through a probe. Its column refs arrive as
+    top-level args, so Ray resolves them before the task runs."""
+    return _probe_batch(pa.table(dict(zip(names, cols))), fn, shard_refs,
+                        stride, params)
+
+
+def _probe_refs(index_dir, columns, fn, shard_refs, params) -> list:
+    """The partial refs of one probe, in ``docmeta_files`` order: one
+    stateless ``_probe_file`` task per docmeta file, over the columns the
+    index's ``QueryService`` owner keeps pinned (read once per index state,
+    no read planning per probe)."""
+    from remote_vector_index_builder_ray.query_service import default_service
+
+    columns = list(dict.fromkeys(columns))
+    args = (fn, shard_refs, _MATCH_SHARD_STRIDE, tuple(params), columns)
+    return [_probe_file.remote(*args, *refs)
+            for refs in default_service().docmeta(index_dir, columns)]
+
+
 def _probe_ds(index_dir, columns, fn, shard_refs, params=()):
-    """The docmeta probe stream: column-pruned docmeta read, then a
-    stateless ``map_batches`` TASK per block that semi-joins the block
+    """The probe's partials as a Dataset, for callers that reduce them with
+    Ray Data (has_child's scale path, significant_text's dedup groupby).
+    Each docmeta file runs as one stateless task that semi-joins the file
     against the match-set shards its docid range touches (``_pairs``) and
     hands the pairs to the probe's update function ``fn(batch, qids, rows,
-    scores, *params)``, which emits the block's partial rows. No actor
-    pool: the probe's only state is the shards its block touches."""
-    from remote_vector_index_builder_ray.state import fs
-
-    return ray.data.read_parquet(
-        **fs.for_ray_paths(docmeta_files(index_dir)), columns=columns
-    ).map_batches(
-        _probe_batch,
-        fn_args=(fn, shard_refs, _MATCH_SHARD_STRIDE, tuple(params)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    scores, *params)``, which emits the file's partial rows."""
+    return ray.data.from_arrow_refs(
+        _probe_refs(index_dir, columns, fn, shard_refs, params))
 
 
 def _probe_partials(index_dir, queries, where, fn, params, columns,
                     scored: bool = False, shard_refs=None) -> pd.DataFrame:
     """Shared scaffold for every probe-style agg: sharded match-set
-    production (skipped when the caller passes ``shard_refs``), the docmeta
-    probe stream (``_probe_ds``), driver-small partial rows."""
+    production (skipped when the caller passes ``shard_refs``), one probe
+    task per pinned docmeta file, and the driver-small partial rows
+    concatenated in file order, so a float reduction over them sees one
+    fixed order."""
     if shard_refs is None:
         shard_refs, _, _ = _sharded_matches(index_dir, queries, where=where,
                                             scored=scored)
-    return _probe_ds(index_dir, columns, fn, shard_refs, params).to_pandas()
+    parts = ray.get(_probe_refs(index_dir, columns, fn, shard_refs, params))
+    return pa.concat_tables(parts, promote_options="default").to_pandas()
 
 
 def _range_key(lo, hi) -> str:

@@ -290,29 +290,11 @@ def search_sorted_multi(
     {f2: o2}]``): top-k of each query's full match set under the
     lexicographic (f1, f2, ..., docid asc) order — same broadcast-semi-join
     streaming shape as the single-key ``search_sorted``, with a multi-key
-    per-batch combiner. A descending key must be numeric or a datetime
-    (checked on the driver, from the docmeta schema).
-    Returns (query_id, rank, docid, f1, f2, ...)."""
-    import pyarrow.parquet as pq
-
+    per-batch combiner. Any key may be descending, strings included; nulls
+    sort last either way. Returns (query_id, rank, docid, f1, f2, ...)."""
     from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials, _top_n
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
-    from remote_vector_index_builder_ray.state import fs
 
     sort = [(f, bool(a)) for f, a in sort]
-    desc = [f for f, a in sort if not a]
-    files = docmeta_files(index_dir) if desc else []
-    if files:
-        # check the descending keys' docmeta types on the driver (one
-        # footer read), before the match sets are built
-        filesystem, path = fs.resolve(files[0])
-        schema = pq.read_schema(path, filesystem=filesystem)
-        for f in desc:
-            t = schema.field(f).type
-            if not (pa.types.is_integer(t) or pa.types.is_floating(t)
-                    or pa.types.is_timestamp(t) or pa.types.is_date(t)
-                    or pa.types.is_duration(t)):
-                raise ValueError(f"descending sort on non-numeric field {f!r}")
     q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     fields = [f for f, _ in sort]

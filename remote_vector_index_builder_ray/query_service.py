@@ -24,9 +24,16 @@ for the same reason):
   new index state (the Lucene reader-reopen model; no TTLs, no manual
   invalidation). Pools of indexes whose manifest is gone retire when a new
   pool is created.
+* The owner also keeps the index's docmeta resident next to the pool
+  (``docmeta``): one object ref per (docmeta file, column), read by one
+  plain task per file the first time a docmeta probe asks for the column
+  and returned as that task's value, so the owner owns every pin. The pins
+  belong to the pool's (index_dir, manifest fingerprint) and retire with
+  it; ``docmeta_stats`` reports them per live pool.
 * Least-recently-used pools retire beyond ``max_pools`` and beyond the
-  ``max_cpu_fraction`` CPU-reservation budget. Retirement drains first: a
-  pool's actors die when the last in-flight call releases it.
+  ``max_cpu_fraction`` CPU-reservation budget. Retirement drops the pool's
+  pins and drains: a pool's actors die when the last in-flight call
+  releases it.
 * ``default_service()`` is the process-default owner, created lazily and
   re-created when the Ray session changes; the library paths and the HTTP
   facade share it. It keeps one warm pool at a time, one actor per CPU of
@@ -143,6 +150,17 @@ class _SearcherHost:
         return out[0] if len(out) == 1 else tuple(out)
 
 
+@ray.remote
+def _read_columns(path: str, columns: list[str]):
+    """One docmeta file's ``columns``, each its own task return value, then
+    their byte sizes. A return value is owned by the caller, so the pins
+    survive the exit of the worker that read them (a ``ray.put`` here would
+    be owned by the worker and die with it)."""
+    t = fs.read_table(path, columns=columns)
+    cols = [t.column(c).combine_chunks() for c in columns]
+    return (*cols, [c.nbytes for c in cols])
+
+
 class _Pool:
     def __init__(self, actors: list, created_at: float):
         self.actors = actors
@@ -150,6 +168,13 @@ class _Pool:
         self.last_used = created_at
         self.inflight = 0      # requests currently holding this pool
         self.retired = False   # removed from the table; kill when drained
+        # docmeta pinned for this index state: its files (listed on the
+        # first pin) and one column ref per (file, column), read once
+        self.files: list[str] | None = None
+        self.pins: dict[tuple, ray.ObjectRef] = {}
+        self.pin_bytes = 0
+        self.pin_reads = 0     # (file, column) pins read
+        self.pin_hits = 0      # (file, column) lookups served from the pins
 
 
 class QueryService:
@@ -237,6 +262,8 @@ class QueryService:
         pool = self._pools.pop(key, None)
         if pool is not None:
             pool.retired = True
+            # in-flight probes hold their own refs to the columns they read
+            pool.pins.clear()
             if pool.inflight == 0:
                 for a in pool.actors:
                     ray.kill(a)
@@ -282,6 +309,54 @@ class QueryService:
         with self._lock:
             for key in list(self._pools):
                 self._retire_locked(key)
+
+    # -- docmeta residency ------------------------------------------------------
+    def docmeta(self, index_dir: str, columns: list[str]) -> list[list]:
+        """The index's docmeta ``columns`` pinned on this owner: one row of
+        column refs per docmeta file, in ``docmeta_files`` order. A
+        (file, column) not pinned yet for the index state is read by one
+        plain task per file; the pins live as long as the index's pool."""
+        from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
+
+        pool = self._acquire_pool(index_dir)
+        try:
+            files = pool.files or docmeta_files(index_dir)
+            reads = {}  # sizes ref -> the (file, column) pins it reads
+            with self._lock:
+                pool.files = files
+                for path in files:
+                    missing = [c for c in columns if (path, c) not in pool.pins]
+                    pool.pin_hits += len(columns) - len(missing)
+                    if missing:
+                        *refs, sizes = _read_columns.options(
+                            num_returns=len(missing) + 1).remote(path, missing)
+                        keys = [(path, c) for c in missing]
+                        pool.pins.update(zip(keys, refs))
+                        pool.pin_reads += len(keys)
+                        reads[sizes] = keys
+                rows = [[pool.pins[(p, c)] for c in columns] for p in files]
+            try:
+                nbytes = sum(map(sum, ray.get(list(reads))))
+            except Exception:
+                with self._lock:  # a failed read pins nothing
+                    for keys in reads.values():
+                        for k in keys:
+                            pool.pins.pop(k, None)
+                raise
+            with self._lock:
+                pool.pin_bytes += nbytes
+        finally:
+            self._release_pool(pool)
+        return rows
+
+    def docmeta_stats(self) -> dict:
+        """Per live pool, keyed (index_dir, manifest fingerprint): the pinned
+        docmeta bytes, the pinned (file, column) count, and the (file,
+        column) pin reads and hits so far."""
+        with self._lock:
+            return {k: {"pinned_bytes": p.pin_bytes, "pinned": len(p.pins),
+                        "reads": p.pin_reads, "hits": p.pin_hits}
+                    for k, p in self._pools.items()}
 
     # -- execution --------------------------------------------------------------
     def run(self, index_dir: str, queries: pd.DataFrame, mode: str,

@@ -25,7 +25,7 @@ def main() -> int:
             skip.add(i + 1)
     args = [a for i, a in enumerate(sys.argv[1:], 1)
             if not a.startswith("--") and i not in skip]
-    ray.init(address="local", num_cpus=16, include_dashboard=False,
+    ray.init(address="local", include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
 

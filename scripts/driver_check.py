@@ -37,7 +37,7 @@ def main() -> int:
         out_path = sys.argv[sys.argv.index("--out") + 1]
         args = [a for a in args if a != out_path]
     sf = args[0] if args else "/root/testdata/sf0.01"
-    ray.init(address="local", num_cpus=16, include_dashboard=False,
+    ray.init(address="local", include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
 

@@ -1118,17 +1118,14 @@ BAD_PROBE_PARAMS = {
     "t_test_predicate_op": (
         "t_test_agg", {"pred_b": (("role", "like", "a%"),)},
         "unsupported predicate op 'like'"),
-    "sorted_multi_desc_string": (
-        "search_sorted_multi", {"sort": (("role", False),)},
-        "descending sort on non-numeric field 'role'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_PROBE_PARAMS))
 def test_bad_probe_params_fail_on_the_driver(smoke_index, monkeypatch, case):
-    """A bad script, modifier, rank_feature function, predicate op or
-    descending string key raises ValueError on the driver, before the
-    match-set search runs (not from inside a probe task)."""
+    """A bad script, modifier, rank_feature function or predicate op
+    raises ValueError on the driver, before the match-set search runs (not
+    from inside a probe task)."""
     import remote_vector_index_builder_ray as pkg
     import remote_vector_index_builder_ray.pipelines.aggs as am
     import remote_vector_index_builder_ray.pipelines.query as qm

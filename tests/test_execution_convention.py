@@ -3,9 +3,11 @@
 ``fn_args``). No map keeps an actor pool; the only searcher actors are the
 warm ``QueryService`` pools."""
 
+import inspect
 import pathlib
 
 import remote_vector_index_builder_ray as pkg
+from remote_vector_index_builder_ray.pipelines import aggs
 
 ROOT = pathlib.Path(pkg.__file__).parent
 TOKENS = ("concurrency=", "fn_constructor_args")
@@ -34,3 +36,14 @@ def test_docmeta_probes_are_functions():
         views += [f"{rel}: {t}" for t in ("for_batch", "_ShardedScored") if t in text]
     assert callables == []
     assert views == []
+
+
+def test_probes_plan_no_docmeta_read():
+    """A docmeta probe runs one task per file over the columns the
+    ``QueryService`` owner pins: the probe path plans no Ray Data read and
+    maps no batches."""
+    found = [f"{name}: {t}"
+             for name in ("_probe_ds", "_probe_partials", "_probe_refs")
+             for t in ("read_parquet", "map_batches")
+             if t in inspect.getsource(getattr(aggs, name))]
+    assert found == []

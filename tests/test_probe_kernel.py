@@ -460,8 +460,11 @@ def test_sampler_parity(local_probes, field):
 
 def _page_key(values, asc: bool):
     """The reference page order of one sort key: nulls last, else the value
-    ascending or descending (datetimes as epoch-us)."""
+    ascending or descending (datetimes as epoch-us, a descending string by
+    its negated rank)."""
     v = _us(values) if values.dtype.kind == "M" else values.to_numpy()
+    if not asc and v.dtype == object:
+        v, asc = -values.rank(method="dense").to_numpy(), True
     null = pd.isna(values).to_numpy()
     return [(1, 0) if n else (0, x if asc else -x) for x, n in zip(v, null)]
 
@@ -523,7 +526,8 @@ def test_search_sorted_parity(local_probes, case):
 
 @pytest.mark.parametrize("sort", [(("role", True), ("ts", False)),
                                   (("tool", True), ("doc_len", False)),
-                                  (("ts", False), ("turn_idx", False), ("role", True))])
+                                  (("ts", False), ("turn_idx", False), ("role", True)),
+                                  (("role", False), ("tool", False))])
 def test_search_sorted_multi_parity(local_probes, sort):
     tbl, matches, _, _, _, _, queries = local_probes
     k = dict(zip(queries["query_id"], queries["k"]))
@@ -613,6 +617,36 @@ def test_has_child_parity(local_probes, score_mode, min_children):
     want = pd.DataFrame(want, columns=["query_id", "rank", "conv_id", "score", "n_matching"])
     _same(J.has_child("idx", queries, k=4, score_mode=score_mode,
                       min_children=min_children), want, ["query_id", "rank"])
+
+
+def test_probe_partials_follow_docmeta_file_order(smoke_fixture, tmp_path):
+    """On an index with an appended generation, ``_probe_partials`` equals
+    each docmeta file's ``_probe_batch`` output concatenated in
+    ``docmeta_files`` order, row for row."""
+    from remote_vector_index_builder_ray import BuildConfig, append_index, build_index
+    from remote_vector_index_builder_ray.state import fs
+
+    full = pd.concat([pd.read_parquet(p) for p in smoke_fixture["transcripts"]])
+    convs = sorted(full["conv_id"].unique())
+    parts = [str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")]
+    full[full["conv_id"] < convs[len(convs) // 2]].to_parquet(parts[0], index=False)
+    full[full["conv_id"] >= convs[len(convs) // 2]].to_parquet(parts[1], index=False)
+    idx = str(tmp_path / "idx")
+    build_index(BuildConfig(input_paths=parts[:1], index_dir=idx, num_partitions=2))
+    append_index(idx, parts[1:])
+    files = I.docmeta_files(idx)
+    assert len(files) >= 2 and "generations" in files[-1]
+    q = pd.read_parquet(smoke_fixture["queries"]).head(12)
+    for fn, params, columns, scored in (
+            (A._probe_agg, ("role", None, "doc_len", None), ["docid", "role", "doc_len"], False),
+            (J._probe_child_agg, (), ["docid", "conv_id"], True)):
+        refs, _, _ = A._sharded_matches(idx, q, scored=scored)
+        got = A._probe_partials(idx, None, None, fn, params, columns, shard_refs=refs)
+        want = pa.concat_tables([
+            A._probe_batch(fs.read_table(f, columns=columns), fn, refs,
+                           A._MATCH_SHARD_STRIDE, params) for f in files]).to_pandas()
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
 
 
 # -- regression guard: no per-query membership loop -------------------------

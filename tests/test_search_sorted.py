@@ -78,6 +78,20 @@ def test_search_sorted_multi_matches_pandas(smoke_fixture, smoke_index):
         assert g["docid"].tolist() == exp["docid"].tolist(), q.text
 
 
+def test_search_sorted_multi_descending_string_key(smoke_fixture, smoke_index):
+    """A descending string key sorts on both sorted entries: one-key
+    search_sorted_multi returns search_sorted's role-descending page."""
+    from remote_vector_index_builder_ray import search_sorted_multi
+
+    qdf = pq.read_table(smoke_fixture["queries"]).to_pandas().head(5)
+    got = search_sorted_multi(smoke_index["index_dir"], qdf, sort=[("role", False)])
+    want = search_sorted(smoke_index["index_dir"], qdf, sort_field="role",
+                         ascending=False)
+    assert want["role"].nunique() > 1
+    assert all(g["role"].is_monotonic_decreasing for _, g in want.groupby("query_id"))
+    pd.testing.assert_frame_equal(got, want)
+
+
 def test_sorted_search_after_pages(smoke_index, smoke_fixture):
     """Per-query (ts, docid) cursors: page 2 continues exactly where page 1
     ended — union of both pages == top-2k of the full sort, no overlap."""

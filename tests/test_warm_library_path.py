@@ -21,11 +21,13 @@ from remote_vector_index_builder_ray import (
     BuildConfig,
     append_index,
     build_index,
+    compact_index,
     delete_docs,
     hydrate,
     match_count,
     percolate,
     search,
+    stats_agg,
     terms_agg,
     update_docs,
 )
@@ -37,6 +39,7 @@ from remote_vector_index_builder_ray.pipelines.query import (
 )
 from remote_vector_index_builder_ray.oracle import oracle_from_transcripts
 from remote_vector_index_builder_ray.query_service import (
+    QueryService,
     default_service,
     manifest_fingerprint,
 )
@@ -288,6 +291,99 @@ def test_mutations_reopen_a_fresh_pool(smoke_fixture, tmp_path_factory):
     shutil.rmtree(idx)
 
 
+def _agg_oracle(docs: pd.DataFrame, oracle, q: pd.DataFrame):
+    """terms_agg(role, avg doc_len) and stats_agg(doc_len) over each query's
+    match set among the live ``docs`` (indexed by docid), one query at a
+    time."""
+    terms, stats = [], []
+    for r in q.itertuples(index=False):
+        m = docs[docs.index.isin(list(oracle.score_query(r.text)))]
+        for key, g in m.groupby("role"):
+            avg = int(g["doc_len"].sum()) / len(g)
+            terms.append((int(r.query_id), key, len(g), np.floor(avg * 1e6 + 0.5) / 1e6))
+        if len(m):
+            v = m["doc_len"]
+            stats.append((int(r.query_id), len(m), int(v.sum()), int(v.min()), int(v.max()),
+                          np.floor(int(v.sum()) / len(m) * 1e6 + 0.5) / 1e6))
+    return (pd.DataFrame(terms, columns=["query_id", "key", "n_docs", "avg_doc_len"]),
+            pd.DataFrame(stats, columns=["query_id", "n_docs", "sum_doc_len", "min_doc_len",
+                                         "max_doc_len", "avg_doc_len"]))
+
+
+def test_docmeta_pins_follow_the_index_state(smoke_fixture, tmp_path_factory):
+    """The default owner pins the docmeta columns a probe reads once per
+    index state: a repeated agg reads no column again, and append, delete
+    and compact each re-pin under the new fingerprint and drop the old
+    pins, with terms_agg and stats_agg equal to the oracle at every step."""
+    d = tmp_path_factory.mktemp("warm_pins")
+    full = pd.concat([pq.read_table(p).to_pandas()
+                      for p in smoke_fixture["transcripts"]])
+    convs = sorted(full["conv_id"].unique())
+    cut = convs[len(convs) // 2]
+    pa_path, pb_path = str(d / "a.parquet"), str(d / "b.parquet")
+    full[full["conv_id"] < cut].to_parquet(pa_path, index=False)
+    full[full["conv_id"] >= cut].to_parquet(pb_path, index=False)
+    idx = str(d / "idx")
+    build_index(BuildConfig(input_paths=[pa_path], index_dir=idx, num_partitions=2))
+    q = _queries(smoke_fixture, 12)
+    svc = default_service()
+    # the oracle numbers docs in (conv_id, turn_idx) order, as the index
+    # does: the built part's turns first, then the appended part's
+    oracle = oracle_from_transcripts(full)
+    docs = full.sort_values(["conv_id", "turn_idx"], kind="mergesort").reset_index(drop=True)
+    docs["doc_len"] = pd.Series(oracle.doc_len)
+
+    def check(live: pd.DataFrame, old=None):
+        want_terms, want_stats = _agg_oracle(live, oracle, q)
+        assert len(want_stats) > 0
+        pd.testing.assert_frame_equal(terms_agg(idx, q, metric_field="doc_len"),
+                                      want_terms, check_dtype=False)
+        pd.testing.assert_frame_equal(stats_agg(idx, q).reset_index(drop=True),
+                                      want_stats, check_dtype=False)
+        key = (idx, manifest_fingerprint(idx))
+        stats = svc.docmeta_stats()
+        assert old is None or old not in stats
+        st = stats[key]
+        assert st["reads"] == st["pinned"] > 0 and st["pinned_bytes"] > 0
+        return key, st
+
+    key0, st0 = check(docs[docs["conv_id"] < cut])
+    terms_agg(idx, q, metric_field="doc_len")
+    again = svc.docmeta_stats()[key0]
+    assert again["reads"] == st0["reads"] and again["pinned"] == st0["pinned"]
+    assert again["hits"] > st0["hits"]
+    append_index(idx, [pb_path])
+    key1, st1 = check(docs, old=key0)
+    assert st1["pinned"] > st0["pinned"]  # the generation's files too
+    victims = [0, 5, 1500]
+    delete_docs(idx, docids=victims)
+    live = docs.drop(index=victims)
+    key2, _ = check(live, old=key1)
+    compact_index(idx)
+    check(live, old=key2)
+    shutil.rmtree(idx)
+
+
+def test_docmeta_pins_retire_with_their_pool(smoke_index):
+    """Pins are read once per (file, column); a failed read pins nothing,
+    and shutdown retires every pool with its pins."""
+    idx = smoke_index["index_dir"]
+    svc = QueryService(pool_size=1, max_pools=1, actor_num_cpus=0.0)
+    try:
+        rows = svc.docmeta(idx, ["docid", "role"])
+        col = ray.get(rows[0][1])
+        assert len(col) > 0 and pa.types.is_string(col.type)
+        assert svc.docmeta(idx, ["role"]) == [[r[1]] for r in rows]
+        with pytest.raises(Exception, match="no_such_column"):
+            svc.docmeta(idx, ["no_such_column"])
+        st = svc.docmeta_stats()[(idx, manifest_fingerprint(idx))]
+        assert st["pinned"] == 2 * len(rows) and st["hits"] == len(rows)
+        assert st["reads"] == 3 * len(rows) and st["pinned_bytes"] > 0
+    finally:
+        svc.shutdown()
+    assert svc.docmeta_stats() == {}
+
+
 def test_warm_pool_reserves_no_cpu(smoke_fixture, smoke_index):
     """The default owner's pool stays warm between calls without holding a
     CPU: Ray Data pipelines plan against the cluster's total CPUs, and a
@@ -313,8 +409,6 @@ def test_warm_pool_reserves_no_cpu(smoke_fixture, smoke_index):
 def test_deleted_index_pool_retires(smoke_fixture, smoke_index, tmp_path_factory):
     """A pool whose index directory is gone stops holding CPUs once the
     next pool is created, even with budget to spare."""
-    from remote_vector_index_builder_ray.query_service import QueryService
-
     root = tmp_path_factory.mktemp("warm_gone")
     idx, other = str(root / "idx"), str(root / "other")
     shutil.copytree(smoke_index["index_dir"], idx)
