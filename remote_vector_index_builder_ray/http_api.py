@@ -37,7 +37,7 @@ from remote_vector_index_builder_ray.pipelines.query import (
 )
 from remote_vector_index_builder_ray.query_service import default_service
 from remote_vector_index_builder_ray.service import BuildService, CapacityError, Job
-from remote_vector_index_builder_ray.stages.search import validate
+from remote_vector_index_builder_ray.stages.search import check_k, validate
 from remote_vector_index_builder_ray.state import fs
 from remote_vector_index_builder_ray.state.manifest import load_base_stats
 
@@ -106,10 +106,12 @@ def parse_search_queries(rows):
     every bmw request."""
     rows = [_check(_QUERY_FIELDS, r, f"queries[{i}]")
             for i, r in enumerate(_nonempty(rows, "queries"))]
+    ks = [r.get("k", 10) for r in rows]
+    check_k(ks)  # before the int32 cast, which would overflow
     q = pd.DataFrame({
         "query_id": np.array([r["query_id"] for r in rows], dtype=np.int64),
         "text": [r["text"] for r in rows],
-        "k": np.array([r.get("k", 10) for r in rows], dtype=np.int32),
+        "k": np.array(ks, dtype=np.int32),
     })
     if any("slop" in r for r in rows):
         q["slop"] = np.array([r.get("slop", 0) for r in rows], dtype=np.int32)

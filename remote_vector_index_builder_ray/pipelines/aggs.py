@@ -10,6 +10,9 @@ aggs per shard and reduces — this engine does the same with Ray Data:
    filters respected) is produced by the constant-score scorer — docids only,
    no scoring work — on the index's warm searcher pool
    (``query_service.default_service``), so an agg spawns no searcher actors.
+   The searcher builds the match-set rows columnar: one numpy
+   concatenation per column for a whole batch of queries, never a Python
+   object per row.
 2. The match sets — the SMALL side (a query's matches, not the corpus) — stay
    in the object store as docid-range shards (below).
 3. The docmeta table — the BIG side — stays resident: the index's

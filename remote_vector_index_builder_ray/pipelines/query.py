@@ -18,7 +18,7 @@ import pyarrow as pa
 import ray.data
 
 from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
-from remote_vector_index_builder_ray.stages.search import validate
+from remote_vector_index_builder_ray.stages.search import K_MAX, validate
 
 
 def query_frame(queries) -> pd.DataFrame:
@@ -30,6 +30,14 @@ def query_frame(queries) -> pd.DataFrame:
     if isinstance(queries, (pa.Table, ray.data.Dataset)):
         return queries.to_pandas()
     return pd.read_parquet(queries)
+
+
+def _oversampled(q: pd.DataFrame) -> pd.DataFrame:
+    """``q`` with every k doubled, capped at ``K_MAX`` (the engine-wide
+    oversample-then-round policy: a 6-rounded re-rank of 2k hits cannot
+    lose a page-boundary doc)."""
+    return q.assign(k=(q["k"].astype(np.int64) * 2).clip(upper=K_MAX)
+                    .astype(np.int32))
 
 
 def resolve_filter_docids(index_dir: str, where):
@@ -489,8 +497,7 @@ def search_min_score(
     page-boundary doc (the engine-wide oversample-then-round policy)."""
     q = query_frame(queries)
     k_by_query = dict(zip(q["query_id"], q["k"]))
-    q2 = q.assign(k=(q["k"] * 2).astype("int32"))
-    res = search(index_dir, q2, mode=mode, **search_kw).to_pandas()
+    res = search(index_dir, _oversampled(q), mode=mode, **search_kw).to_pandas()
     cols = {"query_id": np.int64, "rank": np.int32, "docid": np.int64,
             "score": np.float64}
     if res.empty or "docid" not in res.columns:
@@ -562,7 +569,7 @@ def search_with_pipeline(
     q = query_frame(queries)
     if round6:
         k_by_query = dict(zip(q["query_id"], q["k"]))
-        q = q.assign(k=(q["k"] * 2).astype("int32"))
+        q = _oversampled(q)
     res = search(index_dir, q, mode=mode,
                  where=where or None, **search_kw).to_pandas()
     cols = {"query_id": np.int64, "rank": np.int32, "docid": np.int64,
@@ -939,8 +946,7 @@ def search_terminate_after(
         allow_by_qid.get(int(qid), []) for qid in q["query_id"]
     ])
     if "k" in q2.columns:
-        q2 = q2.assign(k=(q2["k"].astype(np.int64) * 2)
-                       .clip(upper=2**31 - 1).astype(np.int32))
+        q2 = _oversampled(q2)
     res = search(index_dir, q2, mode="exhaustive").to_pandas()
     counts = match_count(index_dir, q, where=where)
     term_by_qid = dict(zip(

@@ -65,6 +65,7 @@ from remote_vector_index_builder_ray.config import EngineError
 from remote_vector_index_builder_ray.stages.search import (
     MODES,
     BM25Searcher,
+    check_k,
     searcher_defaults,
     validate,
 )
@@ -361,11 +362,12 @@ class QueryService:
     # -- execution --------------------------------------------------------------
     def run(self, index_dir: str, queries: pd.DataFrame, mode: str,
             options: dict | None = None, allow_ref=None) -> list:
-        """Score ``queries`` (one query per row, checked by ``validate``) on
-        the index's warm pool with ``BM25Searcher(index_dir, mode, allow_ref,
-        **options)``. Returns one ObjectRef per batch, in batch order; every
-        ref has finished (results stay in the object store) before the pool
-        is released, so a retiring pool never loses a batch."""
+        """Score ``queries`` (one query per row, checked by ``validate``,
+        its ``k`` by ``check_k``) on the index's warm pool with
+        ``BM25Searcher(index_dir, mode, allow_ref, **options)``. Returns one
+        ObjectRef per batch, in batch order; every ref has finished (results
+        stay in the object store) before the pool is released, so a retiring
+        pool never loses a batch."""
         row = MODES[mode]
         if row.positions:
             man = fs.read_json(fs.join(index_dir, "manifest.json"))
@@ -377,12 +379,14 @@ class QueryService:
         if queries.empty:
             # nothing to score; an empty Dataset input arrives without columns
             return [ray.put(row.schema.empty_table())]
+        table = pa.Table.from_pandas(queries, preserve_index=False)
+        if "k" in table.column_names:
+            check_k(table["k"].to_pylist())
         # positional batches are 4x larger: per-actor cost is dominated by
         # positional-postings loads, which duplicate across the pool — fewer,
         # bigger batches amortize the same term loads over more queries
         # (profiled at sf0.1: load 4.2 s vs score 0.26 s per batch)
         bs = 64 if row.positions else 16
-        table = pa.Table.from_pandas(queries, preserve_index=False)
         # options equal to the searcher's defaults are dropped, so equivalent
         # calls share one cached searcher per actor
         opts = {k: v for k, v in (options or {}).items()

@@ -276,6 +276,20 @@ def validate(mode: str, columns=None, options: dict | None = None,
     return row
 
 
+K_MAX = 2**31 - 1  # the largest k: the query contract's k column is int32
+
+
+def check_k(ks) -> None:
+    """Raise ValueError unless every per-query ``k`` is null (meaning 10)
+    or a whole number in [0, K_MAX] (a k column holding a null reads as
+    float)."""
+    for k in ks:
+        if k is not None and (isinstance(k, bool)
+                              or not isinstance(k, (int, float))
+                              or not 0 <= k <= K_MAX or k != int(k)):
+            raise ValueError(f"k must be an integer in [0, {K_MAX}], got {k!r}")
+
+
 class _Query:
     """One query row, parsed: everything a scorer reads. Optional inputs
     default to "absent" (no cursor, no mask, slop 0, span_end 1, ...)."""
@@ -1691,10 +1705,11 @@ class BM25Searcher:
         analog): one row per (doc, matching term) with tf, df and the term's
         BM25 contribution — contributions sum (term-ascending, the engine's
         accumulation order) to the search score exactly."""
-        terms = q.terms
-        out_doc, out_term, out_tf, out_df, out_contrib = [], [], [], [], []
+        parts = [(np.empty(0, np.int64), np.empty(0, object),
+                  np.empty(0, np.int64), np.empty(0, np.int64),
+                  np.empty(0, np.float64))]
         sel = np.sort(np.asarray(q.docids or [], dtype=np.int64))
-        for t in terms:  # ascending term order == accumulation order
+        for t in q.terms:  # ascending term order == accumulation order
             tp = self._cache.get(t)
             if tp is None or len(sel) == 0:
                 continue
@@ -1709,12 +1724,10 @@ class BM25Searcher:
                 tf[ii].astype(np.float64), dl[ii].astype(np.float64),
                 self.avgdl, self.k1, self.b,
             )
-            out_doc.extend(sel[mask].tolist())
-            out_term.extend([t] * int(mask.sum()))
-            out_tf.extend(tf[ii].tolist())
-            out_df.extend([int(tp.df)] * int(mask.sum()))
-            out_contrib.extend(contrib.tolist())
-        return out_doc, out_term, out_tf, out_df, out_contrib
+            n = len(ii)
+            parts.append((sel[mask], np.full(n, t, dtype=object), tf[ii],
+                          np.full(n, tp.df, dtype=np.int64), contrib))
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def _conv_starts(self) -> np.ndarray:
         """Sorted first-docids of every conversation (base + generations):
@@ -1777,13 +1790,10 @@ class BM25Searcher:
         first = np.sort(np.unique(conv, return_index=True)[1])[:k]
         if inner <= 0:
             return d[first], s[first]
-        out_d, out_s = [], []
-        for lead in first:  # conv-rank order == leader position order
-            m = np.flatnonzero(conv == conv[lead])[:inner]
-            out_d.extend(d[m].tolist())
-            out_s.extend(s[m].tolist())
-        return (np.asarray(out_d, dtype=np.int64),
-                np.asarray(out_s, dtype=np.float64))
+        # conv-rank order == leader position order
+        m = np.concatenate([np.flatnonzero(conv == conv[lead])[:inner]
+                            for lead in first])
+        return d[m], s[m]
 
     def _score_blended(self, q: _Query):
         """Lucene SynonymQuery blended scoring: each synonym group scores as
@@ -2074,18 +2084,26 @@ class BM25Searcher:
 
     # -- batch entry ----------------------------------------------------------
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """Score every query of ``batch`` into the mode's result table.
+
+        Scorer contract: a scorer maps one ``_Query`` to numpy arrays, one
+        per schema column after ``query_id`` (and ``rank``, if the schema
+        has it), in result order; nothing re-sorts. The table is built per
+        column, not per row: ``query_id`` repeats each id over its hit
+        count, ``rank`` counts from 1 within each query, every other
+        column is one concatenation. A query with k=0 is not scored."""
         row = validate(self.mode, batch.column_names)
         score = getattr(self, row.scorer)
-        ranked = "rank" in row.schema.names
-        cols = [[] for _ in row.schema]
-        for q in self._parse(batch, row):
-            hits = score(q)
-            n = len(hits[0])
-            if ranked:
-                hits = (range(1, n + 1), hits[0].tolist(), hits[1].tolist())
-            cols[0].extend([q.qid] * n)
-            for c, h in zip(cols[1:], hits):
-                c.extend(h)
+        qs = [q for q in self._parse(batch, row) if q.k]
+        hits = [score(q) for q in qs]
+        lens = np.fromiter((len(h[0]) for h in hits), np.int64, len(hits))
+        cols = [np.repeat(np.fromiter((q.qid for q in qs), np.int64, len(qs)), lens)]
+        if "rank" in row.schema.names:
+            cols.append(np.arange(1, lens.sum() + 1)
+                        - np.repeat(np.cumsum(lens) - lens, lens))
+        # an empty object array converts to any Arrow type (an empty batch)
+        cols += [np.concatenate([h[i] for h in hits] or [np.empty(0, object)])
+                 for i in range(len(row.schema) - len(cols))]
         return pa.Table.from_arrays(
             [pa.array(c, type=f.type) for c, f in zip(cols, row.schema)],
             schema=row.schema,

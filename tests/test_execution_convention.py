@@ -1,13 +1,17 @@
 """The execution convention for Ray Data maps: every map in ``pipelines/``,
 ``stages/`` and ``extras/`` is a stateless task (a plain function given
 ``fn_args``). No map keeps an actor pool; the only searcher actors are the
-warm ``QueryService`` pools."""
+warm ``QueryService`` pools. The searcher assembles its result tables as
+columns, never row by row."""
 
+import ast
 import inspect
 import pathlib
+import textwrap
 
 import remote_vector_index_builder_ray as pkg
 from remote_vector_index_builder_ray.pipelines import aggs
+from remote_vector_index_builder_ray.stages.search import BM25Searcher
 
 ROOT = pathlib.Path(pkg.__file__).parent
 TOKENS = ("concurrency=", "fn_constructor_args")
@@ -46,4 +50,19 @@ def test_probes_plan_no_docmeta_read():
              for name in ("_probe_ds", "_probe_partials", "_probe_refs")
              for t in ("read_parquet", "map_batches")
              if t in inspect.getsource(getattr(aggs, name))]
+    assert found == []
+
+
+def test_search_results_assemble_as_columns():
+    """The searcher builds its result columns from numpy arrays: the batch
+    entry and the scorers that build multi-row hits call no ``.tolist()``
+    and no ``.extend(``, so the per-row path cannot come back."""
+    found = []
+    for name in ("__call__", "_explain", "_score_collapse"):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(BM25Searcher, name))))
+        found += [f"{name}:{node.lineno}: .{node.func.attr}()"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("tolist", "extend")]
     assert found == []

@@ -225,6 +225,30 @@ def test_search_route_error_codes(api):
     assert code == 200 and out["total"] >= 0
 
 
+def test_search_route_k_range(api):
+    """A k outside [0, 2**31-1] is a 400 naming k: a negative k used to
+    return almost the whole match set, and 2**40 overflowed the int32 cast
+    into a 500. k=0 is a 200 with no rows in every served scorer."""
+    from remote_vector_index_builder_ray import BuildConfig, build_index
+
+    base, fx, idx_root = api
+    idx = str(idx_root / "srch_api")
+    build_index(BuildConfig(input_paths=fx["transcripts"], index_dir=idx,
+                            num_partitions=2))
+    for mode in ("bmw", "constant", "exhaustive", "dismax"):
+        for k in (-1, -5, 2**40):
+            with pytest.raises(urllib.error.HTTPError) as ei:
+                _post(base + "/_search", {"index_dir": idx, "mode": mode,
+                                          "queries": [{"query_id": 0,
+                                                       "text": "the", "k": k}]})
+            assert ei.value.code == 400, (mode, k)
+            assert "k must be an integer" in json.loads(ei.value.read())["error"]
+        code, out = _post(base + "/_search", {
+            "index_dir": idx, "mode": mode,
+            "queries": [{"query_id": 0, "text": "the", "k": 0}]})
+        assert code == 200 and out == {"rows": [], "total": 0}, mode
+
+
 def test_search_route_span_modes(api):
     """/_search carries the positional per-query options (slop, span_exclude,
     span_little) through to the warm pool, matching the batch path, and 400s

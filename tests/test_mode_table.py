@@ -2,8 +2,10 @@
 
 Every (mode, column) and (mode, option) pair the table does not list is
 rejected on the driver with a ValueError naming it, for every query input
-type; an unknown mode is rejected everywhere; and over the table's legal
-option combinations bmw stays bit-identical to the exhaustive scorer."""
+type; an unknown mode is rejected everywhere; a k outside [0, 2**31-1] is
+rejected on the driver and k=0 returns no rows in every mode; over the
+table's legal option combinations bmw stays bit-identical to the exhaustive
+scorer; and every mode's columnar result assembly equals a per-row one."""
 
 from itertools import combinations
 
@@ -12,8 +14,10 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from remote_vector_index_builder_ray import search
+from remote_vector_index_builder_ray import BuildConfig, build_index, search
+from remote_vector_index_builder_ray.functions.tokenizer import tokenize_text
 from remote_vector_index_builder_ray.stages.search import (
+    K_MAX,
     MODES,
     BM25Searcher,
     searcher_defaults,
@@ -255,3 +259,135 @@ def test_bmw_equals_exhaustive_over_legal_combinations(smoke_index,
 def test_legal_combinations_come_from_the_table():
     # filter_text and allow_docids are mutually exclusive: 16 - 4 subsets
     assert len(_LEGAL) == 12
+
+
+# -- k range and the columnar result assembly, over every MODES row --------
+
+# the options a row cannot run without, and collapse's inner hits
+_MODE_KWARGS = {"terms_set": {"msm_script": "min(v, 2)"},
+                "collapse": {"collapse_inner": 2}}
+_ONE_TERM = {"span_first", "span_not"}  # single-term inner spans
+
+
+@pytest.fixture(scope="module")
+def pos_index(smoke_fixture, tmp_path_factory):
+    """The smoke corpus with positions, so every row can run on it."""
+    idx = str(tmp_path_factory.mktemp("pos_modes") / "idx")
+    build_index(BuildConfig(input_paths=smoke_fixture["transcripts"],
+                            index_dir=idx, num_partitions=2, positions=True,
+                            num_buckets=32))
+    return idx
+
+
+@pytest.fixture(scope="module")
+def trigrams(smoke_fixture):
+    """Distinct adjacent (a, b, c) token triples from the corpus: the query
+    "a c" at slop 1 matches as a phrase and as a big span containing b."""
+    out = []
+    for p in smoke_fixture["transcripts"]:
+        for text in pd.read_parquet(p)["text"]:
+            tk = tokenize_text(text or "")
+            out += [tuple(tk[j:j + 3]) for j in range(0, len(tk) - 2, 5)
+                    if len(set(tk[j:j + 3])) == 3]
+            if len(out) >= 6:
+                return out[:6]
+    return out
+
+
+def _mode_batch(mode: str, grams, k: int) -> pa.Table:
+    """One query per (a, b, c) triple with the mode's required columns; a
+    None triple is a query with no hits."""
+    row = MODES[mode]
+    grams = [g or ("zz_absent_one", "zz_absent_two", "zz_absent_three")
+             for g in grams]
+    n = len(grams)
+    cols = {"query_id": pa.array(range(n), pa.int64()),
+            "text": pa.array([a if mode in _ONE_TERM else f"{a} {c}"
+                              for a, _, c in grams], pa.string()),
+            "k": pa.array([k] * n, pa.int32())}
+    if "slop" in row.columns:
+        cols["slop"] = pa.array([1] * n, pa.int32())
+    if "span_end" in row.columns:
+        cols["span_end"] = pa.array([1000] * n, pa.int32())
+    if "span_exclude" in row.columns:
+        cols["span_exclude"] = pa.array([c for _, _, c in grams], pa.string())
+    if "span_little" in row.columns:
+        cols["span_little"] = pa.array([b for _, b, _ in grams], pa.string())
+    if "groups" in row.columns:
+        cols["groups"] = pa.array([[[a, b], [c]] for a, b, c in grams],
+                                  pa.list_(pa.list_(pa.string())))
+    if "explain_docids" in row.columns:
+        cols["explain_docids"] = pa.array([list(range(0, 2000, 3))] * n,
+                                          pa.list_(pa.int64()))
+    return pa.table(cols)
+
+
+def _per_row(s: BM25Searcher, batch: pa.Table) -> pa.Table:
+    """The reference: the per-row assembly the searcher used to do, one
+    Python list per column extended query by query."""
+    row = MODES[s.mode]
+    score = getattr(s, row.scorer)
+    ranked = "rank" in row.schema.names
+    cols = [[] for _ in row.schema]
+    for q in s._parse(batch, row):
+        hits = [h.tolist() for h in score(q)]
+        n = len(hits[0])
+        if ranked:
+            hits = [range(1, n + 1), *hits]
+        cols[0].extend([q.qid] * n)
+        for c, h in zip(cols[1:], hits):
+            c.extend(h)
+    return pa.Table.from_arrays(
+        [pa.array(c, type=f.type) for c, f in zip(cols, row.schema)],
+        schema=row.schema)
+
+
+_BATCH_KS = [(m, 10) for m in MODES] + [("constant", K_MAX),
+                                        ("exhaustive", K_MAX)]
+
+
+@pytest.mark.parametrize("mode,k", _BATCH_KS,
+                         ids=[f"{m}-k{k}" for m, k in _BATCH_KS])
+def test_columnar_assembly_equals_per_row(pos_index, trigrams, mode, k):
+    """``BM25Searcher.__call__`` builds the same table, bit for bit, as the
+    per-row loop over the same scorer: on an empty batch, a batch with a
+    zero-hit query in the middle, and a batch where no query hits."""
+    s = BM25Searcher(pos_index, mode, **_MODE_KWARGS.get(mode, {}))
+    schema = MODES[mode].schema
+    mixed = trigrams[:3] + [None] + trigrams[3:]
+    for grams in ([], mixed, [None, None]):
+        batch = _mode_batch(mode, grams, k)
+        got, want = s(batch), _per_row(s, batch)
+        assert got.schema == schema
+        assert got.equals(want), (mode, len(grams))
+        if grams is mixed:
+            assert got.num_rows > 0, mode
+            # the zero-hit query in the middle contributes no row
+            assert 3 not in got["query_id"].to_pylist()
+
+
+def test_columnar_collapse_inner_hits_numbered_conversation_major(pos_index,
+                                                                   trigrams):
+    """collapse_inner=2 flattens each conversation's best two turns in
+    conversation-rank order; rank numbers the flattened rows."""
+    s = BM25Searcher(pos_index, "collapse", collapse_inner=2)
+    got = s(_mode_batch("collapse", trigrams, 10)).to_pandas()
+    assert len(got) > len(trigrams)
+    for _, g in got.groupby("query_id"):
+        assert g["rank"].tolist() == list(range(1, len(g) + 1))
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_k_range_checked_and_k0_returns_no_rows(pos_index, trigrams, mode):
+    """k is an integer in [0, 2**31-1] (null means 10), checked on the
+    driver for every mode: a negative k used to count from the end of the
+    match set, and bmw raised IndexError at k=0. k=0 returns no rows."""
+    q = _mode_batch(mode, trigrams, 0).to_pandas()
+    kw = _MODE_KWARGS.get(mode, {})
+    out = search(pos_index, q, mode=mode, **kw).to_pandas()
+    assert len(out) == 0
+    assert BM25Searcher(pos_index, mode, **kw)(
+        _mode_batch(mode, trigrams, 0)).num_rows == 0
+    for bad in (-1, K_MAX + 1, 2**40, 2.5):
+        with pytest.raises(ValueError, match=r"^k must be an integer"):
+            search(pos_index, q.assign(k=bad), mode=mode, **kw)

@@ -284,3 +284,28 @@ def test_search_min_score(smoke_index, smoke_fixture, smoke_oracle):
     want = pd.DataFrame(rows, columns=["query_id", "rank", "docid", "score"]).astype(
         {"query_id": np.int64, "rank": np.int32, "docid": np.int64, "score": np.float64})
     pd.testing.assert_frame_equal(got.reset_index(drop=True), want)
+
+
+def test_oversampled_k_saturates(smoke_index, smoke_fixture):
+    """The 2k oversample of search_min_score and search_with_pipeline caps
+    at 2**31-1: a legal k of 2**30 used to wrap to a negative k in the
+    int32 cast."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from remote_vector_index_builder_ray.pipelines.query import (
+        search_min_score,
+        search_with_pipeline,
+    )
+
+    idx = smoke_index["index_dir"]
+    q = pq.read_table(smoke_fixture["queries"]).to_pandas().head(4)
+    big, all_hits = q.assign(k=np.int32(1 << 30)), q.assign(k=np.int32(1 << 20))
+    got = search_min_score(idx, big, min_score=0.0)
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(got, search_min_score(idx, all_hits, min_score=0.0))
+    trunc = [{"truncate_hits": {"target_size": 3}}]
+    pd.testing.assert_frame_equal(
+        search_with_pipeline(idx, big, trunc, round6=True),
+        search_with_pipeline(idx, all_hits, trunc, round6=True))
