@@ -64,6 +64,7 @@ import ray.data
 
 from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
 from remote_vector_index_builder_ray.pipelines.query import query_frame, search
+from remote_vector_index_builder_ray.stages.search import K_MAX
 
 # docids per match-set shard: one shard's members for one query are at most
 # STRIDE * 8 bytes; with dense docids a 4M stride bounds a worst-case
@@ -77,7 +78,7 @@ def _match_sets(index_dir: str, queries, where=None) -> dict[int, np.ndarray]:
     materialized on the driver. No agg calls it: it is the reference the
     sharded production (``_sharded_matches``) is tested against."""
     q = query_frame(queries)
-    q["k"] = np.int32(2**31 - 1)
+    q["k"] = np.int32(K_MAX)
     res = search(index_dir, q, mode="constant", where=where).to_pandas()
     if "query_id" not in res.columns:  # zero matches: column-less empty frame
         return {}
@@ -160,7 +161,7 @@ def _sharded_matches(index_dir: str, queries, where=None, scored: bool = False,
     if stride is None:
         stride = _MATCH_SHARD_STRIDE
     q = query_frame(queries)
-    q["k"] = np.int32(2**31 - 1)
+    q["k"] = np.int32(K_MAX)
     res = search(index_dir, q, mode="exhaustive" if scored else "constant",
                  where=where)
     block_refs = res.to_arrow_refs()  # refs only: blocks stay in the store
@@ -1323,7 +1324,7 @@ def _match_sets_scored(index_dir: str, queries, where=None):
     scored twin of ``_match_sets``, the reference the sharded production
     (``_sharded_matches(scored=True)``) is tested against."""
     q = query_frame(queries)
-    q["k"] = np.int32(2**31 - 1)
+    q["k"] = np.int32(K_MAX)
     res = search(index_dir, q, mode="exhaustive", where=where).to_pandas()
     out = {}
     for qid, g in res.groupby("query_id"):

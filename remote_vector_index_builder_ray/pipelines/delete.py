@@ -236,12 +236,13 @@ def delete_by_query(
         _sharded_matches,
     )
     from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
+    from remote_vector_index_builder_ray.stages.search import K_MAX
 
     man = _load_manifest(index_dir)
     q = pd.DataFrame({
         "query_id": np.array([0], dtype=np.int64),
         "text": [text],
-        "k": np.array([2**31 - 1], dtype=np.int32),
+        "k": np.array([K_MAX], dtype=np.int32),
     })
     shard_refs, qids, counts = _sharded_matches(index_dir, q, where=where)
     existing = load_tombstones(index_dir, man, include_expunged=True)

@@ -37,6 +37,7 @@ import pyarrow.compute as pc
 
 from remote_vector_index_builder_ray.pipelines.query import query_frame, search
 from remote_vector_index_builder_ray.state import fs
+from remote_vector_index_builder_ray.stages.search import K_MAX
 
 
 def termstats_dirs(index_dir: str) -> list[str]:
@@ -681,7 +682,7 @@ def search_phrase_prefix(
     sub = pd.DataFrame({
         "query_id": pd.Series([s[0] for s in sub_rows], dtype=np.int64),
         "terms": [s[2] for s in sub_rows],
-        "k": pd.Series([2**31 - 1] * len(sub_rows), dtype=np.int32),
+        "k": pd.Series([K_MAX] * len(sub_rows), dtype=np.int32),
     })
     res = search(index_dir, sub, mode="phrase", **kw).to_pandas()
     if "docid" not in res.columns or res.empty:

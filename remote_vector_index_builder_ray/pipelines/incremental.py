@@ -398,10 +398,11 @@ def update_by_query(
 
     from remote_vector_index_builder_ray.pipelines.query import search
     from remote_vector_index_builder_ray.stages.merge import semi_join
+    from remote_vector_index_builder_ray.stages.search import K_MAX
 
     q = pd.DataFrame({"query_id": np.array([0], dtype=np.int64),
                       "text": [query_text],
-                      "k": np.array([2**31 - 1], dtype=np.int32)})
+                      "k": np.array([K_MAX], dtype=np.int32)})
     m = search(index_dir, q, mode="constant").to_pandas()
     if m.empty or "docid" not in m.columns:
         return {"updated": 0, "inserted": 0, "manifest": None}

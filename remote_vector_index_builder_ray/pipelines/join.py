@@ -51,6 +51,7 @@ from remote_vector_index_builder_ray.pipelines.aggs import (
 )
 from remote_vector_index_builder_ray.pipelines.query import hydrate, query_frame, search
 from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
+from remote_vector_index_builder_ray.stages.search import capped_k
 
 _CHILD_COLS = {
     "query_id": np.int64,
@@ -202,7 +203,7 @@ def has_parent(index_dir: str, queries, k: int = 10) -> pd.DataFrame:
     q = query_frame(queries)
     k_by_query = dict(zip(q["query_id"], [k] * len(q)))
     # oversample 2k so the 6-rounded re-rank can't lose a boundary parent
-    q2 = q.assign(k=np.int32(2 * k))
+    q2 = q.assign(k=capped_k(2 * k))
     parents = search(
         index_dir, q2, mode="exhaustive", where=[("turn_idx", "=", 0)]
     ).to_pandas()

@@ -72,7 +72,7 @@ def more_like_this(
         load_analyzer,
     )
     from remote_vector_index_builder_ray.pipelines.query import hydrate, search
-    from remote_vector_index_builder_ray.stages.search import _idf
+    from remote_vector_index_builder_ray.stages.search import _idf, capped_k
 
     an = load_analyzer(index_dir)  # analyze like-doc text as the index did
     doc_ids = [int(d) for d in doc_ids]
@@ -108,7 +108,7 @@ def more_like_this(
         terms_by_doc[docid] = [t for _, t in cands[:max_query_terms]]
     q = pd.DataFrame({"query_id": doc_ids})
     q["terms"] = [terms_by_doc.get(d, []) for d in doc_ids]
-    q["k"] = np.int32(k + 1)  # the like-doc may occupy one slot
+    q["k"] = capped_k(k + 1)  # the like-doc may occupy one slot
     res = search(index_dir, q, mode=mode, **search_kw).to_pandas()
     res = res[res["docid"] != res["query_id"]]
     res = res.sort_values(["query_id", "rank"]).reset_index(drop=True)

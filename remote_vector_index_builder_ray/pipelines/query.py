@@ -18,7 +18,7 @@ import pyarrow as pa
 import ray.data
 
 from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
-from remote_vector_index_builder_ray.stages.search import K_MAX, validate
+from remote_vector_index_builder_ray.stages.search import K_MAX, capped_k, validate
 
 
 def query_frame(queries) -> pd.DataFrame:
@@ -700,7 +700,7 @@ def multi_index_search(
         overrides = {"stats_override": (n_g, tl_g),
                      "df_override": {t: v for t, v in df_g.items() if v > 0}}
     # oversample 2k per leg so the rounded merge can't lose a boundary doc
-    q2 = q.assign(k=np.int32(2 * k))
+    q2 = q.assign(k=capped_k(2 * k))
     legs = []
     for d, b, lab in zip(index_dirs, boosts, labels):
         r = search(d, q2, mode=mode, **search_kw, **overrides).to_pandas()
@@ -785,7 +785,7 @@ def search_named(
         qq = q[["query_id"]].assign(
             # fillna first: a missing clause cell must match NOTHING, not
             # analyze to the literal term "nan"
-            text=q[col].fillna("").astype(str), k=_np.int32(2**31 - 1)
+            text=q[col].fillna("").astype(str), k=_np.int32(K_MAX)
         )
         m = search(index_dir, qq, mode="constant", allow_docids=allow).to_pandas()
         if m.empty or "docid" not in m.columns:
@@ -1096,7 +1096,7 @@ def rescore_phrase(
     r6 = lambda x: np.floor(x * 1e6 + 0.5) / 1e6  # noqa: E731
 
     base = search(
-        index_dir, q.assign(k=np.int32(2 * window_size)), mode="bmw"
+        index_dir, q.assign(k=capped_k(2 * window_size)), mode="bmw"
     ).to_pandas()
     if "query_id" not in base.columns:
         return pd.DataFrame({"query_id": pd.Series(dtype=np.int64),
@@ -1110,7 +1110,7 @@ def rescore_phrase(
     win = base[base["rank"] <= window_size][["query_id", "docid", "score"]]
 
     ph = search(
-        index_dir, q.assign(k=np.int32(2**31 - 1)), mode="phrase",
+        index_dir, q.assign(k=np.int32(K_MAX)), mode="phrase",
         allow_docids=np.unique(win["docid"].to_numpy(np.int64)),
     ).to_pandas()
     if "query_id" in ph.columns and len(ph):
@@ -1173,7 +1173,7 @@ def search_query_string(
               for r in q.itertuples(index=False)}
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     r6 = lambda x: np.floor(x * 1e6 + 0.5) / 1e6  # noqa: E731
-    kmax = np.int32(2**31 - 1)
+    kmax = np.int32(K_MAX)
 
     legs: list[pd.DataFrame] = []
     term_rows = [(qid, p) for qid, p in parsed.items() if p["should"]]
@@ -1300,7 +1300,7 @@ def search_hybrid(
         if "k" in q.columns else None
     legs = []
     for mode in modes:
-        res = search(index_dir, q.assign(k=np.int32(2**31 - 1)),
+        res = search(index_dir, q.assign(k=np.int32(K_MAX)),
                      mode=mode).to_pandas()
         if "docid" not in res.columns or res.empty:
             continue
@@ -1397,7 +1397,7 @@ def search_hybrid_norm(
         if "k" in q.columns else None
     legs = []
     for mode in modes:
-        res = search(index_dir, q.assign(k=np.int32(2**31 - 1)),
+        res = search(index_dir, q.assign(k=np.int32(K_MAX)),
                      mode=mode).to_pandas()
         if "docid" not in res.columns or res.empty:
             legs.append(None)
@@ -1480,7 +1480,7 @@ def search_multi_match(
     q = query_frame(queries)
     k_by_query = {int(r.query_id): int(r.k) for r in q.itertuples(index=False)}
     qfull = q.copy()
-    qfull["k"] = np.int32(2**31 - 1)
+    qfull["k"] = np.int32(K_MAX)
     parts = []
     for field, idx in sorted(index_dirs.items()):
         r = search(idx, qfull, mode="exhaustive").to_pandas()
@@ -1576,7 +1576,7 @@ def search_cross_fields(
     expq = pd.DataFrame({
         "query_id": np.arange(len(eq_qid), dtype=np.int64),
         "text": eq_term,
-        "k": np.full(len(eq_qid), 2**31 - 1, dtype=np.int32),
+        "k": np.full(len(eq_qid), K_MAX, dtype=np.int32),
     })
 
     parts = []
@@ -1709,7 +1709,7 @@ def search_combined_fields(
     expq = pd.DataFrame({
         "query_id": np.arange(len(eq_qid), dtype=np.int64),
         "text": eq_term,
-        "k": np.full(len(eq_qid), 2**31 - 1, dtype=np.int32),
+        "k": np.full(len(eq_qid), K_MAX, dtype=np.int32),
     })
 
     parts = []
@@ -2197,7 +2197,7 @@ def search_bool(
     sq = pd.DataFrame({
         "query_id": q["query_id"].astype(np.int64),
         "text": _col("must_text") + " " + _col("text"),
-        "k": np.full(len(q), 2**31 - 1, dtype=np.int32),
+        "k": np.full(len(q), K_MAX, dtype=np.int32),
     })
     if "exclude_text" in q.columns:
         sq["exclude_text"] = q["exclude_text"].fillna("")
@@ -2225,7 +2225,7 @@ def search_bool(
         mq2 = pd.DataFrame({
             "query_id": pd.Series(restricted, dtype=np.int64),
             "text": [" ".join(musts[qid]) for qid in restricted],
-            "k": np.full(len(restricted), 2**31 - 1, dtype=np.int32),
+            "k": np.full(len(restricted), K_MAX, dtype=np.int32),
         })
         mres = search(index_dir, mq2, mode="exhaustive", operator="and",
                       where=where).to_pandas()

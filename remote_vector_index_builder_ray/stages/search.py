@@ -279,6 +279,12 @@ def validate(mode: str, columns=None, options: dict | None = None,
 K_MAX = 2**31 - 1  # the largest k: the query contract's k column is int32
 
 
+def capped_k(k: int) -> np.int32:
+    """An oversampled k (2k, k + 1) as the k column's int32, saturated at
+    K_MAX rather than wrapped or overflowed."""
+    return np.int32(min(k, K_MAX))
+
+
 def check_k(ks) -> None:
     """Raise ValueError unless every per-query ``k`` is null (meaning 10)
     or a whole number in [0, K_MAX] (a k column holding a null reads as

@@ -1,6 +1,6 @@
 """The batch job's layer split over the full 200-query reference frame.
 
-    python scripts/batch_split.py [--seed 1111] [--reps 5] [--work DIR]
+    python scripts/batch_split.py [--seed 1111]
 
 Builds the benchmark-shaped index (20k turns in 2 parquet files, from
 ``--seed``), then prints one JSON object:
@@ -9,13 +9,13 @@ Builds the benchmark-shaped index (20k turns in 2 parquet files, from
   in bmw and exhaustive mode, then ``match_count``, ``terms_agg``,
   ``date_histogram`` and ``stats_agg``;
 - ``split_ms``: per searcher mode, an in-process ``BM25Searcher`` over the
-  same frame: the whole call, its parse and its score parts (median ms,
-  on warm term caches), assemble as the call minus the two, and the rows
-  it emits. ``constant``
-  and ``exhaustive`` at k=2**31-1 are the match-set searches the
-  aggregations run.
+  same frame: the whole call, its parse and its score parts (median ms of
+  ``REPS`` runs, on warm term caches), assemble as the call minus the two,
+  and the rows it emits. ``constant`` and ``exhaustive`` at k=2**31-1 are
+  the match-set searches the aggregations run.
 
-Ray starts locally with 4 CPUs and a 768 MB object store.
+Ray starts locally with 4 CPUs and a 768 MB object store; the corpus and
+index go to a temporary directory, removed on exit.
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
 sys.path.insert(0, os.path.join(REPO, "perfbench"))
 
+REPS = 5  # timed runs per median
 
-def _median_ms(fn, reps: int) -> float:
+
+def _median_ms(fn) -> float:
     times = []
-    for _ in range(reps):
+    for _ in range(REPS):
         t = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t) * 1e3)
@@ -47,10 +49,6 @@ def _median_ms(fn, reps: int) -> float:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1111)
-    ap.add_argument("--reps", type=int, default=5)
-    ap.add_argument("--work", default=None,
-                    help="directory for the corpus and index (default: a "
-                         "temporary one, removed on exit)")
     args = ap.parse_args(argv)
 
     import numpy as np
@@ -73,7 +71,7 @@ def main(argv=None) -> int:
         validate,
     )
 
-    work = args.work or tempfile.mkdtemp(prefix="batch_split-")
+    work = tempfile.mkdtemp(prefix="batch_split-")
     ray.init(address="local", num_cpus=4, object_store_memory=768 << 20,
              include_dashboard=False, logging_level="ERROR", log_to_driver=False)
     DataContext.get_current().enable_progress_bars = False
@@ -97,7 +95,7 @@ def main(argv=None) -> int:
         }
         for fn in calls.values():  # warm the pool and the docmeta pins
             fn()
-        calls_ms = {name: _median_ms(fn, args.reps) for name, fn in calls.items()}
+        calls_ms = {name: _median_ms(fn) for name, fn in calls.items()}
 
         split = {}
         for mode, k in (("bmw", 10), ("exhaustive", 10),
@@ -109,19 +107,18 @@ def main(argv=None) -> int:
             score = getattr(s, row.scorer)
             rows = s(batch).num_rows  # warms the term cache
             qs = s._parse(batch, row)
-            ms = {"call_ms": _median_ms(lambda: s(batch), args.reps),
-                  "parse_ms": _median_ms(lambda: s._parse(batch, row), args.reps),
-                  "score_ms": _median_ms(lambda: [score(x) for x in qs], args.reps)}
+            ms = {"call_ms": _median_ms(lambda: s(batch)),
+                  "parse_ms": _median_ms(lambda: s._parse(batch, row)),
+                  "score_ms": _median_ms(lambda: [score(x) for x in qs])}
             ms["assemble_ms"] = round(ms["call_ms"] - ms["parse_ms"]
                                       - ms["score_ms"], 1)
             split[f"{mode}@k={k}"] = {**ms, "rows": rows}
-        print(json.dumps({"seed": args.seed, "reps": args.reps,
+        print(json.dumps({"seed": args.seed, "reps": REPS,
                           "turns": len(df), "queries": len(q),
                           "calls_ms": calls_ms, "split_ms": split}, indent=1))
     finally:
         ray.shutdown()
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     return 0
 
 

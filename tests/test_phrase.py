@@ -320,6 +320,9 @@ def test_rescore_phrase_matches_brute_force(smoke_fixture, pos_index):
     np.testing.assert_array_equal(got["score"].to_numpy(), win["combined"].to_numpy())
     # the rescorer must actually change the window order vs plain bm25
     assert got["docid"].tolist() != base.head(10)["docid"].tolist() or (win["p"] > 0).any()
+    # a window of 2**30 oversamples to 2**31, which caps at 2**31-1
+    pd.testing.assert_frame_equal(rescore_phrase(pos_index, q, window_size=1 << 30),
+                                  rescore_phrase(pos_index, q, window_size=1 << 20))
 
 
 def test_query_string_composition(smoke_fixture, pos_index, smoke_oracle):

@@ -287,17 +287,21 @@ def test_search_min_score(smoke_index, smoke_fixture, smoke_oracle):
 
 
 def test_oversampled_k_saturates(smoke_index, smoke_fixture):
-    """The 2k oversample of search_min_score and search_with_pipeline caps
-    at 2**31-1: a legal k of 2**30 used to wrap to a negative k in the
-    int32 cast."""
+    """Every oversampled k (2k, or k + 1 in more_like_this) caps at
+    2**31-1: a legal k of 2**30 used to wrap to a negative k in the int32
+    cast (or overflow it), which the driver's k check then rejected."""
     import numpy as np
     import pandas as pd
     import pyarrow.parquet as pq
 
+    from remote_vector_index_builder_ray.pipelines.join import has_parent
+    from remote_vector_index_builder_ray.pipelines.mlt import more_like_this
     from remote_vector_index_builder_ray.pipelines.query import (
+        multi_index_search,
         search_min_score,
         search_with_pipeline,
     )
+    from remote_vector_index_builder_ray.stages.search import K_MAX
 
     idx = smoke_index["index_dir"]
     q = pq.read_table(smoke_fixture["queries"]).to_pandas().head(4)
@@ -309,3 +313,9 @@ def test_oversampled_k_saturates(smoke_index, smoke_fixture):
     pd.testing.assert_frame_equal(
         search_with_pipeline(idx, big, trunc, round6=True),
         search_with_pipeline(idx, all_hits, trunc, round6=True))
+    pd.testing.assert_frame_equal(multi_index_search([idx], q, k=1 << 30),
+                                  multi_index_search([idx], q, k=1 << 20))
+    pd.testing.assert_frame_equal(has_parent(idx, q, k=1 << 30),
+                                  has_parent(idx, q, k=1 << 20))
+    pd.testing.assert_frame_equal(more_like_this(idx, [3, 7], k=K_MAX),
+                                  more_like_this(idx, [3, 7], k=1 << 20))
