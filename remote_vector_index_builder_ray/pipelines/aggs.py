@@ -10,11 +10,12 @@ aggs per shard and reduces — this engine does the same with Ray Data:
    filters respected) is produced by the constant-score scorer — docids only,
    no scoring work — on the index's warm searcher pool
    (``query_service.default_service``), so an agg spawns no searcher actors.
-   The searcher builds the match-set rows columnar: one numpy
-   concatenation per column for a whole batch of queries, never a Python
-   object per row.
+   Each actor scores one contiguous run of the queries and packs its own
+   result (``_pack``): one counts object plus one piece per docid-range
+   shard, flat (query_id, docid[, score]) arrays in (query, docid) order.
 2. The match sets — the SMALL side (a query's matches, not the corpus) — stay
-   in the object store as docid-range shards (below).
+   in the object store as those pieces, the actors' return values, owned by
+   the driver process (below).
 3. The docmeta table — the BIG side — stays resident: the index's
    ``QueryService`` owner pins the docmeta columns a probe reads as one
    object ref per (file, column), read once per index state
@@ -25,7 +26,9 @@ aggs per shard and reduces — this engine does the same with Ray Data:
    row) pair, with its score when the match sets are scored) and hands the
    pairs to the agg's update function, ``fn(batch, qids, rows, scores,
    *params)``. Bucket and metric updates pre-aggregate (combiner) the pairs
-   with one grouped reduction keyed by (query_id[, bucket key]); top-k
+   with one grouped reduction keyed by (query_id[, bucket key]) — the
+   bucket update on one int64 code per pair over the file's factorized
+   keys (``_probe_agg``); top-k
    updates keep each query's (or bucket's) first n pairs with ``_top_n``.
    Either way only tiny per-file partials leave the task, and no actor
    pool is spawned.
@@ -36,20 +39,25 @@ aggs per shard and reduces — this engine does the same with Ray Data:
 Scale note (100 TB): this is the broadcast-semi-join pattern, made
 range-local — each query's sorted match set is SHARDED by docid range
 (``_MATCH_SHARD_STRIDE`` docids per shard) and a probe task fetches only the
-shards overlapping its file's docid range. The docmeta files are
-docid-ordered, so a task touches O(its slice) of the match set rather than
+shards overlapping its file's docid range. When the docmeta files are
+docid-ordered, a task touches O(its slice) of the match set rather than
 Σ|matches| — a stopword matching half the corpus costs each probe task only
-its own range's members. The tiny shard directory ({shard_id: [ObjectRef]})
-is the only thing every task receives. Pinned docmeta columns spill to disk
-under object-store pressure like any other object.
+its own range's members; the semi-join's lookup table costs the file's
+docid span, at most one stride per shard. The tiny shard directory
+({shard_id: [ObjectRef]}) is the only thing every task receives. Pinned
+docmeta columns spill to disk under object-store pressure like any other
+object.
 
-Shard PRODUCTION is distributed too (``_sharded_matches``): the constant
-scorer's output blocks stay in the OBJECT STORE only; one pack task per
-scorer block splits that block into per-shard pieces and ``ray.put``s each
-piece where it sits. The driver handles block refs, piece refs and per-query
-match COUNTS — never a docid. A stopword query over a 100 TB corpus therefore
-costs the driver O(shards) refs, not a corpus-sized docid list (the round-2
-``.to_pandas()`` round-trip).
+Shard PRODUCTION is distributed too (``_sharded_matches``): the driver makes
+the checks a search call makes (``validate``, ``where`` -> allow-list) and
+asks ``QueryService.run`` for packed match sets; each searcher actor returns
+its per-query counts, the ids of its non-empty shards and one piece per
+shard (``ceil(maxdoc / _MATCH_SHARD_STRIDE)`` shards). The driver keeps the
+refs of the non-empty pieces and sums the COUNTS — it never holds a docid,
+and no Dataset or pack task sits between the scorer and the probe. A
+stopword query over a 100 TB corpus therefore costs the driver O(shards)
+refs, not a corpus-sized docid list. ``match_count`` asks for zero shards
+and gets the counts alone.
 """
 
 from __future__ import annotations
@@ -62,9 +70,17 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
-from remote_vector_index_builder_ray.pipelines.query import query_frame, search
-from remote_vector_index_builder_ray.stages.search import K_MAX
+from remote_vector_index_builder_ray.pipelines.incremental import (
+    _load_completed_manifest,
+    _maxdoc,
+    docmeta_files,
+)
+from remote_vector_index_builder_ray.pipelines.query import (
+    query_frame,
+    resolve_filter_docids,
+    search,
+)
+from remote_vector_index_builder_ray.stages.search import K_MAX, validate
 
 # docids per match-set shard: one shard's members for one query are at most
 # STRIDE * 8 bytes; with dense docids a 4M stride bounds a worst-case
@@ -89,117 +105,135 @@ def _match_sets(index_dir: str, queries, where=None) -> dict[int, np.ndarray]:
 
 
 def _shard_match_sets(matches: dict[int, np.ndarray], stride: int | None = None):
-    """Split each query's sorted match array into docid-range shards and
-    ``ray.put`` each shard's {qid: sub-array} dict separately. Returns
-    (shard_refs, qids): a small {shard_id: [ObjectRef]} directory plus the
-    full query-id list (a query with zero matches still needs empty
-    output semantics). This is the SMALL-match-set path (driver-held dicts,
-    e.g. the sig_terms sampler's k-bounded foreground); unbounded match sets
-    go through ``_sharded_matches``, which never lands docids on the driver."""
+    """Pack driver-held match sets ({qid: sorted docids}) into docid-range
+    shards with ``_pack`` and ``ray.put`` each piece. Returns (shard_refs,
+    qids): a small {shard_id: [ObjectRef]} directory plus the full query-id
+    list (a query with zero matches still needs empty output semantics).
+    This is the SMALL-match-set path (e.g. the sig_terms sampler's
+    k-bounded foreground); unbounded match sets go through
+    ``_sharded_matches``, which never lands docids on the driver."""
     if stride is None:
         stride = _MATCH_SHARD_STRIDE  # resolved at call time (testable)
-    shards: dict[int, dict[int, np.ndarray]] = {}
-    for qid, arr in matches.items():
-        if len(arr) == 0:
-            continue
-        sid = arr // stride
-        bounds = np.flatnonzero(sid[1:] != sid[:-1]) + 1
-        starts = np.concatenate([[0], bounds])
-        for chunk, s0 in zip(np.split(arr, bounds), sid[starts]):
-            shards.setdefault(int(s0), {})[qid] = chunk
-    return {sid: [ray.put(d)] for sid, d in shards.items()}, sorted(matches)
+    lens = [len(a) for a in matches.values()]
+    qids = np.repeat(np.fromiter(matches, np.int64, len(matches)), lens)
+    docs = np.concatenate([np.empty(0, np.int64), *matches.values()])
+    n = int(docs.max()) // stride + 1 if len(docs) else 1
+    (_, sids), *pieces = _pack(qids, docs, None, stride, n)
+    return {sid: [ray.put(pieces[sid])] for sid in sids}, sorted(matches)
 
 
-@ray.remote
-def _pack_block(block: pa.Table, stride: int, scored: bool):
-    """Split ONE scorer output block into docid-range shard pieces, ``ray.put``
-    each piece from this worker (the data never visits the driver), and return
-    the small directory ({shard_id: piece_ref}, {qid: n_matches})."""
-    if block.num_rows == 0 or "query_id" not in block.column_names:
-        return {}, {}
-    qids = block.column("query_id").to_numpy(zero_copy_only=False).astype(np.int64)
-    docs = block.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
-    scores = (
-        block.column("score").to_numpy(zero_copy_only=False).astype(np.float64)
-        if scored
-        else None
-    )
-    order = np.lexsort((docs, qids))  # qid-major, docid ascending within qid
-    qids, docs = qids[order], docs[order]
-    if scored:
-        scores = scores[order]
-    sids = docs // stride
-    change = np.flatnonzero((qids[1:] != qids[:-1]) | (sids[1:] != sids[:-1])) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(docs)]])
-    shards: dict[int, dict] = {}
-    for s0, e0 in zip(starts, ends):
-        seg = (docs[s0:e0], scores[s0:e0]) if scored else docs[s0:e0]
-        shards.setdefault(int(sids[s0]), {})[int(qids[s0])] = seg
-    uq, uc = np.unique(qids, return_counts=True)
-    counts = {int(a): int(b) for a, b in zip(uq, uc)}
-    return {sid: ray.put(d) for sid, d in shards.items()}, counts
+def _pack(qids, docids, scores, stride: int, n_shards: int) -> list:
+    """The one match-set packer: flat (query_id, docid[, score]) rows as
+    ``[counts, piece_0, ..., piece_{n_shards - 1}]``.
+
+    ``counts`` is ({qid: matches}, [ids of the non-empty shards]). Piece
+    ``s`` holds the rows with ``docid // stride == s`` as a tuple of flat
+    arrays (qids, docids[, scores]) in (query, docid) order; an empty
+    shard's piece is None. Rows may arrive in any order: rows already in
+    (query, docid) order, as the constant scorer emits them for an
+    ascending query frame, are not re-sorted. ``n_shards=0`` builds the
+    counts only."""
+    qids = np.asarray(qids, np.int64)
+    docids = np.asarray(docids, np.int64)
+    dq = np.diff(qids)
+    if n_shards and ((dq < 0).any() or (np.diff(docids)[dq == 0] < 0).any()):
+        order = np.lexsort((docids, qids))
+        qids, docids = qids[order], docids[order]
+        scores = None if scores is None else np.asarray(scores)[order]
+        dq = np.diff(qids)
+    starts = np.flatnonzero(np.concatenate([[True], dq != 0]))[:len(qids)]
+    counts: dict[int, int] = {}
+    for qid, n in zip(qids[starts].tolist(),
+                      np.diff(np.append(starts, len(qids))).tolist()):
+        counts[qid] = counts.get(qid, 0) + n
+    if not n_shards:
+        return [(counts, [])]
+    cols = (qids, docids) if scores is None else (
+        qids, docids, np.asarray(scores, np.float64))
+    sid = docids // stride
+    per = np.bincount(sid, minlength=n_shards)
+    if len(per) > n_shards:
+        raise ValueError(f"docid {int(docids.max())} lies beyond the "
+                         f"{n_shards} shards of stride {stride}")
+    sids = np.flatnonzero(per).tolist()
+    pieces = [None] * n_shards
+    if len(sids) == 1:
+        pieces[sids[0]] = cols
+    elif sids:
+        order = np.argsort(sid, kind="stable")
+        bounds = np.cumsum(per)[:-1]
+        for s, part in enumerate(zip(*(np.split(c[order], bounds) for c in cols))):
+            if per[s]:
+                pieces[s] = part
+    return [(counts, sids), *pieces]
 
 
-def _sharded_matches(index_dir: str, queries, where=None, scored: bool = False,
-                     stride: int | None = None):
-    """Distributed match-set shard production: run the constant-score scorer
-    (or, with ``scored=True``, the exhaustive scorer) at k=INT32_MAX and shard
-    its output by docid range WITHOUT a driver round-trip. The scorer's output
-    Dataset is materialized as object-store blocks; one ``_pack_block`` task
-    per block splits it into per-shard pieces in place. Returns
-    (shard_refs, qid_list, counts):
+def _pack_table(block: pa.Table, stride: int, n_shards: int,
+                scored: bool = False) -> list:
+    """``_pack`` over a result table's columns."""
+    return _pack(_np(block, "query_id"), _np(block, "docid"),
+                 _np(block, "score") if scored else None, stride, n_shards)
 
-    - shard_refs: {shard_id: [piece ObjectRef, ...]} — each piece holds
-      {qid: sorted docids} (scored: {qid: (docids, scores)}) for that range.
-      ``_pairs`` merges a shard's pieces when a probe block touches it.
-    - qid_list: sorted qids with >= 1 match (zero-match semantics unchanged).
-    - counts: {qid: total matches} — the only per-query aggregate some aggs
-      need driver-side (e.g. significant_terms' fg_total), reduced from tiny
-      per-block partials.
-    """
-    if stride is None:
-        stride = _MATCH_SHARD_STRIDE
+
+def _n_shards(index_dir: str, stride: int) -> int:
+    """Shards of ``stride`` docids covering the index's docid range
+    (its maxdoc); at least one."""
+    return max(1, -(-_maxdoc(_load_completed_manifest(index_dir)) // stride))
+
+
+def _match_run(index_dir: str, queries, where, scored: bool, stride: int,
+               n_shards: int) -> list:
+    """Run the match-set scorer at k=INT32_MAX on the index's warm pool,
+    packed inside the actors: the constant-score scorer, or the exhaustive
+    one when ``scored``. Returns one ref list [counts, piece_0, ...] per
+    actor (``QueryService.run``). The driver checks are the ones a search
+    call makes: ``validate`` and the ``where`` allow-list."""
+    from remote_vector_index_builder_ray.query_service import default_service
+
     q = query_frame(queries)
     q["k"] = np.int32(K_MAX)
-    res = search(index_dir, q, mode="exhaustive" if scored else "constant",
-                 where=where)
-    block_refs = res.to_arrow_refs()  # refs only: blocks stay in the store
-    futures = [_pack_block.remote(r, stride, scored) for r in block_refs]
+    mode = "exhaustive" if scored else "constant"
+    validate(mode, q.columns, {"where": where})
+    allow_ref = None if where is None else resolve_filter_docids(index_dir, where)
+    return default_service().run(index_dir, q, mode, None, allow_ref,
+                                 pack=(stride, n_shards, scored))
+
+
+def _directory(packed: list):
+    """(shard_refs, qid_list, counts) of packed match sets, each a ref list
+    [counts, piece_0, ...]: only the non-empty pieces enter the directory,
+    in ``packed`` order; the counts add up per query."""
     shard_refs: dict[int, list] = {}
     counts: dict[int, int] = {}
-    for dir_map, cnt in ray.get(futures):
-        for sid, ref in dir_map.items():
-            shard_refs.setdefault(sid, []).append(ref)
+    for (cnt, sids), refs in zip(ray.get([p[0] for p in packed]), packed):
+        for sid in sids:
+            shard_refs.setdefault(sid, []).append(refs[1 + sid])
         for qid, c in cnt.items():
             counts[qid] = counts.get(qid, 0) + c
     return shard_refs, sorted(counts), counts
 
 
-def _shard(refs) -> dict:
-    """One shard's {qid: sorted docids} (scored: {qid: (docids, scores)}),
-    its pieces merged: a shard arrives in one piece per scorer block that
-    touched its range (``_sharded_matches``), and the pieces of one
-    (shard, qid) hold disjoint docids that are re-sorted here, scores
-    kept aligned with the docid sort."""
-    pieces = ray.get(list(refs)) if refs else [{}]
-    if len(pieces) == 1:
-        return pieces[0]
-    parts: dict[int, list] = {}
-    for p in pieces:
-        for qid, v in p.items():
-            parts.setdefault(qid, []).append(v)
-    out = {}
-    for qid, vs in parts.items():
-        if len(vs) == 1:
-            out[qid] = vs[0]
-        elif isinstance(vs[0], tuple):
-            d = np.concatenate([v[0] for v in vs])
-            o = np.argsort(d, kind="stable")
-            out[qid] = d[o], np.concatenate([v[1] for v in vs])[o]
-        else:
-            out[qid] = np.sort(np.concatenate(vs))
-    return out
+def _sharded_matches(index_dir: str, queries, where=None, scored: bool = False,
+                     stride: int | None = None):
+    """Distributed match-set shard production: each searcher actor runs
+    the constant-score scorer (or, with ``scored=True``, the exhaustive
+    scorer) at k=INT32_MAX over its run of queries and packs the result
+    itself (``_pack``), one piece per docid-range shard. Returns
+    (shard_refs, qid_list, counts):
+
+    - shard_refs: {shard_id: [piece ObjectRef, ...]}, one piece per actor
+      whose queries match in that range; a piece holds flat (qids,
+      docids[, scores]) arrays in (query, docid) order. The pieces are the
+      actors' return values, owned by this process, so they outlive the
+      pool that made them.
+    - qid_list: sorted qids with >= 1 match (zero-match semantics unchanged).
+    - counts: {qid: total matches} — the only per-query aggregate some aggs
+      need driver-side (e.g. significant_terms' fg_total).
+    """
+    if stride is None:
+        stride = _MATCH_SHARD_STRIDE
+    return _directory(_match_run(index_dir, queries, where, scored, stride,
+                                 _n_shards(index_dir, stride)))
 
 
 def _pairs(shard_refs: dict, stride: int, ids: np.ndarray):
@@ -209,40 +243,46 @@ def _pairs(shard_refs: dict, stride: int, ids: np.ndarray):
     the pair's score when the shards are scored (None when they are not;
     an empty array when no pair exists).
 
-    One pass for all queries: fetch (and merge) only the shards the
-    batch's docid range touches, sort the batch's docids once, trim each
-    query's shard array to the batch's [min, max] docid range, then place
-    every surviving member with a left/right ``searchsorted``. ``ids`` may
-    be unsorted and may repeat a docid: a repeated docid yields one pair
-    per row carrying it, exactly like per-row membership. Docmeta files
-    are docid-ordered, so a batch spans a narrow docid range and the trim
-    leaves only its own members."""
+    One pass for all queries, one shard at a time: fetch only the shards
+    the batch's docid range touches, trim their pieces to the range with
+    one mask, and place every member through a lookup table over the
+    range: ``first[d - lo]`` is the position of docid ``d`` in the sorted
+    batch and ``first[d - lo + 1] - first[d - lo]`` its row count. The
+    table costs the docid range (at most one stride per shard), not the
+    member count. ``ids`` may be unsorted and may repeat a docid: a
+    repeated docid yields one pair per row carrying it, exactly like
+    per-row membership."""
     order = np.argsort(ids, kind="stable")
     srt = np.asarray(ids, dtype=np.int64)[order]
-    members, owners, scores = [], [], []
+    owners, rows, scores = [], [], []
     if len(srt):
         lo, hi = int(srt[0]), int(srt[-1])
-        for sid in range(lo // stride, hi // stride + 1):
-            for qid, v in _shard(shard_refs.get(sid)).items():
-                arr = v[0] if isinstance(v, tuple) else v
-                a, b = arr.searchsorted(lo), arr.searchsorted(hi, "right")
-                if b > a:
-                    members.append(arr[a:b])
-                    owners.append(np.full(b - a, qid, dtype=np.int64))
-                    if isinstance(v, tuple):
-                        scores.append(v[1][a:b])
-    if not members:
+        for sid in sorted(s for s in shard_refs if lo // stride <= s <= hi // stride):
+            pieces = ray.get(list(shard_refs[sid]))
+            q, m, *s = (pieces[0] if len(pieces) == 1
+                        else map(np.concatenate, zip(*pieces)))
+            a, b = max(lo, sid * stride), min(hi, sid * stride + stride - 1)
+            keep = (m >= a) & (m <= b)
+            m = m[keep] - a
+            first = srt.searchsorted(np.arange(a, b + 2))
+            left = first[m]
+            hit, pos = _expand(left, first[m + 1] - left)
+            owners.append(q[keep][hit])
+            rows.append(order[pos])
+            if s:
+                scores.append(s[0][keep][hit])
+    if not owners:
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
-    m = np.concatenate(members)
-    left = srt.searchsorted(m, "left")
-    hit, pos = _expand(left, srt.searchsorted(m, "right") - left)
-    return (np.concatenate(owners)[hit], order[pos],
-            np.concatenate(scores)[hit] if scores else None)
+    return (np.concatenate(owners), np.concatenate(rows),
+            np.concatenate(scores) if scores else None)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray):
     """Flatten the ranges [starts[i], starts[i] + counts[i]): (owner, pos)
     with one entry per range member, ``owner`` the range's index."""
+    if not len(counts) or counts.max() <= 1:
+        owner = np.flatnonzero(counts)
+        return owner, np.asarray(starts)[owner]
     owner = np.repeat(np.arange(len(counts)), counts)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     return owner, np.asarray(starts)[owner] + (np.arange(len(owner)) - first)
@@ -349,7 +389,10 @@ def _probe_agg(batch: pa.Table, qids, rows, scores, field: str, interval,
                metric_field: str | None, ranges=None) -> pa.Table:
     """Bucket-agg update: pre-aggregate the pairs' (query, bucket key) ->
     (count, metric sum) in one grouped reduction, so only queries x buckets
-    rows leave the task."""
+    rows leave the task. The bucket keys are factorized once over the
+    file's rows (a null key is -1 and forms no bucket, as pandas dropna
+    does), so the reduction groups on one int64 code per pair,
+    ``query_id * n_keys + key code``, instead of hashing a key per pair."""
     keys = _np(batch, field)
     if interval == "day":
         keys = keys.astype("datetime64[D]").astype("datetime64[us]")
@@ -403,13 +446,20 @@ def _probe_agg(batch: pa.Table, qids, rows, scores, field: str, interval,
                 m &= vals < hi
             labels[m] = label
         keys = labels
+    codes, uniques = pd.factorize(keys)
+    n_keys = max(len(uniques), 1)
+    code = codes[rows]
+    keep = code >= 0
     metric = (
-        _np(batch, metric_field).astype(np.int64)[rows]
+        _np(batch, metric_field).astype(np.int64)[rows][keep]
         if metric_field
-        else np.zeros(len(rows), dtype=np.int64)
+        else np.zeros(int(keep.sum()), dtype=np.int64)
     )
-    g = _grouped({"query_id": qids, "key": keys[rows]},
+    g = _grouped({"code": qids[keep] * n_keys + code[keep]},
                  {"n": ("s", "size"), "s": ("s", "sum")}, {"s": metric})
+    code = g.pop("code").to_numpy()
+    g.insert(0, "key", uniques[code % n_keys])
+    g.insert(0, "query_id", code // n_keys)
     if interval == "histogram" or isinstance(interval, (int, tuple)):
         key_type = pa.int64()
     elif interval:
@@ -1618,9 +1668,9 @@ def significant_text_agg(
 
     Scale shape: the duplicate filter is a (query, text-hash) -> min(docid)
     groupby over MATCHED rows only (16-byte hash + docid move, never text);
-    the deduped match set is re-sharded by docid range with the same
-    in-place ``_pack_block`` packing as ``_sharded_matches`` — the driver
-    never holds a docid list."""
+    the deduped match set is re-sharded by docid range by one ``_pack``
+    task per dedup block, the packer the searcher actors run for
+    ``_sharded_matches`` — the driver never holds a docid list."""
     from ray.data.aggregate import Min
 
     shard_refs0, _, _ = _sharded_matches(index_dir, queries, where=where)
@@ -1642,15 +1692,11 @@ def significant_text_agg(
                          "docid": pa.array(d.astype(np.int64), type=pa.int64())})
 
     blocks = deduped.map_batches(_unkey, batch_format="pyarrow").to_arrow_refs()
-    futures = [_pack_block.remote(r, _MATCH_SHARD_STRIDE, False) for r in blocks]
-    shard_refs: dict[int, list] = {}
-    counts: dict[int, int] = {}
-    for dir_map, cnt in ray.get(futures):
-        for sid, ref in dir_map.items():
-            shard_refs.setdefault(sid, []).append(ref)
-        for qid, c in cnt.items():
-            counts[qid] = counts.get(qid, 0) + c
-    return _sig_probe_reduce(index_dir, shard_refs, sorted(counts), counts, size)
+    n = _n_shards(index_dir, _MATCH_SHARD_STRIDE)
+    pack = ray.remote(_pack_table).options(num_returns=n + 1)
+    shard_refs, qid_list, counts = _directory(
+        [pack.remote(b, _MATCH_SHARD_STRIDE, n) for b in blocks])
+    return _sig_probe_reduce(index_dir, shard_refs, qid_list, counts, size)
 
 
 def pipeline_date_histogram(
@@ -2523,12 +2569,13 @@ def moving_fn_date_histogram(
 def match_count(index_dir: str, queries, where=None) -> pd.DataFrame:
     """OpenSearch `_count` API / `track_total_hits=true`: the exact match
     count of each query (docs containing >= 1 analyzed term, after filters
-    and tombstones). Rides the distributed match-set shard production —
-    per-block counts reduce to one int per query; docids never land on the
-    driver. Queries matching nothing report 0 (as _count does).
-    Returns (query_id, total_hits), query_id-ascending."""
+    and tombstones). Rides the match-set run with zero shards requested:
+    each searcher actor returns its per-query counts only, so no piece is
+    packed and no docid leaves an actor. Queries matching nothing report 0
+    (as _count does). Returns (query_id, total_hits), query_id-ascending."""
     q = query_frame(queries)
-    _, _, counts = _sharded_matches(index_dir, q, where=where)
+    _, _, counts = _directory(_match_run(index_dir, q, where, False,
+                                         _MATCH_SHARD_STRIDE, 0))
     qids = sorted(int(v) for v in q["query_id"])
     return pd.DataFrame({
         "query_id": pd.Series(qids, dtype=np.int64),

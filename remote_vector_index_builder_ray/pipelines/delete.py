@@ -157,10 +157,10 @@ def _write_tombstone_shard_impl(index_dir: str, rel: str, piece_refs: list,
                                 existing: np.ndarray, meta_files: list,
                                 lo: int, hi: int):
     """One docid-range shard's tombstone file, written IN the task: merge the
-    shard's match-set pieces ({qid: docids} dicts, qid==0 by the single-query
-    contract), drop already-tombstoned docids, join doc_len from the docmeta
-    files overlapping [lo, hi) (row-group docid statistics prune the rest),
-    write ``rel``. Returns (rel, n, deleted_len) — counts only; no docid
+    shard's match-set pieces (flat (qids, docids) arrays, every qid 0 by the
+    single-query contract), drop already-tombstoned docids, join doc_len
+    from the docmeta files overlapping [lo, hi) (row-group docid statistics
+    prune the rest), write ``rel``. Returns (rel, n, deleted_len) — counts only; no docid
     ever lands on the driver."""
     import pyarrow.parquet as pq
     import ray as _ray
@@ -168,10 +168,7 @@ def _write_tombstone_shard_impl(index_dir: str, rel: str, piece_refs: list,
     from remote_vector_index_builder_ray.stages.merge import isin_sorted
 
     pieces = _ray.get(list(piece_refs))
-    arrs = [p[0] for p in pieces if len(p.get(0, ()))]
-    if not arrs:
-        return None
-    docs = np.unique(np.concatenate(arrs))
+    docs = np.unique(np.concatenate([p[1] for p in pieces]))
     if len(existing):
         docs = docs[~isin_sorted(docs, existing)]
     if len(docs) == 0:
@@ -221,8 +218,8 @@ def delete_by_query(
     bit-unchanged (Lucene numDocs-vs-maxDoc logical delete semantics).
 
     Scale path: the match set is produced DISTRIBUTED
-    (``aggs._sharded_matches`` — the scorer's output blocks are split into
-    docid-range shard pieces in place; the driver holds only ObjectRefs and
+    (``aggs._sharded_matches`` — each searcher actor packs its matches into
+    docid-range shard pieces; the driver holds only ObjectRefs and
     per-query counts) and each shard's tombstone parquet is written by its
     own ``_write_tombstone_shard`` task. A stopword delete over 10^12 turns
     never lands a docid on the driver; the commit point is unchanged (one

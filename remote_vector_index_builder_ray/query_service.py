@@ -43,9 +43,13 @@ for the same reason):
 
 Scale note (multi-node): the actors carry no affinity constraints, so Ray
 spreads a pool across the cluster; ``pool_size`` defaults to half the
-cluster CPU count capped at 16 per index. Queries fan out round-robin over
-the pool in slices of 16 queries (64 for a positional mode), so a call costs
-no pool construction.
+cluster CPU count capped at 16 per index. A call cuts its queries into
+batches of 16 (64 for a positional mode) and gives each actor one
+contiguous run of batches; each actor returns one block (``run``), so a
+call costs no pool construction and yields at most ``pool_size`` blocks, in
+the frame's row order. For the aggregations' match sets the actors pack
+their block into docid-range shard pieces themselves
+(``pipelines/aggs._pack``), and only counts and piece refs come back.
 """
 
 from __future__ import annotations
@@ -143,12 +147,20 @@ class _SearcherHost:
         return s
 
     def run(self, mode: str, options: dict, allow_box: list,
-            slices: list[pa.Table]):
-        """Score each slice; one output table per slice. ``allow_box`` wraps
-        the allow-list ref so Ray hands it over unresolved."""
+            slices: list[pa.Table], pack: tuple | None = None):
+        """Score the slices into one table, in slice order. ``allow_box``
+        wraps the allow-list ref so Ray hands it over unresolved. With
+        ``pack=(stride, n_shards, scored)`` the table is packed into match
+        sets here (``aggs._pack``): [counts, piece_0, ...], or the counts
+        alone when ``n_shards`` is 0."""
         s = self._searcher(mode, options, allow_box[0])
-        out = [s(t) for t in slices]
-        return out[0] if len(out) == 1 else tuple(out)
+        t = pa.concat_tables([s(x) for x in slices])
+        if pack is None:
+            return t
+        from remote_vector_index_builder_ray.pipelines.aggs import _pack_table
+
+        out = _pack_table(t, *pack)
+        return out if pack[1] else out[0]
 
 
 @ray.remote
@@ -361,13 +373,22 @@ class QueryService:
 
     # -- execution --------------------------------------------------------------
     def run(self, index_dir: str, queries: pd.DataFrame, mode: str,
-            options: dict | None = None, allow_ref=None) -> list:
+            options: dict | None = None, allow_ref=None,
+            pack: tuple | None = None) -> list:
         """Score ``queries`` (one query per row, checked by ``validate``,
         its ``k`` by ``check_k``) on the index's warm pool with
-        ``BM25Searcher(index_dir, mode, allow_ref, **options)``. Returns one
-        ObjectRef per batch, in batch order; every ref has finished (results
-        stay in the object store) before the pool is released, so a retiring
-        pool never loses a batch."""
+        ``BM25Searcher(index_dir, mode, allow_ref, **options)``. Each actor
+        scores one contiguous run of batches and returns one block, so the
+        blocks in actor order keep the frame's row order. Returns one
+        ObjectRef per actor used, in actor order; every ref has finished
+        (results stay in the object store) before the pool is released, so
+        a retiring pool never loses a block.
+
+        ``pack=(stride, n_shards, scored)`` asks for match sets instead:
+        each actor packs its block (``_SearcherHost.run``) and its entry is
+        a ref list [counts, piece_0, ..., piece_{n_shards - 1}]. The pieces
+        are return values owned by this process, so they outlive a
+        retired pool."""
         row = MODES[mode]
         if row.positions:
             man = fs.read_json(fs.join(index_dir, "manifest.json"))
@@ -378,7 +399,7 @@ class QueryService:
                 queries = bucket_affine(queries, int(man["num_buckets"]))
         if queries.empty:
             # nothing to score; an empty Dataset input arrives without columns
-            return [ray.put(row.schema.empty_table())]
+            return [] if pack else [ray.put(row.schema.empty_table())]
         table = pa.Table.from_pandas(queries, preserve_index=False)
         if "k" in table.column_names:
             check_k(table["k"].to_pylist())
@@ -394,18 +415,18 @@ class QueryService:
         slices = [table.slice(o, bs) for o in range(0, table.num_rows, bs)]
         pool = self._acquire_pool(index_dir)
         try:
-            n_act = min(len(pool.actors), len(slices))
-            refs = [None] * len(slices)
-            for i in range(n_act):
-                idx = list(range(i, len(slices), n_act))
-                method = pool.actors[i].run
-                if len(idx) > 1:
-                    method = method.options(num_returns=len(idx))
+            runs = np.array_split(np.arange(len(slices)),
+                                  min(len(pool.actors), len(slices)))
+            refs = []
+            for actor, run in zip(pool.actors, runs):
+                method = actor.run
+                if pack:
+                    method = method.options(num_returns=pack[1] + 1)
                 out = method.remote(mode, opts, [allow_ref],
-                                    [slices[j] for j in idx])
-                for j, r in zip(idx, out if len(idx) > 1 else [out]):
-                    refs[j] = r
-            ray.wait(refs, num_returns=len(refs), fetch_local=False)
+                                    [slices[j] for j in run], pack)
+                refs.append([out] if pack and not pack[1] else out)
+            ray.wait([r[0] for r in refs] if pack else refs,
+                     num_returns=len(refs), fetch_local=False)
         finally:
             self._release_pool(pool)
         return refs

@@ -2090,18 +2090,23 @@ class BM25Searcher:
 
     # -- batch entry ----------------------------------------------------------
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Score every query of ``batch`` into the mode's result table.
+        """Score every query of ``batch`` into the mode's result table:
+        parse, score, ``_assemble``. A query with k=0 is not scored.
 
         Scorer contract: a scorer maps one ``_Query`` to numpy arrays, one
         per schema column after ``query_id`` (and ``rank``, if the schema
-        has it), in result order; nothing re-sorts. The table is built per
-        column, not per row: ``query_id`` repeats each id over its hit
-        count, ``rank`` counts from 1 within each query, every other
-        column is one concatenation. A query with k=0 is not scored."""
+        has it), in result order; nothing re-sorts."""
         row = validate(self.mode, batch.column_names)
         score = getattr(self, row.scorer)
         qs = [q for q in self._parse(batch, row) if q.k]
-        hits = [score(q) for q in qs]
+        return self._assemble(qs, [score(q) for q in qs], row)
+
+    @staticmethod
+    def _assemble(qs: list[_Query], hits: list, row: Mode) -> pa.Table:
+        """The result table of the scored queries ``qs``, built per
+        column, not per row: ``query_id`` repeats each id over its hit
+        count, ``rank`` counts from 1 within each query, every other
+        column is one concatenation of the scorers' ``hits``."""
         lens = np.fromiter((len(h[0]) for h in hits), np.int64, len(hits))
         cols = [np.repeat(np.fromiter((q.qid for q in qs), np.int64, len(qs)), lens)]
         if "rank" in row.schema.names:

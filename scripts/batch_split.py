@@ -8,11 +8,17 @@ Builds the benchmark-shaped index (20k turns in 2 parquet files, from
 - ``calls_ms``: the median wall ms of each call of one batch job: ``search()``
   in bmw and exhaustive mode, then ``match_count``, ``terms_agg``,
   ``date_histogram`` and ``stats_agg``;
+- ``agg_split_ms``: per aggregation, the median ms of the whole call and
+  of its two remote parts in the same runs: the match-set run
+  (``aggs._match_run``: the searcher actors score and pack the match sets,
+  the work of ``_sharded_matches``) and the docmeta probe
+  (``aggs._probe_refs``, timed until its partials are ready);
 - ``split_ms``: per searcher mode, an in-process ``BM25Searcher`` over the
-  same frame: the whole call, its parse and its score parts (median ms of
-  ``REPS`` runs, on warm term caches), assemble as the call minus the two,
-  and the rows it emits. ``constant`` and ``exhaustive`` at k=2**31-1 are
-  the match-set searches the aggregations run.
+  same frame, on warm term caches: the median ms of its parse, score and
+  assemble steps (``BM25Searcher._assemble``) and of their sum, each step
+  timed in the same ``REPS`` runs, and the rows it emits. ``constant`` and
+  ``exhaustive`` at k=2**31-1 are the match-set searches the aggregations
+  run.
 
 Ray starts locally with 4 CPUs and a 768 MB object store; the corpus and
 index go to a temporary directory, removed on exit.
@@ -46,6 +52,11 @@ def _median_ms(fn) -> float:
     return round(statistics.median(times), 1)
 
 
+def _medians(runs: list[dict]) -> dict:
+    """The median of each named part over ``runs`` of {part: ms}."""
+    return {k: round(statistics.median(r[k] for r in runs), 1) for k in runs[0]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1111)
@@ -59,6 +70,7 @@ def main(argv=None) -> int:
     import inputs
     from remote_vector_index_builder_ray import BuildConfig, build_index, search
     from remote_vector_index_builder_ray.fixtures import generate_queries
+    from remote_vector_index_builder_ray.pipelines import aggs
     from remote_vector_index_builder_ray.pipelines.aggs import (
         date_histogram,
         match_count,
@@ -97,6 +109,35 @@ def main(argv=None) -> int:
             fn()
         calls_ms = {name: _median_ms(fn) for name, fn in calls.items()}
 
+        # the aggregations' two remote parts, timed inside the same calls
+        part = {}
+        match_run, probe_refs = aggs._match_run, aggs._probe_refs
+
+        def timed(name, fn, wait):
+            def run(*a, **kw):
+                t = time.perf_counter()
+                out = fn(*a, **kw)
+                if wait:
+                    ray.wait(out, num_returns=len(out), fetch_local=False)
+                part[name] += (time.perf_counter() - t) * 1e3
+                return out
+            return run
+
+        aggs._match_run = timed("match_sets_ms", match_run, False)
+        aggs._probe_refs = timed("probe_ms", probe_refs, True)
+        agg_split = {}
+        try:
+            for name in ("match_count", "terms_agg", "date_histogram", "stats_agg"):
+                runs = []
+                for _ in range(REPS):
+                    part.update(match_sets_ms=0.0, probe_ms=0.0)
+                    t = time.perf_counter()
+                    calls[name]()
+                    runs.append({"call_ms": (time.perf_counter() - t) * 1e3, **part})
+                agg_split[name] = _medians(runs)
+        finally:
+            aggs._match_run, aggs._probe_refs = match_run, probe_refs
+
         split = {}
         for mode, k in (("bmw", 10), ("exhaustive", 10),
                         ("constant", K_MAX), ("exhaustive", K_MAX)):
@@ -106,16 +147,23 @@ def main(argv=None) -> int:
             row = validate(mode, batch.column_names)
             score = getattr(s, row.scorer)
             rows = s(batch).num_rows  # warms the term cache
-            qs = s._parse(batch, row)
-            ms = {"call_ms": _median_ms(lambda: s(batch)),
-                  "parse_ms": _median_ms(lambda: s._parse(batch, row)),
-                  "score_ms": _median_ms(lambda: [score(x) for x in qs])}
-            ms["assemble_ms"] = round(ms["call_ms"] - ms["parse_ms"]
-                                      - ms["score_ms"], 1)
-            split[f"{mode}@k={k}"] = {**ms, "rows": rows}
+            runs = []
+            for _ in range(REPS):
+                t0 = time.perf_counter()
+                qs = [x for x in s._parse(batch, row) if x.k]
+                t1 = time.perf_counter()
+                hits = [score(x) for x in qs]
+                t2 = time.perf_counter()
+                s._assemble(qs, hits, row)
+                t3 = time.perf_counter()
+                runs.append({"call_ms": (t3 - t0) * 1e3, "parse_ms": (t1 - t0) * 1e3,
+                             "score_ms": (t2 - t1) * 1e3,
+                             "assemble_ms": (t3 - t2) * 1e3})
+            split[f"{mode}@k={k}"] = {**_medians(runs), "rows": rows}
         print(json.dumps({"seed": args.seed, "reps": REPS,
                           "turns": len(df), "queries": len(q),
-                          "calls_ms": calls_ms, "split_ms": split}, indent=1))
+                          "calls_ms": calls_ms, "agg_split_ms": agg_split,
+                          "split_ms": split}, indent=1))
     finally:
         ray.shutdown()
         shutil.rmtree(work, ignore_errors=True)

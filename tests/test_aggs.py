@@ -539,7 +539,7 @@ def test_serial_diff_and_auto_histogram(smoke_fixture, smoke_index):
 
 
 def test_sharded_matches_distributed_equals_driver(smoke_index):
-    """_sharded_matches (pack tasks over the scorer's object-store blocks)
+    """_sharded_matches (match sets packed inside the searcher actors)
     reconstructs exactly what the round-2 driver-side _match_sets produced:
     same qids, same counts, same per-shard members — and the driver never
     holds a docid (only refs)."""
@@ -583,22 +583,26 @@ def test_sharded_matches_scored_equals_driver(smoke_index):
 
 
 def test_sharded_matches_multi_piece_merge():
-    """A shard whose members arrive in several pieces (one per scorer block)
-    must merge back to the sorted per-query array — including a qid split
-    across pieces (Ray Data splits large blocks)."""
+    """A shard whose members arrive in several pieces (one per searcher
+    actor) must merge back to the sorted per-query array — including a qid
+    split across pieces (a query id repeated in the frame)."""
     import ray as _ray
 
     from remote_vector_index_builder_ray.pipelines.aggs import _pairs
 
+    def piece(qids, docids, *scores):
+        return (np.array(qids, dtype=np.int64), np.array(docids, dtype=np.int64),
+                *(np.array(s, dtype=np.float64) for s in scores))
+
     ids = np.arange(100, dtype=np.int64)
-    p1 = {0: np.array([5, 50], dtype=np.int64), 1: np.array([7], dtype=np.int64)}
-    p2 = {0: np.array([20, 99], dtype=np.int64)}
+    p1 = piece([0, 0, 1], [5, 50, 7])
+    p2 = piece([0, 0], [20, 99])
     got = _pair_sets(*_pairs({0: [_ray.put(p1), _ray.put(p2)]}, 100, ids)[:2], ids)
     np.testing.assert_array_equal(got[0], [5, 20, 50, 99])
     np.testing.assert_array_equal(got[1], [7])
 
-    s1 = {0: (np.array([5, 50], dtype=np.int64), np.array([0.5, 5.0]))}
-    s2 = {0: (np.array([20], dtype=np.int64), np.array([2.0]))}
+    s1 = piece([0, 0], [5, 50], [0.5, 5.0])
+    s2 = piece([0], [20], [2.0])
     q, r, scores = _pairs({0: [_ray.put(s1), _ray.put(s2)]}, 100, ids)
     got = _pair_sets(q, r, ids, scores)
     np.testing.assert_array_equal(got[0][0], [5, 20, 50])

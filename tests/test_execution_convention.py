@@ -55,10 +55,11 @@ def test_probes_plan_no_docmeta_read():
 
 def test_search_results_assemble_as_columns():
     """The searcher builds its result columns from numpy arrays: the batch
-    entry and the scorers that build multi-row hits call no ``.tolist()``
-    and no ``.extend(``, so the per-row path cannot come back."""
+    entry, its column assembly and the scorers that build multi-row hits
+    call no ``.tolist()`` and no ``.extend(``, so the per-row path cannot
+    come back."""
     found = []
-    for name in ("__call__", "_explain", "_score_collapse"):
+    for name in ("__call__", "_assemble", "_explain", "_score_collapse"):
         tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(BM25Searcher, name))))
         found += [f"{name}:{node.lineno}: .{node.func.attr}()"
                   for node in ast.walk(tree)
@@ -66,3 +67,16 @@ def test_search_results_assemble_as_columns():
                   and isinstance(node.func, ast.Attribute)
                   and node.func.attr in ("tolist", "extend")]
     assert found == []
+
+
+def test_match_sets_are_packed_in_the_actors():
+    """The searcher actors pack the match sets (``QueryService.run`` with
+    ``pack``): the agg-side match-set production wraps no result in a
+    Dataset, runs no search call and puts no piece, and the per-block pack
+    task is gone."""
+    found = [f"{name}: {t}"
+             for name in ("_sharded_matches", "match_count")
+             for t in ("from_arrow_refs", "to_arrow_refs", "search(", "ray.put")
+             if t in inspect.getsource(getattr(aggs, name))]
+    assert found == []
+    assert not hasattr(aggs, "_pack_block")

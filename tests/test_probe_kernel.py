@@ -1,9 +1,12 @@
-"""The docmeta probe's semi-join kernel (``aggs._pairs``) and the probe
-update functions built on it.
+"""The docmeta probe's semi-join kernel (``aggs._pairs``), the match-set
+packer (``aggs._pack``) and the probe update functions built on them.
 
 - ``_pairs`` is compared with the per-query ``isin_sorted`` membership it
   replaced, on seeded random match sets sharded at a tiny stride and split
-  into several pieces per shard.
+  into several pieces per shard, scored and unscored, on batches with
+  expunged holes, repeated docids and spans across a stride boundary.
+- The bucket update's coded reduction is compared row for row with a
+  per-pair pandas groupby.
 - Every probe's per-block partials, reduced, are compared with a per-query
   reference loop written here, on blocks whose ``tool`` and ``ts`` columns
   hold Arrow nulls; the top-k probes run over scored shards split into
@@ -100,6 +103,106 @@ def test_pairs_with_zero_queries_and_an_empty_batch():
     for ids in (np.arange(50, dtype=np.int64), np.empty(0, dtype=np.int64)):
         q, r, _ = A._pairs(refs, STRIDE, ids)
         assert len(q) == len(r) == 0
+
+
+def _packed(matches: dict, scores: dict | None, n_actors: int = 2) -> dict:
+    """Shard directory as the searcher actors build it: the queries in
+    ``n_actors`` contiguous runs, each run packed by ``_pack`` (scored when
+    ``scores`` is given), the pieces listed in actor order."""
+    n_shards = max(int(a.max()) for a in matches.values() if len(a)) // STRIDE + 1
+    refs: dict[int, list] = {}
+    for run in np.array_split(np.array(sorted(matches)), n_actors):
+        def cat(parts, dtype):
+            return np.concatenate([np.empty(0, dtype), *parts])
+        q = cat([np.full(len(matches[i]), i) for i in run], np.int64)
+        d = cat([matches[i] for i in run], np.int64)
+        sc = None if scores is None else cat([scores[i] for i in run], np.float64)
+        (_, sids), *pieces = A._pack(q, d, sc, STRIDE, n_shards)
+        for sid in sids:
+            refs.setdefault(sid, []).append(ray.put(pieces[sid]))
+    return refs
+
+
+@pytest.mark.parametrize("scored", [False, True], ids=["unscored", "scored"])
+def test_lookup_table_pairs_match_reference(scored):
+    """The lookup-table placement equals per-query membership on batches
+    with expunged holes, repeated docids and a span that crosses a stride
+    boundary; a scored pair carries its match's score."""
+    matches = _random_matches(23)
+    rng = np.random.default_rng(23)
+    scores = ({q: rng.random(len(a)) for q, a in matches.items()} if scored
+              else None)
+    refs = _packed(matches, scores)
+    live = np.flatnonzero(rng.random(400) < 0.8).astype(np.int64)  # expunged holes
+    batches = {
+        "expunged_holes": live,
+        "holes_unsorted": rng.permutation(live[60:250]),
+        "repeated_docids": np.array([STRIDE * 3 - 1, STRIDE * 3, STRIDE * 3, 5, 5, 5,
+                                     399, 5], np.int64),
+        "crosses_stride": np.arange(STRIDE * 4 - 3, STRIDE * 4 + 3, dtype=np.int64),
+    }
+    for name, ids in batches.items():
+        q, r, s = A._pairs(refs, STRIDE, ids)
+        assert sorted(zip(q.tolist(), r.tolist())) == _reference_pairs(matches, ids), name
+        if scored:
+            want = [scores[a][np.searchsorted(matches[a], ids[b])] for a, b in zip(q, r)]
+            np.testing.assert_array_equal(s, want, err_msg=name)
+        else:
+            assert s is None, name
+
+
+def test_pack_sorts_counts_and_splits():
+    """``_pack`` sorts rows that arrive out of (query, docid) order, counts
+    per query, puts None for an empty shard, packs nothing for zero
+    shards and rejects a docid beyond its shards."""
+    q = np.array([7, 3, 7, 3, 7], np.int64)
+    d = np.array([40, 2, 3, 35, 1], np.int64)
+    s = np.array([0.5, 1.5, 2.5, 3.5, 4.5])
+    (counts, sids), *pieces = A._pack(q, d, s, STRIDE, 4)
+    assert counts == {3: 2, 7: 3} and sids == [0, 2]
+    assert pieces[1] is None and pieces[3] is None
+    for got, want in zip(pieces[0], ([3, 7, 7], [2, 1, 3], [1.5, 4.5, 2.5])):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(pieces[2], ([3, 7], [35, 40], [3.5, 0.5])):
+        np.testing.assert_array_equal(got, want)
+    assert A._pack(q, d, None, STRIDE, 0) == [({3: 2, 7: 3}, [])]
+    with pytest.raises(ValueError, match="beyond"):
+        A._pack(q, d, None, STRIDE, 2)
+
+
+CODED_SHAPES = {
+    "role_with_none": ("role", None, "doc_len", None),
+    "day_with_nat": ("ts", "day", None, None),
+    "range_labels": ("doc_len", None, "turn_idx",
+                     [(None, 16, "low"), (16, 64), (70, None)]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CODED_SHAPES))
+def test_coded_probe_agg_matches_per_pair_groupby(probe_setup, shape):
+    """The bucket update's one-int64-code reduction equals a pandas
+    (query_id, key) groupby over the pairs, row for row: a None role, a
+    NaT ts and a value in no range form no bucket."""
+    tbl, _, refs, _ = probe_setup
+    role = tbl["role"].to_pylist()
+    role[::7] = [None] * len(role[::7])
+    batch = tbl.set_column(tbl.schema.get_field_index("role"), "role",
+                           pa.array(role, pa.string()))
+    field, interval, metric, ranges = CODED_SHAPES[shape]
+    qids, rows, _ = A._pairs(refs, STRIDE, A._np(batch, "docid"))
+    got = A._probe_agg(batch, qids, rows, None, field, interval, metric,
+                       ranges).to_pandas()
+    key = _ref_key(batch.to_pandas(), field, interval, ranges).to_numpy()[rows]
+    m = batch[metric].to_numpy()[rows] if metric else np.zeros(len(rows), np.int64)
+    assert pd.isna(key).any()
+    g = pd.DataFrame({"query_id": qids, "key": key, "s": m}).groupby(
+        ["query_id", "key"], sort=False)["s"]
+    want = pd.DataFrame({"n": g.size(), "s": g.sum()}).reset_index()
+    if interval == "day":
+        got["key"] = _us(got["key"])
+        want["key"] = want["key"].astype(np.int64)
+    assert len(want) > 0
+    pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
 
 
 # -- probe parity -----------------------------------------------------------
@@ -322,10 +425,11 @@ def _round6(x):
 
 
 def _scored_pieces(matches: dict, seed: int):
-    """Scored shard directory packed by ``_pack_block`` from two scorer
-    blocks, so a shard arrives in two pieces; plus each query's scores as
-    {qid: Series(score, index=docid)}. Scores tie often after the 6-decimal
-    rounding and never before it."""
+    """Scored shard directory packed by ``_pack_table`` from two scorer
+    blocks whose rows arrive shuffled, so the packer sorts them and a shard
+    arrives in two pieces; plus each query's scores as {qid: Series(score,
+    index=docid)}. Scores tie often after the 6-decimal rounding and never
+    before it."""
     rng = np.random.default_rng(seed)
     halves, scores = [[], []], {}
     for qid, arr in matches.items():
@@ -337,10 +441,13 @@ def _scored_pieces(matches: dict, seed: int):
             h.append(pd.DataFrame({"query_id": np.full(int(sel.sum()), qid, np.int64),
                                    "docid": arr[sel], "score": s[sel]}))
     refs: dict[int, list] = {}
+    n_shards = max(int(a.max()) for a in matches.values() if len(a)) // STRIDE + 1
     for h in halves:
-        block = pa.Table.from_pandas(pd.concat(h), preserve_index=False)
-        for sid, ref in ray.get(A._pack_block.remote(block, STRIDE, True))[0].items():
-            refs.setdefault(sid, []).append(ref)
+        block = pa.Table.from_pandas(pd.concat(h).sample(frac=1, random_state=seed),
+                                     preserve_index=False)
+        (_, sids), *pieces = A._pack_table(block, STRIDE, n_shards, scored=True)
+        for sid in sids:
+            refs.setdefault(sid, []).append(ray.put(pieces[sid]))
     return refs, scores
 
 

@@ -122,6 +122,52 @@ def test_in_memory_matches_dataset_path(smoke_fixture, pos_index, tmp_path,
         pd.testing.assert_frame_equal(got, want, obj=name)
 
 
+def test_search_keeps_frame_order_in_one_block_per_actor(smoke_fixture, smoke_index,
+                                                        monkeypatch):
+    """Each actor scores one contiguous run of batches and returns one
+    block, so a pool of 3 returns at most 3 blocks, and the blocks in
+    actor order keep the frame's row order (here a shuffled frame of 7
+    batches)."""
+    import remote_vector_index_builder_ray.query_service as QS
+
+    q = pd.read_parquet(smoke_fixture["queries"]).head(100)
+    q = q.sample(frac=1, random_state=3).reset_index(drop=True)
+    svc = QueryService(pool_size=3, max_pools=1, actor_num_cpus=0.0)
+    monkeypatch.setattr(QS, "default_service", lambda: svc)
+    try:
+        ds = search(smoke_index["index_dir"], q)
+        assert ds.num_blocks() <= 3
+        got = ds.to_pandas()
+    finally:
+        svc.shutdown()
+    hit = set(got["query_id"])
+    assert len(hit) > 20
+    assert got["query_id"].unique().tolist() == [i for i in q["query_id"] if i in hit]
+    assert (got.groupby("query_id", sort=False)["rank"].diff().dropna() == 1).all()
+
+
+def test_shard_refs_probe_after_the_pool_retires(smoke_fixture, smoke_index):
+    """Match-set pieces are return values owned by the caller, not by the
+    actors that packed them: after ``default_service().shutdown()`` kills
+    those actors, the shard refs still probe to the same partials."""
+    from remote_vector_index_builder_ray.pipelines import aggs
+
+    idx = smoke_index["index_dir"]
+    q = _queries(smoke_fixture)
+
+    def probe(refs):
+        return aggs._probe_partials(idx, None, None, aggs._probe_agg,
+                                    ("role", None, "doc_len", None),
+                                    ["docid", "role", "doc_len"], shard_refs=refs)
+
+    refs, _, counts = aggs._sharded_matches(idx, q)
+    want = probe(refs)
+    assert sum(counts.values()) > 0 and len(want) > 0
+    default_service().shutdown()
+    assert default_service()._pools == {}
+    pd.testing.assert_frame_equal(probe(refs), want, check_exact=True)
+
+
 def test_arrow_table_input_runs_warm(smoke_fixture, pos_index):
     q = _queries(smoke_fixture)
     got = _sorted(search(pos_index, pa.Table.from_pandas(q, preserve_index=False)))
