@@ -12,7 +12,6 @@ from urllib.parse import parse_qs
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from remote_vector_index_builder_ray.config import BM25Config, BuildConfig, EngineError, HashCollisionError
 from remote_vector_index_builder_ray.functions.tokenizer import analyze_text_positions, load_analyzer
@@ -23,7 +22,7 @@ from remote_vector_index_builder_ray.pipelines.incremental import (
     _total_docs,
     compact_index,
     create_alias,
-    docmeta_files,
+    docmeta_schema,
     rollover_config,
     rollover_flush,
     rollover_ingest,
@@ -38,7 +37,6 @@ from remote_vector_index_builder_ray.pipelines.query import (
 from remote_vector_index_builder_ray.query_service import default_service
 from remote_vector_index_builder_ray.service import BuildService, CapacityError, Job
 from remote_vector_index_builder_ray.stages.search import check_k, validate
-from remote_vector_index_builder_ray.state import fs
 from remote_vector_index_builder_ray.state.manifest import load_base_stats
 
 
@@ -246,11 +244,7 @@ def _msearch_template(ctx: _Context, body: dict) -> dict:
 # aggregates via the docmeta probes.
 def _field_caps(ctx: _Context, body: dict) -> dict:
     index_dir = body["index_dir"]
-    files = docmeta_files(index_dir)
-    if not files:
-        raise EngineError(f"index at {index_dir} has no docmeta")
-    f, p = fs.resolve(files[0])
-    schema = pq.read_schema(p, filesystem=f)  # one footer read, never a data scan
+    schema = docmeta_schema(index_dir)
     caps = {}
     for name, typ in zip(schema.names, schema.types):
         if name == "text":

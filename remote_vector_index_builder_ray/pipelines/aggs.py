@@ -20,7 +20,8 @@ aggs per shard and reduces — this engine does the same with Ray Data:
    ``QueryService`` owner pins the docmeta columns a probe reads as one
    object ref per (file, column), read once per index state
    (``QueryService.docmeta``). A probe runs one stateless task per docmeta
-   file over those refs (``_probe_refs``), with no read planning. The task
+   file over those refs (``_probe_refs``, one ``QueryService.map_docmeta``
+   call), with no read planning. The task
    fetches the shards its docid range touches, runs ONE vectorized
    semi-join for all queries at once (``_pairs``: every matching (query,
    row) pair, with its score when the match sets are scored) and hands the
@@ -39,11 +40,15 @@ aggs per shard and reduces — this engine does the same with Ray Data:
 Scale note (100 TB): this is the broadcast-semi-join pattern, made
 range-local — each query's sorted match set is SHARDED by docid range
 (``_MATCH_SHARD_STRIDE`` docids per shard) and a probe task fetches only the
-shards overlapping its file's docid range. When the docmeta files are
-docid-ordered, a task touches O(its slice) of the match set rather than
-Σ|matches| — a stopword matching half the corpus costs each probe task only
-its own range's members; the semi-join's lookup table costs the file's
-docid span, at most one stride per shard. The tiny shard directory
+shards overlapping its file's docid range. Were the docmeta files
+docid-ordered, a task would touch O(its slice) of the match set rather than
+Σ|matches| — a stopword matching half the corpus would cost each probe task
+only its own range's members. The build does not write docid-ordered
+docmeta today: both docmeta files of a 20k-turn, 2-input-file index span
+nearly all of docids 0-19,999, out of order (so do both files of the
+2k-turn sf0.001 index, over 0-1,999), so every probe task fetches every
+shard, and each file's lookup table spans the whole docid range (at most
+one stride per shard). The tiny shard directory
 ({shard_id: [ObjectRef]}) is the only thing every task receives. Pinned
 docmeta columns spill to disk under object-store pressure like any other
 object.
@@ -73,7 +78,6 @@ import ray.data
 from remote_vector_index_builder_ray.pipelines.incremental import (
     _load_completed_manifest,
     _maxdoc,
-    docmeta_files,
 )
 from remote_vector_index_builder_ray.pipelines.query import (
     query_frame,
@@ -334,25 +338,16 @@ def _probe_batch(batch: pa.Table, fn, shard_refs, stride, params) -> pa.Table:
     return fn(batch, qids, rows, scores, *params)
 
 
-@ray.remote
-def _probe_file(fn, shard_refs, stride, params, names, *cols) -> pa.Table:
-    """One pinned docmeta file through a probe. Its column refs arrive as
-    top-level args, so Ray resolves them before the task runs."""
-    return _probe_batch(pa.table(dict(zip(names, cols))), fn, shard_refs,
-                        stride, params)
-
-
 def _probe_refs(index_dir, columns, fn, shard_refs, params) -> list:
     """The partial refs of one probe, in ``docmeta_files`` order: one
-    stateless ``_probe_file`` task per docmeta file, over the columns the
-    index's ``QueryService`` owner keeps pinned (read once per index state,
-    no read planning per probe)."""
+    ``_probe_batch`` task per pinned docmeta file
+    (``QueryService.map_docmeta``). The shard directory is a dict, so its
+    refs reach ``_pairs`` unresolved."""
     from remote_vector_index_builder_ray.query_service import default_service
 
-    columns = list(dict.fromkeys(columns))
-    args = (fn, shard_refs, _MATCH_SHARD_STRIDE, tuple(params), columns)
-    return [_probe_file.remote(*args, *refs)
-            for refs in default_service().docmeta(index_dir, columns)]
+    return default_service().map_docmeta(
+        index_dir, columns, _probe_batch, fn, shard_refs, _MATCH_SHARD_STRIDE,
+        tuple(params))
 
 
 def _probe_ds(index_dir, columns, fn, shard_refs, params=()):
@@ -1726,32 +1721,27 @@ def pipeline_date_histogram(
     return base
 
 
+def _group_sum(batch: pa.Table, field: str, metric_field: str) -> pa.Table:
+    """global_terms_agg's per-file combiner: (field, s, n) per key."""
+    t = batch.group_by(field).aggregate([(metric_field, "sum"), ([], "count_all")])
+    return t.rename_columns([field, "s", "n"])
+
+
 def global_terms_agg(
     index_dir: str,
     field: str = "role",
     metric_field: str = "doc_len",
 ) -> pd.DataFrame:
     """OpenSearch `global` bucket aggregation: terms buckets over the WHOLE
-    index, ignoring any query — a pure Ray Data streaming groupby over the
-    docmeta files (per-batch combiner via map_batches partials, driver-small
-    reduce; no match-set probe at all). Returns (key, n_docs,
+    index, ignoring any query — no match set and no probe: one grouped sum
+    per pinned docmeta file (``QueryService.map_docmeta``), and a
+    driver-small reduce of the per-file partials. Returns (key, n_docs,
     avg_<metric_field>), key-ascending."""
-    import pyarrow.compute as pc
+    from remote_vector_index_builder_ray.query_service import default_service
 
-    from remote_vector_index_builder_ray.state import fs
-
-    def combine(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(field).aggregate(
-            [(metric_field, "sum"), ([], "count_all")]
-        )
-        return t.rename_columns([field, "s", "n"])
-
-    partials = (
-        ray.data.read_parquet(**fs.for_ray_paths(docmeta_files(index_dir)),
-                              columns=[field, metric_field])
-        .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-    )
+    refs = default_service().map_docmeta(index_dir, [field, metric_field],
+                                         _group_sum, field, metric_field)
+    partials = pa.concat_tables(ray.get(refs)).to_pandas()
     g = (partials.groupby(field, sort=True)
          .agg(n_docs=("n", "sum"), s=("s", "sum")).reset_index())
     avg = g["s"].astype(np.float64) / g["n_docs"]
@@ -2667,7 +2657,7 @@ def sampler_terms_agg(
     relevance (Lucene BestDocsDeferringCollector), then counts the sample's
     distinct ``field`` values. The plain (non-diversified) sibling of
     ``diversified_sampler_agg`` — same distributed shape: scored match sets
-    shard by docid range, docmeta streams once through a per-batch
+    shard by docid range, each pinned docmeta file runs once through a
     top-``shard_size`` combiner (a superset of the global top), the
     queries x shard_size sample reduces driver-side. Sample membership is
     decided on 6-decimal-rounded scores (the engine's cross-oracle float

@@ -84,8 +84,7 @@ def load_tombstones(
 def _resolve_victims(index_dir: str, docids, conv_ids) -> pa.Table:
     """(docid, doc_len) of the requested victims, via a distributed filtered
     scan of every docmeta root (base + generations). The predicate set is
-    broadcast once (``ray.put``) into ``stages.merge.semi_join`` — the
-    same broadcast semi-join as ``pipelines.query.hydrate``."""
+    broadcast once (``ray.put``) into ``stages.merge.semi_join``."""
     import ray
     import ray.data
 

@@ -138,6 +138,17 @@ def docmeta_files(index_dir: str) -> list[str]:
     ]
 
 
+def docmeta_schema(index_dir: str):
+    """The docmeta schema, from one footer read (never a data scan)."""
+    import pyarrow.parquet as pq
+
+    files = docmeta_files(index_dir)
+    if not files:
+        raise EngineError(f"index at {index_dir} has no docmeta")
+    f, p = fs.resolve(files[0])
+    return pq.read_schema(p, filesystem=f)
+
+
 def append_index(
     index_dir: str,
     input_paths: list[str],
@@ -437,7 +448,12 @@ def create_alias(index_dir: str, name: str, where=None) -> dict:
     optional docmeta filter (parquet-DNF tuples). Stored in the manifest;
     :func:`search_alias` resolves it to a filter-context search (scores of
     matching docs unchanged). Re-creating an alias overwrites it (the
-    OpenSearch PUT-alias semantics)."""
+    OpenSearch PUT-alias semantics). ``where`` is checked against the
+    docmeta schema first, so a bad alias fails here, not at search time."""
+    from remote_vector_index_builder_ray.pipelines.query import where_expression
+
+    if where:
+        where_expression(index_dir, where)
     man = Manifest.load(index_dir)
     aliases = man.data.setdefault("aliases", {})
     aliases[name] = {"where": [list(t) for t in where] if where else None}

@@ -25,10 +25,11 @@ shuffle:
   corpus stats unchanged — Lucene scores parent docs against the whole
   index, the join field only partitions doc types). Each child of a top-k
   parent inherits the parent's score (OpenSearch has_parent score=true).
-  Children hydrate via the broadcast semi-join: the top parents' conv_id
-  set ships once via ``ray.put``, the docmeta scan keeps those
-  conversations' turns (``stages.merge.semi_join``), and the driver-small
-  child rows take their parent's score on the driver — no shuffle.
+  Children come from the broadcast semi-join over the pinned docmeta
+  (``pipelines.query.docmeta_lookup``): the top parents' conv_id set ships
+  once via ``ray.put``, one task per docmeta file keeps those
+  conversations' turns, and the driver-small child rows take their
+  parent's score on the driver — no shuffle.
 
 Reference analog: the reference's workflow has no query engine at all
 (``remote_vector_index_builder/app/...`` builds one index per request);
@@ -40,8 +41,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
-import ray.data
 
 from remote_vector_index_builder_ray.pipelines.aggs import (
     _np,
@@ -49,8 +48,12 @@ from remote_vector_index_builder_ray.pipelines.aggs import (
     _sharded_matches,
     _top_n,
 )
-from remote_vector_index_builder_ray.pipelines.query import hydrate, query_frame, search
-from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
+from remote_vector_index_builder_ray.pipelines.query import (
+    docmeta_lookup,
+    hydrate,
+    query_frame,
+    search,
+)
 from remote_vector_index_builder_ray.stages.search import capped_k
 
 _CHILD_COLS = {
@@ -197,9 +200,6 @@ def has_parent(index_dir: str, queries, k: int = 10) -> pd.DataFrame:
     (turn_idx == 0); children are that conversation's other turns. Returns
     (query_id, conv_id, turn_idx, docid, score), ordered by
     (query_id, score desc, conv_id, turn_idx)."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
-    from remote_vector_index_builder_ray.state import fs
-
     q = query_frame(queries)
     k_by_query = dict(zip(q["query_id"], [k] * len(q)))
     # oversample 2k so the 6-rounded re-rank can't lose a boundary parent
@@ -218,20 +218,15 @@ def has_parent(index_dir: str, queries, k: int = 10) -> pd.DataFrame:
                                   ascending=[True, False, True])
     parents["rank"] = parents.groupby("query_id").cumcount() + 1
     parents = parents[parents["rank"] <= parents["query_id"].map(k_by_query)]
-    # parent docid -> conv_id: broadcast-semi-join hydrate (queries x k rows)
-    hyd = hydrate(index_dir, ray.data.from_pandas(
-        parents[["query_id", "docid", "score"]].reset_index(drop=True)
-    ))
+    # parent docid -> conv_id (queries x k rows)
+    hyd = hydrate(index_dir, parents[["query_id", "docid", "score"]],
+                  columns=["conv_id"])
     pmap = hyd[["query_id", "conv_id", "score"]].drop_duplicates()
-    if pmap.empty:
-        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
-    convs = ray.put(np.sort(pmap["conv_id"].unique().astype(object)))
-    dm = ray.data.read_parquet(**fs.for_ray_paths(docmeta_files(index_dir)),
-                               columns=["docid", "conv_id", "turn_idx"])
-    kids = to_frame(semi_join(dm, "conv_id", convs))
+    kids = docmeta_lookup(index_dir, "conv_id",
+                          np.sort(pmap["conv_id"].unique().astype(object)),
+                          ["docid", "turn_idx"])
+    # the lookup keeps its column types at zero rows, so no early return
     kids = kids[kids["turn_idx"] > 0].merge(pmap, on="conv_id", how="inner")
-    if kids.empty:
-        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
     kids = kids.sort_values(["query_id", "score", "conv_id", "turn_idx"],
                             ascending=[True, False, True, True])
     return kids[list(cols)].reset_index(drop=True).astype(cols)

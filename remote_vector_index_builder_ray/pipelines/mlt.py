@@ -3,7 +3,7 @@
 
 Semantics frozen for cross-engine determinism:
 
-1. Each like-doc's text is fetched with the pruned broadcast-semi-join scan
+1. Each like-doc's text is fetched from the pinned docmeta
    (``pipelines.query.hydrate``) and analyzed with the index tokenizer.
 2. Candidate terms keep Lucene MLT's gates: ``tf >= min_term_freq`` within
    the like-doc and ``df >= min_doc_freq`` corpus-wide (df summed across
@@ -65,8 +65,6 @@ def more_like_this(
     """Top-k docs similar to each of ``doc_ids`` (query_id = the like-doc's
     docid; the like-doc itself is excluded). Returns a pandas DataFrame of
     (query_id, rank, docid, score) — driver-small by construction."""
-    import ray.data
-
     from remote_vector_index_builder_ray.functions.tokenizer import (
         analyze_text,
         load_analyzer,
@@ -76,12 +74,7 @@ def more_like_this(
 
     an = load_analyzer(index_dir)  # analyze like-doc text as the index did
     doc_ids = [int(d) for d in doc_ids]
-    like = hydrate(
-        index_dir,
-        ray.data.from_pandas(
-            pd.DataFrame({"query_id": doc_ids, "docid": doc_ids})
-        ),
-    )
+    like = hydrate(index_dir, pd.DataFrame({"docid": doc_ids}), columns=["text"])
     # per like-doc term frequencies, gated by min_term_freq
     tf_by_doc: dict[int, dict[str, int]] = {}
     for r in like.itertuples(index=False):
@@ -125,12 +118,10 @@ def term_vectors(index_dir: str, doc_ids: list[int]) -> pd.DataFrame:
     corpus-wide document frequency. Returns (docid, term, tf, df), sorted
     (docid, term).
 
-    Same driver-small access pattern as more_like_this: one pruned
-    broadcast-semi-join docmeta fetch for the requested docs, a per-doc
+    Same driver-small access pattern as more_like_this: one ``hydrate`` of
+    the requested docs' text, a per-doc
     tokenize, and a termstats ``in``-filter read for the df column — a
     per-doc API never touches the corpus."""
-    import ray.data
-
     from remote_vector_index_builder_ray.functions.tokenizer import (
         analyze_text,
         load_analyzer,
@@ -139,12 +130,7 @@ def term_vectors(index_dir: str, doc_ids: list[int]) -> pd.DataFrame:
 
     an = load_analyzer(index_dir)
     doc_ids = [int(d) for d in doc_ids]
-    like = hydrate(
-        index_dir,
-        ray.data.from_pandas(
-            pd.DataFrame({"query_id": doc_ids, "docid": doc_ids})
-        ),
-    )
+    like = hydrate(index_dir, pd.DataFrame({"docid": doc_ids}), columns=["text"])
     rows: list[tuple[int, str, int]] = []
     for r in like.itertuples(index=False):
         tf: dict[str, int] = {}

@@ -17,18 +17,21 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from remote_vector_index_builder_ray.stages.merge import semi_join, to_frame
+from remote_vector_index_builder_ray.stages.merge import isin_sorted, to_frame
 from remote_vector_index_builder_ray.stages.search import K_MAX, capped_k, validate
 
 
 def query_frame(queries) -> pd.DataFrame:
     """A query input as a pandas frame the caller owns: a DataFrame is
     copied, an Arrow Table or a Ray Dataset is materialized (query sets are
-    driver-small by contract), anything else is read as a parquet path."""
+    driver-small by contract; a zero-row Dataset keeps its columns), anything
+    else is read as a parquet path."""
     if isinstance(queries, pd.DataFrame):
         return queries.copy()
-    if isinstance(queries, (pa.Table, ray.data.Dataset)):
+    if isinstance(queries, pa.Table):
         return queries.to_pandas()
+    if isinstance(queries, ray.data.Dataset):
+        return to_frame(queries)
     return pd.read_parquet(queries)
 
 
@@ -40,15 +43,62 @@ def _oversampled(q: pd.DataFrame) -> pd.DataFrame:
                     .astype(np.int32))
 
 
-def resolve_filter_docids(index_dir: str, where):
-    """Resolve a docmeta predicate to a broadcast-ready sorted docid set.
+def _bind_error(schema: pa.Schema, expr):
+    """The Arrow error of binding ``expr`` to ``schema``, or None."""
+    import pyarrow.dataset as pads
 
-    ``where`` is parquet-DNF (``[("role", "=", "user")]``-style tuples, the
-    ``pyarrow.parquet`` filter grammar) or a ``pyarrow.dataset`` Expression.
-    The predicate is pushed down into the docmeta parquet scan (row-group
-    pruning + only the ``docid`` column leaves storage), the matching docids
-    are collected sorted, and ``ray.put`` broadcasts them ONCE — every
-    searcher actor fetches the same object-store copy.
+    try:
+        pads.dataset(schema.empty_table()).to_table(filter=expr)
+    except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError) as e:
+        return e
+    return None
+
+
+def where_expression(index_dir: str, where):
+    """``where`` — parquet-DNF (``[("role", "=", "user")]``-style tuples)
+    or a ``pyarrow.dataset`` Expression — as (Expression, the docmeta
+    columns it reads), bound to the docmeta schema on the driver: a missing
+    column or a mistyped value is a ``ValueError`` naming the predicate."""
+    import pyarrow.parquet as pq
+
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_schema
+
+    expr = pq.filters_to_expression(where) if isinstance(where, list) else where
+    schema = docmeta_schema(index_dir)
+    err = _bind_error(schema, expr)
+    if err is not None:
+        cols = ", ".join(f"{f.name}: {f.type}" for f in schema)
+        raise ValueError(f"where {expr} does not apply to docmeta ({cols}): "
+                         f"{str(err).splitlines()[0]}")
+    # the columns it reads: those without which it no longer binds
+    return expr, [f.name for i, f in enumerate(schema)
+                  if _bind_error(schema.remove(i), expr) is not None]
+
+
+def _filter_docids(batch: pa.Table, expr) -> pa.Table:
+    return batch.filter(expr).select(["docid"])
+
+
+def _script_docids(batch: pa.Table, field: str, fn) -> pa.Table:
+    vals = batch[field].to_numpy().astype(np.int64)
+    return batch.filter(pa.array(fn(vals) != 0)).select(["docid"])
+
+
+def _allow_list(index_dir: str, columns: list[str], keep, *args):
+    """The sorted docids of the pinned docmeta rows ``keep(table, *args)``
+    keeps, ``ray.put`` once for every searcher actor to fetch."""
+    from remote_vector_index_builder_ray.query_service import default_service
+
+    refs = default_service().map_docmeta(index_dir, ["docid", *columns],
+                                         keep, *args)
+    return ray.put(np.sort(pa.concat_tables(ray.get(refs))["docid"].to_numpy()))
+
+
+def resolve_filter_docids(index_dir: str, where):
+    """Resolve a docmeta predicate (``where_expression``) to a
+    broadcast-ready sorted docid set. The predicate runs on the docmeta
+    columns it reads, pinned by the index's ``QueryService`` owner: one
+    task per docmeta file, and only matching docids leave a task.
 
     Scale note (100 TB): the allow-list is 8 bytes/matching doc, so this path
     is for SELECTIVE filters (the common case — tenant, time range, role).
@@ -57,21 +107,8 @@ def resolve_filter_docids(index_dir: str, where):
     with the posting shards — the searcher's ``isin_sorted`` filter is
     representation-agnostic either way.
     """
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray
-
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
-    from remote_vector_index_builder_ray.state import fs
-
-    expr = where if not isinstance(where, list) else pq.filters_to_expression(where)
-    meta_files = docmeta_files(index_dir)
-    ds = ray.data.read_parquet(
-        **fs.for_ray_paths(meta_files), columns=["docid"], filter=expr
-    )
-    df = ds.to_pandas()  # zero-match: Ray returns a column-less empty frame
-    ids = df["docid"].to_numpy() if "docid" in df.columns else np.empty(0)
-    return ray.put(np.sort(ids.astype(np.int64)))
+    expr, columns = where_expression(index_dir, where)
+    return _allow_list(index_dir, columns, _filter_docids, expr)
 
 
 def search(
@@ -175,9 +212,7 @@ def search(
     # semantics as `where` (candidates restricted, scores unchanged) — used
     # by rescore_phrase to bound its phrase leg to the rescore windows
     if allow_docids is not None:
-        import ray as _ray
-
-        allow_ref = _ray.put(np.sort(np.asarray(allow_docids, dtype=np.int64)))
+        allow_ref = ray.put(np.sort(np.asarray(allow_docids, dtype=np.int64)))
     else:
         allow_ref = None if where is None else resolve_filter_docids(index_dir, where)
     return _on_warm_pool(index_dir, q, mode, options, allow_ref)
@@ -240,9 +275,9 @@ def search_sorted(
     """Field-sorted search (OpenSearch ``sort: [{field: order}]``): the
     top-k docs of each query's FULL match set ordered by a docmeta field
     (tie-break docid ascending), not by relevance. Matching uses the
-    constant-score scorer (docid streams only); the field lookup streams
-    docmeta once through a per-batch top-k combiner (the broadcast-semi-join
-    pattern — only queries x k rows leave each read task). ``after`` is a
+    constant-score scorer (docid streams only); the field lookup runs each
+    pinned docmeta file once through a top-k combiner (the agg probe
+    pattern — only queries x k rows leave each task). ``after`` is a
     strictly-after cursor: one (field value, docid) tuple for every query,
     or {query_id: (value, docid)} per-query cursors. Returns
     (query_id, rank, docid, <sort_field>)."""
@@ -296,10 +331,10 @@ def search_sorted_multi(
 ) -> pd.DataFrame:
     """Multi-key field-sorted search (OpenSearch ``sort: [{f1: o1},
     {f2: o2}]``): top-k of each query's full match set under the
-    lexicographic (f1, f2, ..., docid asc) order — same broadcast-semi-join
-    streaming shape as the single-key ``search_sorted``, with a multi-key
-    per-batch combiner. Any key may be descending, strings included; nulls
-    sort last either way. Returns (query_id, rank, docid, f1, f2, ...)."""
+    lexicographic (f1, f2, ..., docid asc) order — the same probe shape as
+    the single-key ``search_sorted``, with a multi-key combiner. Any key
+    may be descending, strings included; nulls sort last either way.
+    Returns (query_id, rank, docid, f1, f2, ...)."""
     from remote_vector_index_builder_ray.pipelines.aggs import _probe_partials, _top_n
 
     sort = [(f, bool(a)) for f, a in sort]
@@ -371,12 +406,9 @@ def highlight(
     order), one row per fragment with a ``fragment_idx`` column. Docs
     shorter than one window return the whole doc as fragment 0.
 
-    Text is fetched with the same broadcast-semi-join as ``hydrate`` and the
-    per-doc work is a vectorized cumsum / tile reduce — the snippet stage is
-    a per-batch transform, so it distributes with the result set.
+    Text is fetched with ``hydrate(columns=["text"])`` and the per-doc work
+    is a vectorized cumsum / tile reduce.
     """
-    import numpy as np
-
     from remote_vector_index_builder_ray.functions.tokenizer import (
         analyze_text,
         load_analyzer,
@@ -384,7 +416,7 @@ def highlight(
 
     an = load_analyzer(index_dir)  # snippets stream = the index's analyzer
     res = results.to_pandas() if not isinstance(results, pd.DataFrame) else results.copy()
-    meta = hydrate(index_dir, ray.data.from_pandas(res[["query_id", "docid"]]))
+    meta = hydrate(index_dir, res[["query_id", "docid"]], columns=["text"])
     terms_by_query = {
         int(q.query_id): frozenset(analyze_text(q.text or "", an))
         for q in query_frame(queries).itertuples(index=False)
@@ -441,27 +473,38 @@ def highlight(
     return out
 
 
-def hydrate(index_dir: str, results: ray.data.Dataset,
-            columns: list[str] | None = None) -> pd.DataFrame:
-    """Attach stored fields to a (small) result set.
+def _isin(batch: pa.Table, key: str, keys: np.ndarray) -> pa.Table:
+    return batch.filter(pa.array(isin_sorted(
+        batch[key].to_numpy(zero_copy_only=False), keys)))
 
-    Broadcast-semi-join: the result docid set is ray.put once; docmeta is
-    scanned with a pruned, vectorized filter (no shuffle) — the pattern for a
-    small-side lookup at 100 TB scale. ``columns`` prunes the docmeta read to
-    (docid + those fields) — a caller needing ONE field must not decode the
-    whole text column of every docmeta file. Returns a pandas DataFrame
-    (results are queries x k rows — driver-small by construction). A
-    zero-row ``results`` returns its own columns plus the fields, 0 rows.
-    """
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
-    from remote_vector_index_builder_ray.state import fs
 
-    res = to_frame(results)
-    ref = ray.put(np.unique(res["docid"].to_numpy(np.int64)))
-    read_kw = fs.for_ray_paths(docmeta_files(index_dir))
-    if columns is not None:
-        read_kw["columns"] = list(dict.fromkeys(["docid", *columns]))
-    meta = to_frame(semi_join(ray.data.read_parquet(**read_kw), "docid", ref))
+def docmeta_lookup(index_dir: str, key: str, keys: np.ndarray,
+                   columns: list[str]) -> pd.DataFrame:
+    """The docmeta rows whose ``key`` is in the SORTED ``keys``, with ``key``
+    and ``columns``: ``keys`` is ``ray.put`` once, then one ``isin_sorted``
+    task per pinned docmeta file (``QueryService.map_docmeta``)."""
+    from remote_vector_index_builder_ray.query_service import default_service
+
+    refs = default_service().map_docmeta(index_dir, [key, *columns], _isin,
+                                         key, ray.put(keys))
+    return pa.concat_tables(ray.get(refs)).to_pandas()
+
+
+def hydrate(index_dir: str, results, columns: list[str] | None = None) -> pd.DataFrame:
+    """Attach stored fields to a (small) result set, any ``query_frame``
+    input carrying ``docid``: its unique docids semi-join the pinned docmeta
+    (``docmeta_lookup``). ``columns`` names the fields; the default, every
+    docmeta column, keeps ``text`` pinned for the life of the index state
+    too (it spills to disk like any object). Returns a pandas DataFrame in
+    ``results`` order (queries x k rows — driver-small by construction); a
+    zero-row ``results`` returns its own columns plus the fields."""
+    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_schema
+
+    res = query_frame(results)
+    if columns is None:
+        columns = docmeta_schema(index_dir).names
+    meta = docmeta_lookup(index_dir, "docid",
+                          np.unique(res["docid"].to_numpy(np.int64)), columns)
     return res.merge(meta, on="docid", how="left")
 
 
@@ -527,7 +570,7 @@ def search_with_pipeline(
                 ranked hit per (query, field value) on the FETCHED page
                 (OpenSearch's collapse response processor operates on the
                 returned hits, it does not refill to k), field values via
-                one broadcast-semi-join ``hydrate``
+                one ``hydrate``
                 {"truncate_hits": {"target_size": n}} — keep the first n
                 hits per query
                 {"rename_field": {"field": a, "target_field": b}} — rename
@@ -593,11 +636,8 @@ def search_with_pipeline(
             if not field:
                 raise EngineError("collapse requires a 'field'")
             if len(res):
-                meta = hydrate(
-                    index_dir,
-                    ray.data.from_pandas(res[["docid"]].drop_duplicates()),
-                    columns=[field],  # pruned read: one field, not the text
-                )[["docid", field]]
+                meta = hydrate(index_dir, res[["docid"]].drop_duplicates(),
+                               columns=[field])
                 res = res.merge(meta, on="docid", how="left")
                 # a hit with NO field value is KEPT, not deduped: pandas
                 # drop_duplicates treats NaN==NaN, which would collapse all
@@ -734,7 +774,7 @@ def search_script_fields(
     field evaluated from docmeta doc-values by the sandboxed painless-analog
     int-script compiler (pipelines/aggs._compile_script — int +,-,* over
     whitelisted fields, AST-validated, SQL-transcribable verbatim). Hits are
-    queries x k and doc-values arrive via the broadcast-semi-join hydrate —
+    queries x k and doc-values arrive via ``hydrate`` —
     the computation never rescans the corpus. Returns
     (query_id, rank, docid, score, <name>)."""
     from remote_vector_index_builder_ray.pipelines.aggs import _compile_script
@@ -745,7 +785,7 @@ def search_script_fields(
             "score": np.float64, name: np.int64}
     if res.empty or "docid" not in res.columns:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
-    hyd = hydrate(index_dir, ray.data.from_pandas(res.reset_index(drop=True)))
+    hyd = hydrate(index_dir, res.reset_index(drop=True), columns=list(fields))
     vals = fn({f: hyd[f].to_numpy(np.int64) for f in fields})
     hyd[name] = np.asarray(vals, dtype=np.int64)
     hyd = hyd.sort_values(["query_id", "rank"]).reset_index(drop=True)
@@ -862,17 +902,14 @@ def mget(index_dir: str, requests) -> pd.DataFrame:
     """OpenSearch ``_mget``: fetch stored fields for explicit
     (query_id, docid) requests — no scoring, no analysis. The request
     frame is driver-small by contract (an id-lookup API); the docid set is
-    ``ray.put`` once and docmeta streams through the same broadcast
-    semi-join filter as :func:`hydrate` (pruned scan, no shuffle).
+    ``ray.put`` once into the same pinned-docmeta semi-join as
+    :func:`hydrate`.
     Requested docids absent from the index return ``found=false`` with
     null fields, as _mget does. Returns (query_id, docid, conv_id,
     turn_idx, role, found), ordered by (query_id, docid)."""
-    import numpy as np
-    import ray
-
     req = requests.copy() if isinstance(requests, pd.DataFrame) else pd.read_parquet(requests)
-    ds = ray.data.from_pandas(req[["docid"]].drop_duplicates())
-    meta = hydrate(index_dir, ds)
+    meta = hydrate(index_dir, req[["docid"]].drop_duplicates(),
+                   columns=["conv_id", "turn_idx", "role"])
     out = req[["query_id", "docid"]].merge(
         meta[["docid", "conv_id", "turn_idx", "role"]], on="docid", how="left"
     )
@@ -978,9 +1015,8 @@ def search_terms_lookup(
     (``terms: {field: {index, id, path}}``). ``requests`` carries
     (query_id:int64, lookup_docid:int64, k:int32).
 
-    The lookup docs hydrate through the same broadcast semi-join as
-    :func:`hydrate` with a ``columns=['text']``-pruned docmeta scan — ONE
-    pass fetches every request's seed doc (an id-lookup is a small-side
+    The lookup docs hydrate through :func:`hydrate` with
+    ``columns=['text']`` — ONE lookup fetches every request's seed doc (an id-lookup is a small-side
     fetch, never a shuffle). Each seed's term set is its first
     ``max_terms`` DISTINCT analyzer tokens in lexicographic order (a
     deterministic stand-in for the lookup doc's stored terms array); the
@@ -995,7 +1031,7 @@ def search_terms_lookup(
     req = requests.copy() if isinstance(requests, pd.DataFrame) else pd.read_parquet(requests)
     seeds = req[["lookup_docid"]].drop_duplicates().rename(
         columns={"lookup_docid": "docid"})
-    meta = hydrate(index_dir, ray.data.from_pandas(seeds), columns=["text"])
+    meta = hydrate(index_dir, seeds, columns=["text"])
     an = load_analyzer(index_dir)
     text_by_doc = dict(zip(meta["docid"], meta["text"]))
 
@@ -1628,19 +1664,6 @@ def search_cross_fields(
     ).reset_index(drop=True)
 
 
-def _fetch_doc_lens(index_dir: str, docids: "np.ndarray") -> pd.DataFrame:
-    """(docid, doc_len) for an explicit docid set: broadcast-semi-join over
-    a pruned docmeta scan (the ``hydrate`` pattern — the small side is
-    ray.put once, docmeta streams, no shuffle)."""
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
-    from remote_vector_index_builder_ray.state import fs
-
-    ref = ray.put(np.unique(np.asarray(docids, dtype=np.int64)))
-    dm = ray.data.read_parquet(**fs.for_ray_paths(docmeta_files(index_dir)),
-                               columns=["docid", "doc_len"])
-    return to_frame(semi_join(dm, "docid", ref))
-
-
 def search_combined_fields(
     index_dirs: dict[str, str],
     queries,
@@ -1667,13 +1690,11 @@ def search_combined_fields(
 
     Mechanics: one ``similarity="rawtf"`` single-term exhaustive search per
     (term, field) returns the raw per-doc tf (functions/bm25.sim_contrib);
-    per-field doc lengths ride a broadcast-semi-join docmeta fetch restricted
-    to the union docids; the combine is driver-side over the union of full
+    per-field doc lengths come from one ``docmeta_lookup`` of the union
+    docids per field; the combine is driver-side over the union of full
     match sets — the same envelope as ``search_cross_fields``. Fields must
     share the analyzer and docid space. Returns (query_id, rank, docid,
     score)."""
-    import numpy as np
-
     from remote_vector_index_builder_ray.functions.tokenizer import (
         analyze_text,
         load_analyzer,
@@ -1733,7 +1754,7 @@ def search_combined_fields(
     union_docs = np.unique(comb["docid"].to_numpy(np.int64))
     dl_c = None
     for f in fields:
-        dm = _fetch_doc_lens(index_dirs[f], union_docs)
+        dm = docmeta_lookup(index_dirs[f], "docid", union_docs, ["doc_len"])
         s = dm.set_index("docid")["doc_len"].astype(np.float64) * w[f]
         dl_c = s if dl_c is None else dl_c.add(s, fill_value=0.0)
     comb["dl_c"] = comb["docid"].map(dl_c).astype(np.float64)
@@ -1931,8 +1952,8 @@ def function_score(
     timestamp field (``params={"origin": .., "scale": ..}``; multiplier
     clamps at 0, as in OpenSearch).
 
-    Scored match sets shard by docid range; docmeta streams once through a
-    per-batch top-k combiner (the function needs the field value, which
+    Scored match sets shard by docid range; each pinned docmeta file runs
+    once through a top-k combiner (the function needs the field value, which
     lives in docmeta — exactly Lucene's doc-values read at score time).
     Returns (query_id, rank, docid, score), score rounded half-up to 6
     decimals, ranked (score desc, docid asc), top-k per the queries' k."""
@@ -2069,35 +2090,15 @@ def script_score(
 
 def resolve_script_docids(index_dir: str, expr: str, field: str = "doc_len"):
     """OpenSearch ``script`` query (filter context): the allow-set of docids
-    whose ``field`` value makes the sandboxed integer script non-zero.
-    Unlike :func:`resolve_filter_docids` a script can't push into the
-    parquet scan, so the docmeta stream evaluates it vectorized per batch
-    (numpy, compiled once on the driver) and only matching docids leave
-    each task; the sorted set broadcasts once via ``ray.put`` — the same
+    whose ``field`` value makes the sandboxed integer script non-zero. The
+    script compiles once on the driver and runs vectorized (numpy) on the
+    pinned ``field`` column of each docmeta file; only matching docids leave
+    a task, and the sorted set broadcasts once via ``ray.put`` — the same
     selective-filter contract as ``where``."""
-    import ray
-
-    from remote_vector_index_builder_ray.pipelines.incremental import docmeta_files
     from remote_vector_index_builder_ray.stages.search import _compile_int_script
-    from remote_vector_index_builder_ray.state import fs
 
-    fn = _compile_int_script(expr)
-    meta_files = docmeta_files(index_dir)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        ids = batch["docid"].combine_chunks().to_numpy(zero_copy_only=False)
-        vals = batch[field].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
-        mask = fn(vals) != 0
-        return pa.table({"docid": pa.array(ids[mask], type=pa.int64())})
-
-    df = (
-        ray.data.read_parquet(**fs.for_ray_paths(meta_files),
-                              columns=["docid", field])
-        .map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-    )
-    ids = df["docid"].to_numpy() if "docid" in df.columns else np.empty(0)
-    return ray.put(np.sort(ids.astype(np.int64)))
+    return _allow_list(index_dir, [field], _script_docids, field,
+                       _compile_int_script(expr))
 
 
 def search_script_filter(
@@ -2109,11 +2110,9 @@ def search_script_filter(
 ) -> ray.data.Dataset:
     """OpenSearch bool.filter with a ``script`` query: candidates restricted
     to docs whose ``field`` makes ``expr`` non-zero; scores unchanged
-    (filter context). The script evaluates once over the docmeta stream
-    (:func:`resolve_script_docids`); the search then runs normally with the
-    broadcast allow-list."""
-    import ray
-
+    (filter context). The script evaluates once over the pinned docmeta
+    column (:func:`resolve_script_docids`); the search then runs normally
+    with the broadcast allow-list."""
     allow = ray.get(resolve_script_docids(index_dir, expr, field))
     return search(index_dir, queries, mode=mode, allow_docids=allow)
 

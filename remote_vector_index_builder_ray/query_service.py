@@ -26,10 +26,11 @@ for the same reason):
   pool is created.
 * The owner also keeps the index's docmeta resident next to the pool
   (``docmeta``): one object ref per (docmeta file, column), read by one
-  plain task per file the first time a docmeta probe asks for the column
-  and returned as that task's value, so the owner owns every pin. The pins
+  plain task per file the first time a caller asks for the column and
+  returned as that task's value, so the owner owns every pin. The pins
   belong to the pool's (index_dir, manifest fingerprint) and retire with
-  it; ``docmeta_stats`` reports them per live pool.
+  it; ``docmeta_stats`` reports them per live pool. ``map_docmeta``, one
+  plain task per pinned file, is the one query-side read of docmeta.
 * Least-recently-used pools retire beyond ``max_pools`` and beyond the
   ``max_cpu_fraction`` CPU-reservation budget. Retirement drops the pool's
   pins and drains: a pool's actors die when the last in-flight call
@@ -172,6 +173,14 @@ def _read_columns(path: str, columns: list[str]):
     t = fs.read_table(path, columns=columns)
     cols = [t.column(c).combine_chunks() for c in columns]
     return (*cols, [c.nbytes for c in cols])
+
+
+@ray.remote
+def _map_file(fn, names: list[str], *values):
+    """``fn`` over one docmeta file's ``names`` columns, then ``fn``'s args:
+    all top-level ``values``, so Ray resolves every ref among them."""
+    n = len(names)
+    return fn(pa.table(dict(zip(names, values[:n]))), *values[n:])
 
 
 class _Pool:
@@ -362,6 +371,16 @@ class QueryService:
             self._release_pool(pool)
         return rows
 
+    def map_docmeta(self, index_dir: str, columns: list[str], fn,
+                    *args) -> list:
+        """``fn(table, *args) -> pa.Table`` over each docmeta file's pinned
+        ``columns``, one plain task per file; the result refs, in
+        ``docmeta_files`` order. A ref in ``args`` arrives resolved, one
+        nested in a container stays a ref."""
+        columns = list(dict.fromkeys(columns))
+        return [_map_file.remote(fn, columns, *refs, *args)
+                for refs in self.docmeta(index_dir, columns)]
+
     def docmeta_stats(self) -> dict:
         """Per live pool, keyed (index_dir, manifest fingerprint): the pinned
         docmeta bytes, the pinned (file, column) count, and the (file,
@@ -496,7 +515,7 @@ def default_service() -> QueryService:
     per CPU of its share of the cluster, and its actors reserve no CPU.
 
     The owner's pools stay warm while the same process runs Ray Data
-    pipelines (builds, docmeta probes, hydration). Ray Data sizes their
+    pipelines (builds and the index writers). Ray Data sizes their
     tasks and actor pools against the cluster's total CPUs, so a CPU held
     by an idle searcher actor is one the pipelines count on but cannot
     get: on 4 CPUs, an actor-pool search plus ``hydrate`` stalled for 25 s

@@ -8,6 +8,11 @@ Builds the benchmark-shaped index (20k turns in 2 parquet files, from
 - ``calls_ms``: the median wall ms of each call of one batch job: ``search()``
   in bmw and exhaustive mode, then ``match_count``, ``terms_agg``,
   ``date_histogram`` and ``stats_agg``;
+- ``lookups_ms``: the median wall ms of each query-side docmeta lookup,
+  on warm pins: ``match_count`` with ``where=[("role", "=", "user")]``,
+  ``resolve_filter_docids`` of that ``where``, ``hydrate`` of the bmw
+  results with ``columns=["doc_len"]`` and with every column (text
+  included), and ``global_terms_agg``;
 - ``agg_split_ms``: per aggregation, the median ms of the whole call and
   of its two remote parts in the same runs: the match-set run
   (``aggs._match_run``: the searcher actors score and pack the match sets,
@@ -68,7 +73,13 @@ def main(argv=None) -> int:
     from ray.data import DataContext
 
     import inputs
-    from remote_vector_index_builder_ray import BuildConfig, build_index, search
+    from remote_vector_index_builder_ray import (
+        BuildConfig,
+        build_index,
+        global_terms_agg,
+        hydrate,
+        search,
+    )
     from remote_vector_index_builder_ray.fixtures import generate_queries
     from remote_vector_index_builder_ray.pipelines import aggs
     from remote_vector_index_builder_ray.pipelines.aggs import (
@@ -77,6 +88,7 @@ def main(argv=None) -> int:
         stats_agg,
         terms_agg,
     )
+    from remote_vector_index_builder_ray.pipelines.query import resolve_filter_docids
     from remote_vector_index_builder_ray.stages.search import (
         K_MAX,
         BM25Searcher,
@@ -108,6 +120,20 @@ def main(argv=None) -> int:
         for fn in calls.values():  # warm the pool and the docmeta pins
             fn()
         calls_ms = {name: _median_ms(fn) for name, fn in calls.items()}
+
+        res = search(index_dir, q, mode="bmw")
+        where = [("role", "=", "user")]
+        lookups = {
+            "match_count_where": lambda: match_count(index_dir, q, where=where),
+            "resolve_filter_docids": lambda: ray.get(
+                resolve_filter_docids(index_dir, where)),
+            "hydrate_doc_len": lambda: hydrate(index_dir, res, columns=["doc_len"]),
+            "hydrate": lambda: hydrate(index_dir, res),
+            "global_terms_agg": lambda: global_terms_agg(index_dir),
+        }
+        for fn in lookups.values():  # warm the pins the lookups read
+            fn()
+        lookups_ms = {name: _median_ms(fn) for name, fn in lookups.items()}
 
         # the aggregations' two remote parts, timed inside the same calls
         part = {}
@@ -162,7 +188,8 @@ def main(argv=None) -> int:
             split[f"{mode}@k={k}"] = {**_medians(runs), "rows": rows}
         print(json.dumps({"seed": args.seed, "reps": REPS,
                           "turns": len(df), "queries": len(q),
-                          "calls_ms": calls_ms, "agg_split_ms": agg_split,
+                          "calls_ms": calls_ms, "lookups_ms": lookups_ms,
+                          "agg_split_ms": agg_split,
                           "split_ms": split}, indent=1))
     finally:
         ray.shutdown()

@@ -10,7 +10,7 @@ import pathlib
 import textwrap
 
 import remote_vector_index_builder_ray as pkg
-from remote_vector_index_builder_ray.pipelines import aggs
+from remote_vector_index_builder_ray.pipelines import aggs, query
 from remote_vector_index_builder_ray.stages.search import BM25Searcher
 
 ROOT = pathlib.Path(pkg.__file__).parent
@@ -45,12 +45,18 @@ def test_docmeta_probes_are_functions():
 def test_probes_plan_no_docmeta_read():
     """A docmeta probe runs one task per file over the columns the
     ``QueryService`` owner pins: the probe path plans no Ray Data read and
-    maps no batches."""
+    maps no batches. The query-side modules read docmeta only that way
+    (``QueryService.map_docmeta``): none of them plans a Ray Data read,
+    and ``_fetch_doc_lens`` is folded into ``hydrate``'s lookup."""
     found = [f"{name}: {t}"
              for name in ("_probe_ds", "_probe_partials", "_probe_refs")
              for t in ("read_parquet", "map_batches")
              if t in inspect.getsource(getattr(aggs, name))]
+    found += [f"pipelines/{mod}.py: ray.data.read_parquet"
+              for mod in ("query", "aggs", "join")
+              if "data.read_parquet" in (ROOT / "pipelines" / f"{mod}.py").read_text()]
     assert found == []
+    assert not hasattr(query, "_fetch_doc_lens")
 
 
 def test_search_results_assemble_as_columns():

@@ -188,3 +188,31 @@ def test_filtered_alias_roundtrip(smoke_index, smoke_fixture):
     with _pytest.raises(EngineError, match="already carries"):
         search_alias(smoke_index["index_dir"], "users", qdf,
                      where=[("role", "=", "assistant")])
+
+
+@pytest.mark.parametrize("where,message", [
+    ([("role", "=", 5)], "where (role == 5)"),
+    ([("nosuch", "=", "x")], "FieldRef.Name(nosuch)"),
+    (pc.field("nosuch") == "x", "FieldRef.Name(nosuch)"),
+])
+def test_bad_where_fails_on_the_driver(smoke_fixture, smoke_index, where, message):
+    """A ``where`` naming a column docmeta lacks, or comparing a column with
+    a value of another type, is a ValueError naming the column, raised on
+    the driver against the docmeta schema: by search, match_count and
+    create_alias alike, and a bad alias is never stored."""
+    import re
+
+    from remote_vector_index_builder_ray import match_count
+    from remote_vector_index_builder_ray.pipelines.incremental import create_alias
+    from remote_vector_index_builder_ray.state.manifest import Manifest
+
+    idx = smoke_index["index_dir"]
+    q = pq.read_table(smoke_fixture["queries"]).to_pandas().head(2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        match_count(idx, q, where=where)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        search(idx, q, where=where)
+    if isinstance(where, list):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            create_alias(idx, "bad_where", where=where)
+        assert "bad_where" not in Manifest.load(idx).data.get("aliases", {})

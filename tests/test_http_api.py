@@ -797,3 +797,19 @@ def test_non_iterable_where_is_400(api, route, body):
         _post(base + route, {"index_dir": str(idx_root / "none"), **body})
     assert ei.value.code == 400
     assert "error" in json.loads(ei.value.read())
+
+
+@pytest.mark.parametrize("where,column", [
+    ([["role", "=", 5]], "role"),
+    ([["nosuch", "=", "x"]], "nosuch"),
+])
+def test_bad_where_on_a_built_index_is_400(api, smoke_index, where, column):
+    """A ``where`` that does not bind on the index's docmeta schema (an
+    unknown column, or a value of the wrong type) is a 400 naming the
+    column: it is checked on the driver, not raised from inside a task."""
+    base, _, _ = api
+    with pytest.raises(urllib.error.HTTPError) as ei:
+        _post(base + "/_count", {"index_dir": smoke_index["index_dir"],
+                                 "text": "hello", "where": where})
+    assert ei.value.code == 400
+    assert f"({column} == " in json.loads(ei.value.read())["error"]

@@ -360,7 +360,10 @@ def test_docmeta_pins_follow_the_index_state(smoke_fixture, tmp_path_factory):
     """The default owner pins the docmeta columns a probe reads once per
     index state: a repeated agg reads no column again, and append, delete
     and compact each re-pin under the new fingerprint and drop the old
-    pins, with terms_agg and stats_agg equal to the oracle at every step."""
+    pins, with terms_agg and stats_agg equal to the oracle at every step.
+    A ``where`` and ``hydrate`` read the same pins: on one index state each
+    (file, column) is read once, and after a delete a ``where`` re-reads
+    and sees the delete."""
     d = tmp_path_factory.mktemp("warm_pins")
     full = pd.concat([pq.read_table(p).to_pandas()
                       for p in smoke_fixture["transcripts"]])
@@ -378,6 +381,16 @@ def test_docmeta_pins_follow_the_index_state(smoke_fixture, tmp_path_factory):
     oracle = oracle_from_transcripts(full)
     docs = full.sort_values(["conv_id", "turn_idx"], kind="mergesort").reset_index(drop=True)
     docs["doc_len"] = pd.Series(oracle.doc_len)
+
+    where = [("role", "=", "user")]
+
+    def user_counts(live: pd.DataFrame) -> pd.DataFrame:
+        users = live[live["role"] == "user"]
+        qs = q.sort_values("query_id")
+        return pd.DataFrame({
+            "query_id": qs["query_id"].to_numpy(np.int64),
+            "total_hits": [int(users.index.isin(list(oracle.score_query(t))).sum())
+                           for t in qs["text"]]})
 
     def check(live: pd.DataFrame, old=None):
         want_terms, want_stats = _agg_oracle(live, oracle, q)
@@ -398,12 +411,27 @@ def test_docmeta_pins_follow_the_index_state(smoke_fixture, tmp_path_factory):
     again = svc.docmeta_stats()[key0]
     assert again["reads"] == st0["reads"] and again["pinned"] == st0["pinned"]
     assert again["hits"] > st0["hits"]
+    pd.testing.assert_frame_equal(match_count(idx, q, where=where),
+                                  user_counts(docs[docs["conv_id"] < cut]))
+    hyd = hydrate(idx, search(idx, q), columns=["doc_len"])
+    assert hyd["doc_len"].notna().all()
+    st = svc.docmeta_stats()[key0]
+    match_count(idx, q, where=where)
+    again = svc.docmeta_stats()[key0]
+    # docid, role and doc_len: pinned by the aggs, read by no lookup again
+    assert again["reads"] == st["reads"] == again["pinned"] == st0["reads"]
+    assert again["hits"] > st["hits"] > st0["hits"]
     append_index(idx, [pb_path])
     key1, st1 = check(docs, old=key0)
     assert st1["pinned"] > st0["pinned"]  # the generation's files too
     victims = [0, 5, 1500]
     delete_docs(idx, docids=victims)
     live = docs.drop(index=victims)
+    pd.testing.assert_frame_equal(match_count(idx, q, where=where), user_counts(live))
+    stats = svc.docmeta_stats()
+    assert key1 not in stats
+    st = stats[(idx, manifest_fingerprint(idx))]
+    assert st["reads"] == st["pinned"] > 0
     key2, _ = check(live, old=key1)
     compact_index(idx)
     check(live, old=key2)
